@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--l", type=int, required=True, help="level (weight)")
         if cutoff:
             p.add_argument("--cutoff", required=True,
-                           help="truncation order, A or A/B")
+                           help="nonnegative truncation order, A or A/B")
         if diagrams:
             p.add_argument("--diagrams", action="store_true",
                            help="render configurations as diagrams")

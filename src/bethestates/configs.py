@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 from math import factorial, floor, lcm
 
 from .spectral import ChainSpec, interaction_delta, offset_vector
-from .tsdata import TSData, string_length, zone
+from .tsdata import TSData, string_length
 from .util import PreconditionError, binom, frac_part
 
 
@@ -251,6 +251,9 @@ def enumerate_lambda(ts: TSData, l: int) -> list:
             rec(k + 1, rem - c * w, acc + (c,))
 
     rec(0, l, ())
+    # rec refers to itself through its closure cell; clearing the cell frees
+    # the function, and the list with it, without waiting for the cyclic GC
+    del rec
     out.sort()
     return out
 
@@ -275,7 +278,7 @@ class _CountContext:
         for x in b:
             denom = lcm(denom, x.denominator)
         self.dim = dim
-        self.signs = tuple((-1) ** zone(ts, j) for j in range(1, dim + 1))
+        self.signs = ts.signs
         self.m_scaled = [[int(x * denom) for x in row] for row in delta.rows]
         self.b_scaled = [int(x * denom) for x in b]
         self.denom = denom

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, floor, lcm
+from operator import mul
 
 from .configs import _context, enumerate_lambda
 from .qalg import QPolynomial, QSeries, as_exp, gauss_binomial, product_expand
 from .spectral import ChainSpec, coupling_matrix
-from .tsdata import TSData, zone
+from .tsdata import TSData
 from .util import PreconditionError, rat_str
 
 
@@ -39,16 +41,26 @@ def gauss_general(top: int, b: int, base_sign: int = 1) -> QPolynomial:
     return poly.subs_inverse() if base_sign == -1 else poly
 
 
-def _quadratic_form(ts: TSData, lam) -> Fraction:
-    """(1/2) lam~ B lam~^t = lam~ Theta lam~^t for the multiplicity vector."""
+@lru_cache(maxsize=16)
+def _lattice(ts: TSData) -> tuple:
+    """(D, R) with R[i][j] = s_i s_j D Theta[i][j] an integer, s = ts.signs.
+
+    D is the lcm of the denominators of Theta and of 1/p0, so every quadratic
+    form value and every l^2/p0 lies on (1/D)Z.
+    """
     theta = coupling_matrix(ts)
-    signed = [((-1) ** zone(ts, j + 1)) * x for j, x in enumerate(lam)]
-    total = Fraction(0)
-    for i, si in enumerate(signed):
-        if not si:
-            continue
-        row = theta.rows[i]
-        total += si * sum(row[j] * sj for j, sj in enumerate(signed) if sj)
+    den = lcm(ts.p0.numerator, *(x.denominator for row in theta.rows for x in row))
+    return den, tuple(tuple(int(si * sj * x * den) for sj, x in zip(ts.signs, row))
+                      for si, row in zip(ts.signs, theta.rows))
+
+
+def _scaled_quadratic_form(signed_theta, lam) -> int:
+    """D * (lam~ Theta lam~^t) = (D/2) lam~ B lam~^t for the multiplicity
+    vector, lam~ the parity-signed lam, from the matrix R of _lattice."""
+    total = 0
+    for row, x in zip(signed_theta, lam):
+        if x:
+            total += x * sum(map(mul, row, lam))
     return total
 
 
@@ -60,19 +72,21 @@ def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
     Evaluating at q = 1 recovers the plain count.
     """
     ctx = _context(ts, chain, l)
-    signs = [(-1) ** zone(ts, j) for j in range(1, ts.dim + 1)]
+    den, signed_theta = _lattice(ts)
     out = QPolynomial.zero()
     for lam in enumerate_lambda(ts, l):
         tops = ctx.tops(lam)
         if tops is None:
             continue
-        term = QPolynomial.monomial(_quadratic_form(ts, lam), 1)
-        for t, x, eps in zip(tops, lam, signs):
+        term = QPolynomial.one()
+        for t, x, eps in zip(tops, lam, ts.signs):
             if x:
                 term = term * gauss_general(t, x, eps)
                 if term.is_zero():
                     break
-        out = out + term
+        if not term.is_zero():
+            qf = _scaled_quadratic_form(signed_theta, lam)
+            out = out + term.shift(Fraction(qf, den))
     return out
 
 
@@ -114,27 +128,30 @@ def level_series(ts: TSData, l: int, cutoff) -> QSeries:
     """V_l: sum over level-l multiplicity vectors of the quadratic-form
     monomial divided by finite q-factorials in base q**(parity)."""
     cutoff = as_exp(cutoff)
-    signs = [(-1) ** zone(ts, j) for j in range(1, ts.dim + 1)]
     acc = QSeries.zero(cutoff)
-    for lam in enumerate_lambda(ts, l):
-        term = _level_term(ts, lam, signs, Fraction(0), cutoff)
-        if term is not None:
-            acc = acc + term
+    for term in _level_terms(ts, l, 0, cutoff):
+        acc = acc + term
     return acc
 
 
-def _level_term(ts, lam, signs, extra_exp, cutoff):
-    """One multiplicity vector's series, or None when nothing survives the
-    cutoff (the exact minimal exponent is known in closed form)."""
-    e0 = extra_exp + _quadratic_form(ts, lam)
-    min_exp = e0 + sum(Fraction(x * (x + 1), 2) for x, s in zip(lam, signs) if s < 0)
-    if min_exp > cutoff:
-        return None
-    term = QSeries.monomial(e0, 1, cutoff)
-    for x, eps in zip(lam, signs):
-        for i in range(1, x + 1):
-            term = term.div_cyclotomic(eps * i)
-    return term
+def _level_terms(ts: TSData, l: int, lead: int, cutoff: Fraction):
+    """The series of each level-l multiplicity vector, times q**(lead/D), that
+    has a term within the cutoff.  The exact minimal exponent is known in
+    closed form, so vectors whose series lies wholly past the cutoff are
+    skipped without any series work."""
+    den, signed_theta = _lattice(ts)
+    signs = ts.signs
+    limit = floor(cutoff * den)
+    for lam in enumerate_lambda(ts, l):
+        e0 = lead + _scaled_quadratic_form(signed_theta, lam)
+        min_exp = e0 + den * sum(x * (x + 1) for x, s in zip(lam, signs) if s < 0) // 2
+        if min_exp > limit:
+            continue
+        term = QSeries.monomial(Fraction(e0, den), 1, cutoff)
+        for x, eps in zip(lam, signs):
+            for i in range(1, x + 1):
+                term = term.div_cyclotomic(eps * i)
+        yield term
 
 
 def fermionic_sum(ts: TSData, cutoff) -> QSeries:
@@ -145,19 +162,17 @@ def fermionic_sum(ts: TSData, cutoff) -> QSeries:
     non-monotone dips without assuming a growth bound.
     """
     cutoff = as_exp(cutoff)
-    signs = [(-1) ** zone(ts, j) for j in range(1, ts.dim + 1)]
+    den, _ = _lattice(ts)
     window = ts.p0.numerator
     acc = QSeries.zero(cutoff)
     dead = 0
     l = 0
     while dead < window:
-        lead = Fraction(l * l) / ts.p0
+        lead = l * l * den * ts.p0.denominator // ts.p0.numerator   # D * l^2/p0
         live = False
-        for lam in enumerate_lambda(ts, l):
-            term = _level_term(ts, lam, signs, lead, cutoff)
-            if term is not None:
-                live = True
-                acc = acc + term
+        for term in _level_terms(ts, l, lead, cutoff):
+            live = True
+            acc = acc + term
         dead = 0 if live else dead + 1
         l += 1
         if l > 100000:
@@ -352,6 +367,8 @@ class IdentityReport:
 def check_identity(ts: TSData, cutoff) -> IdentityReport:
     """Compare the fermionic and bosonic sides term-by-term up to the cutoff."""
     cutoff = as_exp(cutoff)
+    if cutoff < 0:
+        raise PreconditionError(f"identity cutoff must be nonnegative, got {rat_str(cutoff)}")
     lhs = fermionic_sum(ts, cutoff)
     rhs = bosonic_sum(ts, cutoff)
     disc = lhs.first_discrepancy(rhs)

@@ -1,17 +1,35 @@
-"""Exact arithmetic in the variable q: Laurent polynomials and truncated series.
+"""Exact arithmetic in the variable q: one series type on a rational lattice.
 
-Exponents are arbitrary rationals (Fraction), coefficients arbitrary-precision
-integers; there is no floating point anywhere.  QPolynomial is exact and
-finite.  QSeries carries a cutoff: exponents strictly greater than the cutoff
-are unknown and silently discarded, and binary operations only ever tighten
-the region of validity.  Values are immutable by convention; every operation
-returns a fresh object.
+A value stores a lattice denominator ``den``, an integer offset ``lo`` and a
+dense, trimmed list of integer coefficients: coeffs[i] is the coefficient of
+q**((lo + i)/den).  (Every exponent in this package lies on (1/D)Z, with D
+the lcm of the denominators of Theta and 1/p0.)  Operands on different
+lattices are rescaled to the lcm of their denominators, which multiplies
+``lo`` and ``cut`` by the factor and spreads the coefficients with that
+stride.  ``terms`` gives the value as a Fraction-keyed mapping, built on
+demand.  There is no floating point anywhere; coefficient lists are never
+mutated once stored, and every operation returns a fresh object.
+
+QSeries carries a cutoff, stored as ``cut`` on its lattice (which always
+includes the cutoff's denominator, so the cutoff stays exact).  Exponents
+above the cutoff are unknown and discarded, and binary operations only ever
+tighten the region of validity: a sum is valid up to the smaller cutoff; a
+product a*b up to min(cut_a + min(m_b, 0), cut_b + min(m_a, 0)), m the
+minimal exponent (0 for zero), where the unknown tail of one factor,
+shifted by the other's lowest term, begins; and an exact polynomial p times
+a series s is first truncated at s.cutoff - min(p.min_exp(), 0).
+
+QPolynomial is the same type without a cutoff (``cut`` is None): an exact
+finite Laurent-style polynomial.  An operation between polynomials returns
+a polynomial, one involving a series returns a series.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
+from operator import add, mul, sub
 
 from .util import PreconditionError
 
@@ -20,36 +38,251 @@ def as_exp(e) -> Fraction:
     return e if isinstance(e, Fraction) else Fraction(e)
 
 
-def _merge(pairs) -> dict:
-    terms: dict[Fraction, int] = {}
-    for e, c in pairs:
-        if not c:
-            continue
-        e = as_exp(e)
-        c0 = terms.get(e)
-        if c0 is None:
-            terms[e] = c
-        else:
-            c0 += c
-            if c0:
-                terms[e] = c0
-            else:
-                del terms[e]
-    return terms
+def _spread(coeffs: list, f: int) -> list:
+    """The coefficient list rescaled from a lattice to one f times finer."""
+    if f == 1 or len(coeffs) < 2:
+        return coeffs
+    out = [0] * ((len(coeffs) - 1) * f + 1)
+    out[::f] = coeffs
+    return out
 
 
-class QPolynomial:
-    """Finite Laurent-style polynomial: rational exponents, integer coefficients."""
+def _on_lattice(v: "QSeries", den: int):
+    """(lo, coeffs, cut) of v rescaled to the lattice (1/den)Z."""
+    f = den // v.den
+    return v.lo * f, _spread(v.coeffs, f), None if v.cut is None else v.cut * f
 
-    __slots__ = ("terms",)
+
+def _aligned(a: "QSeries", b: "QSeries"):
+    den = lcm(a.den, b.den)
+    return den, _on_lattice(a, den), _on_lattice(b, den)
+
+
+def _scaled(e: Fraction, den: int) -> int:
+    """e * den for an exponent on the lattice (1/den)Z."""
+    return e.numerator * (den // e.denominator)
+
+
+def _min_cut(a, b):
+    if a is None:
+        return b
+    return a if b is None else min(a, b)
+
+
+def _new(den: int, lo: int, coeffs: list, cut) -> "QSeries":
+    """A value from a coefficient list; a QPolynomial when there is no cutoff."""
+    v = object.__new__(QPolynomial if cut is None else QSeries)
+    v._set(den, lo, coeffs, cut)
+    return v
+
+
+class QSeries:
+    """Truncated formal series: terms known exactly for exponents <= cutoff."""
+
+    __slots__ = ("den", "lo", "coeffs", "cut")
+
+    def __init__(self, terms, cutoff):
+        self._set_terms(terms, as_exp(cutoff))
+
+    def _set_terms(self, terms, cutoff) -> None:
+        """Fill from (exponent, coeff) pairs or a dict; like exponents add up."""
+        if isinstance(terms, dict):
+            terms = terms.items()
+        pairs = [(as_exp(e), c) for e, c in terms if c]
+        den = lcm(*(e.denominator for e, _ in pairs),
+                  1 if cutoff is None else cutoff.denominator)
+        cut = None if cutoff is None else _scaled(cutoff, den)
+        scaled = [(_scaled(e, den), c) for e, c in pairs]
+        if cut is not None:
+            scaled = [(k, c) for k, c in scaled if k <= cut]
+        lo = min((k for k, _ in scaled), default=0)
+        coeffs = [0] * (max((k for k, _ in scaled), default=lo - 1) - lo + 1)
+        for k, c in scaled:
+            coeffs[k - lo] += c
+        self._set(den, lo, coeffs, cut)
+
+    def _set(self, den: int, lo: int, coeffs: list, cut) -> None:
+        """Store coeffs truncated at the cutoff and trimmed of zeros at both ends."""
+        end = len(coeffs) if cut is None else max(min(len(coeffs), cut - lo + 1), 0)
+        start = 0
+        while start < end and not coeffs[start]:
+            start += 1
+        while end > start and not coeffs[end - 1]:
+            end -= 1
+        if start or end != len(coeffs):
+            coeffs = coeffs[start:end]
+        self.den = den
+        self.lo = lo + start if coeffs else 0
+        self.coeffs = coeffs
+        self.cut = cut
+
+    @classmethod
+    def zero(cls, cutoff) -> "QSeries":
+        return cls({}, cutoff)
+
+    @classmethod
+    def one(cls, cutoff) -> "QSeries":
+        return cls({0: 1}, cutoff)
+
+    @classmethod
+    def monomial(cls, exponent, coeff, cutoff) -> "QSeries":
+        return cls({exponent: coeff}, cutoff)
+
+    @property
+    def terms(self) -> dict:
+        """Exponent -> nonzero coefficient, in increasing exponent order."""
+        den, lo = self.den, self.lo
+        return {Fraction(lo + i, den): c for i, c in enumerate(self.coeffs) if c}
+
+    @property
+    def cutoff(self):
+        return None if self.cut is None else Fraction(self.cut, self.den)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def min_exp(self):
+        return Fraction(self.lo, self.den) if self.coeffs else None
+
+    def coeff(self, exponent) -> int:
+        k = as_exp(exponent) * self.den
+        if k.denominator != 1:
+            return 0
+        i = k.numerator - self.lo
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+
+    def shift(self, d) -> "QSeries":
+        """Multiply by q**d: exact relabeling, so the cutoff moves along."""
+        d = as_exp(d)
+        den = lcm(self.den, d.denominator)
+        lo, coeffs, cut = _on_lattice(self, den)
+        k = _scaled(d, den)
+        return _new(den, lo + k, coeffs, None if cut is None else cut + k)
+
+    def truncated(self, cutoff) -> "QSeries":
+        cutoff = as_exp(cutoff)
+        if self.cut is not None and cutoff > self.cutoff:
+            raise PreconditionError("cannot extend a series beyond its cutoff")
+        den = lcm(self.den, cutoff.denominator)
+        lo, coeffs, _ = _on_lattice(self, den)
+        return _new(den, lo, coeffs, _scaled(cutoff, den))
+
+    def __neg__(self) -> "QSeries":
+        return _new(self.den, self.lo, [-c for c in self.coeffs], self.cut)
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = QPolynomial.monomial(0, other)
+        elif not isinstance(other, QSeries):
+            return NotImplemented
+        den, (lo_a, a, cut_a), (lo_b, b, cut_b) = _aligned(self, other)
+        if not a:
+            lo_a = lo_b
+        if not b:
+            lo_b = lo_a
+        lo = min(lo_a, lo_b)
+        out = [0] * (max(lo_a + len(a), lo_b + len(b)) - lo)
+        i = lo_a - lo
+        out[i:i + len(a)] = a
+        j = lo_b - lo
+        out[j:j + len(b)] = map(add, out[j:j + len(b)], b)
+        return _new(den, lo, out, _min_cut(cut_a, cut_b))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _new(self.den, self.lo, [c * other for c in self.coeffs], self.cut)
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        a, b = (other, self) if self.cut is None else (self, other)
+        if a.cut is not None and b.cut is None:
+            b = b.truncated(a.cutoff - min(b.min_exp() or 0, 0))
+        den, (lo_a, ca, cut_a), (lo_b, cb, cut_b) = _aligned(a, b)
+        cut = None
+        if cut_a is not None:
+            cut = min(cut_a + min(lo_b, 0), cut_b + min(lo_a, 0))
+        lo = lo_a + lo_b
+        n = len(ca) + len(cb) - 1 if ca and cb else 0
+        if cut is not None:
+            n = min(n, cut - lo + 1)
+        if n <= 0:
+            return _new(den, 0, [], cut)
+        # Walk the nonzero entries of the sparser factor; the other one is
+        # combined slice-wise.
+        if len(ca) - ca.count(0) > len(cb) - cb.count(0):
+            ca, cb = cb, ca
+        out = [0] * n
+        for i, c in enumerate(ca[:n]):
+            if c:
+                seg = cb[:n - i]
+                out[i:i + len(seg)] = map(add, out[i:i + len(seg)], map(mul, seg, repeat(c)))
+        return _new(den, lo, out, cut)
+
+    __rmul__ = __mul__
+
+    def div_cyclotomic(self, step) -> "QSeries":
+        """Divide by (1 - q**step), step != 0.
+
+        For step > 0 this is multiplication by the geometric series
+        1 + q**step + q**(2 step) + ... up to the cutoff: the prefix sum
+        c[k] += c[k - step] in increasing k, done one step-long block at a
+        time.  A negative step is reduced to the positive case through
+        1/(1 - q**step) = -q**(-step)/(1 - q**(-step)).
+        """
+        step = as_exp(step)
+        if step == 0:
+            raise PreconditionError("cyclotomic step must be nonzero")
+        if self.cut is None:
+            raise PreconditionError("dividing by 1 - q**step needs a cutoff")
+        if step < 0:
+            return -(self.shift(-step).div_cyclotomic(-step))
+        den = lcm(self.den, step.denominator)
+        lo, coeffs, cut = _on_lattice(self, den)
+        s = _scaled(step, den)
+        n = cut - lo + 1
+        if not coeffs:
+            return _new(den, lo, [], cut)
+        c = coeffs + [0] * (n - len(coeffs))
+        for k in range(s, n, s):
+            c[k:k + s] = map(add, c[k:k + s], c[k - s:k])
+        return _new(den, lo, c, cut)
+
+    def first_discrepancy(self, other: "QSeries", upto=None):
+        """First (exponent, own coeff, other coeff) difference within the
+        common region of validity, or None when the series agree there."""
+        limits = [c for c in (self.cutoff, other.cutoff, upto) if c is not None]
+        ta, tb = self.terms, other.terms
+        for e in sorted(ta.keys() | tb.keys()):
+            if limits and e > min(limits):
+                break
+            if ta.get(e, 0) != tb.get(e, 0):
+                return (e, ta.get(e, 0), tb.get(e, 0))
+        return None
+
+    def agrees_with(self, other: "QSeries", upto=None) -> bool:
+        return self.first_discrepancy(other, upto) is None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms and self.cutoff == other.cutoff
+
+    def __repr__(self):
+        tail = "" if self.cut is None else f" + O(q^{self.cutoff})"
+        return f"{type(self).__name__}({_format_terms(self.terms)}{tail})"
+
+
+class QPolynomial(QSeries):
+    """Finite Laurent-style polynomial: a QSeries without a cutoff."""
+
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        if terms is None:
-            self.terms = {}
-        elif isinstance(terms, dict):
-            self.terms = _merge(terms.items())
-        else:
-            self.terms = _merge(terms)
+        self._set_terms(terms or {}, None)
 
     @classmethod
     def zero(cls) -> "QPolynomial":
@@ -57,72 +290,21 @@ class QPolynomial:
 
     @classmethod
     def one(cls) -> "QPolynomial":
-        return cls({Fraction(0): 1})
+        return cls({0: 1})
 
     @classmethod
     def monomial(cls, exponent, coeff: int = 1) -> "QPolynomial":
-        return cls({as_exp(exponent): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def min_exp(self):
-        return min(self.terms) if self.terms else None
+        return cls({exponent: coeff})
 
     def max_exp(self):
-        return max(self.terms) if self.terms else None
-
-    def coeff(self, exponent) -> int:
-        return self.terms.get(as_exp(exponent), 0)
+        return Fraction(self.lo + len(self.coeffs) - 1, self.den) if self.coeffs else None
 
     def eval_at_one(self) -> int:
-        return sum(self.terms.values())
+        return sum(self.coeffs)
 
     def subs_inverse(self) -> "QPolynomial":
         """Substitute q -> 1/q (negate every exponent)."""
-        return QPolynomial({-e: c for e, c in self.terms.items()})
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = QPolynomial({Fraction(0): other})
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            c0 = out.get(e, 0) + c
-            if c0:
-                out[e] = c0
-            else:
-                out.pop(e, None)
-        return QPolynomial(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = QPolynomial({Fraction(0): other})
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QPolynomial({e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        out: dict[Fraction, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                c0 = out.get(e, 0) + c1 * c2
-                if c0:
-                    out[e] = c0
-                else:
-                    out.pop(e, None)
-        return QPolynomial(out)
-
-    __rmul__ = __mul__
+        return _new(self.den, 1 - self.lo - len(self.coeffs), self.coeffs[::-1], None)
 
     def __pow__(self, n: int) -> "QPolynomial":
         if n < 0:
@@ -132,211 +314,36 @@ class QPolynomial:
             out = out * self
         return out
 
-    def shift(self, d) -> "QPolynomial":
-        d = as_exp(d)
-        return QPolynomial({e + d: c for e, c in self.terms.items()})
-
     def exact_div(self, other: "QPolynomial") -> "QPolynomial":
         """Exact division; raises ArithmeticError when the quotient is not exact."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return QPolynomial()
-        rem = dict(self.terms)
-        out: dict[Fraction, int] = {}
-        d_lo = other.min_exp()
-        c_lo = other.terms[d_lo]
-        e_max = self.max_exp() - other.max_exp()
-        while rem:
-            e_r = min(rem)
-            e = e_r - d_lo
-            if e > e_max:
-                raise ArithmeticError("inexact polynomial division")
-            q, r = divmod(rem[e_r], c_lo)
-            if r:
-                raise ArithmeticError("inexact polynomial division")
-            out[e] = q
-            for e_o, c_o in other.terms.items():
-                k = e_o + e
-                c0 = rem.get(k, 0) - q * c_o
-                if c0:
-                    rem[k] = c0
-                else:
-                    rem.pop(k, None)
-        return QPolynomial(out)
+        den, (lo_a, a, _), (lo_b, b, _) = _aligned(self, other)
+        n = len(a) - len(b) + 1
+        if n <= 0:
+            raise ArithmeticError("inexact polynomial division")
+        rem = list(a)
+        out = [0] * n
+        for k in range(n):
+            if rem[k]:
+                q, r = divmod(rem[k], b[0])
+                if r:
+                    raise ArithmeticError("inexact polynomial division")
+                out[k] = q
+                rem[k:k + len(b)] = map(sub, rem[k:k + len(b)], map(mul, b, repeat(q)))
+        if any(rem[n:]):
+            raise ArithmeticError("inexact polynomial division")
+        return _new(den, lo_a - lo_b, out, None)
 
-    def to_series(self, cutoff) -> "QSeries":
-        return QSeries(self.terms, cutoff)
+    def to_series(self, cutoff) -> QSeries:
+        return self.truncated(cutoff)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = QPolynomial({Fraction(0): other})
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        return f"QPolynomial({_format_terms(self.terms)})"
-
-    __str__ = __repr__
-
-
-class QSeries:
-    """Truncated formal series: terms known exactly for exponents <= cutoff."""
-
-    __slots__ = ("terms", "cutoff")
-
-    def __init__(self, terms, cutoff):
-        cutoff = as_exp(cutoff)
-        if isinstance(terms, dict):
-            terms = terms.items()
-        self.terms = {e: c for e, c in _merge(terms).items() if e <= cutoff}
-        self.cutoff = cutoff
-
-    @classmethod
-    def zero(cls, cutoff) -> "QSeries":
-        return cls({}, cutoff)
-
-    @classmethod
-    def one(cls, cutoff) -> "QSeries":
-        return cls({Fraction(0): 1}, cutoff)
-
-    @classmethod
-    def monomial(cls, exponent, coeff, cutoff) -> "QSeries":
-        return cls({as_exp(exponent): coeff}, cutoff)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def min_exp(self):
-        return min(self.terms) if self.terms else None
-
-    def coeff(self, exponent) -> int:
-        return self.terms.get(as_exp(exponent), 0)
-
-    def shift(self, d) -> "QSeries":
-        """Multiply by q**d: exact relabeling, so the cutoff moves along."""
-        d = as_exp(d)
-        return QSeries({e + d: c for e, c in self.terms.items()}, self.cutoff + d)
-
-    def truncated(self, cutoff) -> "QSeries":
-        cutoff = as_exp(cutoff)
-        if cutoff > self.cutoff:
-            raise PreconditionError("cannot extend a series beyond its cutoff")
-        return QSeries(self.terms, cutoff)
-
-    def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self.terms.items()}, self.cutoff)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = QSeries({Fraction(0): other}, self.cutoff)
-        elif isinstance(other, QPolynomial):
-            other = other.to_series(self.cutoff)
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        cutoff = min(self.cutoff, other.cutoff)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            c0 = out.get(e, 0) + c
-            if c0:
-                out[e] = c0
-            else:
-                out.pop(e, None)
-        return QSeries(out, cutoff)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = QPolynomial({Fraction(0): other})
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QSeries({e: c * other for e, c in self.terms.items()}, self.cutoff)
-        if isinstance(other, QPolynomial):
-            other = other.to_series(self.cutoff - min(other.min_exp() or 0, 0))
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        # Retained coefficients must be exact: the unknown tail of one factor,
-        # shifted by the partner's minimal exponent, bounds the valid region.
-        ma = self.min_exp() or 0
-        mb = other.min_exp() or 0
-        cutoff = min(self.cutoff + min(mb, 0), other.cutoff + min(ma, 0))
-        out: dict[Fraction, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if e > cutoff:
-                    continue
-                c0 = out.get(e, 0) + c1 * c2
-                if c0:
-                    out[e] = c0
-                else:
-                    out.pop(e, None)
-        return QSeries(out, cutoff)
-
-    __rmul__ = __mul__
-
-    def div_cyclotomic(self, step) -> "QSeries":
-        """Divide by (1 - q**step), step != 0.
-
-        For step > 0 this is multiplication by the geometric series
-        1 + q**step + q**(2 step) + ...; a negative step is reduced to the
-        positive case through 1/(1 - q**step) = -q**(-step)/(1 - q**(-step)).
-        """
-        step = as_exp(step)
-        if step == 0:
-            raise PreconditionError("cyclotomic step must be nonzero")
-        if step < 0:
-            return -(self.shift(-step).div_cyclotomic(-step))
-        amounts = dict(self.terms)
-        heap = list(amounts)
-        heapq.heapify(heap)
-        out: dict[Fraction, int] = {}
-        while heap:
-            e = heapq.heappop(heap)
-            c = amounts.pop(e, 0)
-            if not c:
-                continue
-            out[e] = c
-            e2 = e + step
-            if e2 <= self.cutoff:
-                if e2 in amounts:
-                    amounts[e2] += c
-                else:
-                    amounts[e2] = c
-                    heapq.heappush(heap, e2)
-        return QSeries(out, self.cutoff)
-
-    def first_discrepancy(self, other: "QSeries", upto=None):
-        """First (exponent, own coeff, other coeff) difference within the
-        common region of validity, or None when the series agree there."""
-        limit = min(self.cutoff, other.cutoff)
-        if upto is not None:
-            limit = min(limit, as_exp(upto))
-        for e in sorted(set(self.terms) | set(other.terms)):
-            if e > limit:
-                break
-            ca = self.terms.get(e, 0)
-            cb = other.terms.get(e, 0)
-            if ca != cb:
-                return (e, ca, cb)
-        return None
-
-    def agrees_with(self, other: "QSeries", upto=None) -> bool:
-        return self.first_discrepancy(other, upto) is None
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.terms == other.terms and self.cutoff == other.cutoff
-
-    def __repr__(self):
-        return f"QSeries({_format_terms(self.terms)} + O(q^{self.cutoff}))"
-
-    __str__ = __repr__
+            other = QPolynomial.monomial(0, other)
+        return super().__eq__(other)
 
 
 def _format_terms(terms: dict) -> str:
@@ -354,20 +361,6 @@ def _format_terms(terms: dict) -> str:
     return " + ".join(parts)
 
 
-# -- function-style aliases for the series operations ------------------------
-
-def qs_add(a: QSeries, b: QSeries) -> QSeries:
-    return a + b
-
-
-def qs_mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
-
-
-def qs_div_cyclotomic(a: QSeries, step) -> QSeries:
-    return a.div_cyclotomic(step)
-
-
 def pochhammer(step_sign: int, n: int) -> QPolynomial:
     """Product of (1 - x**i) for i = 1..n with x = q**step_sign."""
     if step_sign not in (1, -1):
@@ -376,7 +369,7 @@ def pochhammer(step_sign: int, n: int) -> QPolynomial:
         raise PreconditionError("pochhammer length must be nonnegative")
     out = QPolynomial.one()
     for i in range(1, n + 1):
-        out = out * QPolynomial({Fraction(0): 1, Fraction(step_sign * i): -1})
+        out = out * QPolynomial({0: 1, step_sign * i: -1})
     return out
 
 
@@ -402,8 +395,8 @@ def gauss_binomial(m: int, n: int, base_sign: int = 1) -> QPolynomial:
         small = min(n, m - n)
         poly = QPolynomial.one()
         for i in range(1, small + 1):
-            poly = poly * QPolynomial({Fraction(0): 1, Fraction(m - small + i): -1})
-            poly = poly.exact_div(QPolynomial({Fraction(0): 1, Fraction(i): -1}))
+            poly = poly * QPolynomial({0: 1, m - small + i: -1})
+            poly = poly.exact_div(QPolynomial({0: 1, i: -1}))
         _GAUSS_CACHE[key] = poly
     if base_sign == -1:
         return poly.subs_inverse()
@@ -433,7 +426,7 @@ def product_expand(factors, cutoff) -> QSeries:
             if e > cutoff:
                 break
             if sign == 1:
-                out = out * QPolynomial({Fraction(0): 1, e: -1})
+                out = out * QPolynomial({0: 1, e: -1})
             else:
                 out = out.div_cyclotomic(e)
             n += 1

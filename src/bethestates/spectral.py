@@ -207,12 +207,10 @@ def parity_matrix(ts: TSData) -> RationalMatrix:
     """Diagonal parity signs with a swap in the last corner block."""
     dim = ts.dim
     rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for k in range(1, dim + 1):
-        sign = (-1) ** zone(ts, k)
-        rows[k - 1][k - 1] = Fraction(sign)
+    for k, sign in enumerate(ts.signs):
+        rows[k][k] = Fraction(sign)
     if dim >= 2:
-        s_dim = (-1) ** zone(ts, dim)
-        s_prev = (-1) ** zone(ts, dim - 1)
+        s_prev, s_dim = ts.signs[-2:]
         rows[dim - 2][dim - 1] = Fraction(-s_dim)
         rows[dim - 1][dim - 2] = Fraction(s_prev)
     return RationalMatrix(rows)
@@ -237,8 +235,7 @@ def offset_vector(ts: TSData, chain: ChainSpec, l: int):
         raise PreconditionError("level must be nonnegative")
     f = frac_part(Fraction(chain.n_total - 2 * l) / ts.p0)
     out = []
-    for j in range(1, ts.dim + 1):
-        sign = (-1) ** zone(ts, j)
+    for j, sign in enumerate(ts.signs, 1):
         phases = sum(two_phi(ts, j, two_s) * count for two_s, count in chain.species)
         out.append(sign * (string_length(ts, Fraction(j)) * f - phases))
     return out
@@ -256,7 +253,7 @@ def vacancy_linear_form(ts: TSData, chain: ChainSpec, l: int, lam):
         raise PreconditionError("lambda vector has wrong length")
     if any(x < 0 for x in lam):
         raise PreconditionError("lambda entries must be nonnegative")
-    signed = [((-1) ** zone(ts, j + 1)) * lam[j] for j in range(dim)]
+    signed = [s * x for s, x in zip(ts.signs, lam)]
     mv = interaction_delta(ts).matvec([Fraction(x) for x in signed])
     b = offset_vector(ts, chain, l)
     return [a + c for a, c in zip(mv, b)]

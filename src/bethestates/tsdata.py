@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .util import PreconditionError
 
@@ -40,6 +41,11 @@ class TSData:
     def dim(self) -> int:
         """Number of string types, m_{alpha+1}."""
         return self.bounds[-1]
+
+    @cached_property
+    def signs(self) -> tuple:
+        """Parities (-1)**zone(j) of the string types j = 1..dim."""
+        return tuple((-1) ** zone(self, j) for j in range(1, self.dim + 1))
 
     def is_integer(self) -> bool:
         return self.p0.denominator == 1

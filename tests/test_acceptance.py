@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from bethestates import (ChainSpec, QPolynomial, check_completeness_xxx,
+from bethestates import (ChainSpec, QPolynomial, QSeries, check_completeness_xxx,
                          check_completeness_xxz, compute_ts, count_xxx,
                          count_xxz_general, enumerate_xxx_configs, enumerate_xxz_int,
                          gauss_binomial, sl2_multiplicity, verify_pairing)
@@ -19,7 +19,7 @@ from bethestates.configs import xxx_config_count, xxx_vacancy
 from bethestates.identities import (bosonic_sum, bosonic_sum_collapsed,
                                     divide_by_euler, fermionic_sum,
                                     gordon_andrews_products, gordon_andrews_sum,
-                                    kernel_sum, q_count_at_one)
+                                    kernel_sum, level_series, q_count_at_one)
 from bethestates.qalg import pochhammer
 from bethestates.spectral import RationalMatrix, coupling_inverse, coupling_matrix
 from bethestates.tsdata import admissible_spin, string_length
@@ -209,3 +209,46 @@ def test_criterion_10_pairing():
     with pytest.raises(PreconditionError):
         verify_pairing(compute_ts(6), ChainSpec(6, [(3, 5)]))
     report(10, 30, t0, "pairing checks, staircase identity, treated-case guard")
+
+
+def test_criterion_11_identity_past_first_bosonic_term():
+    # the cutoffs pass the first nontrivial bosonic exponents (112 for 16/7,
+    # 21 for 7/3, whose kernel starts at q^1), so the sides are compared on
+    # real terms, not 1 against 1
+    t0 = time.perf_counter()
+    firsts = []
+    for p0, cutoff in [(F(16, 7), 130), (F(7, 3), 30)]:
+        ts = compute_ts(p0)
+        lhs = fermionic_sum(ts, cutoff)
+        rhs = bosonic_sum(ts, cutoff)
+        nontrivial = [e for e, c in rhs.terms.items() if e > 0 and c]
+        assert nontrivial, p0
+        firsts.append(min(nontrivial))
+        assert lhs.first_discrepancy(rhs) is None, p0
+        assert lhs.first_discrepancy(bosonic_sum_collapsed(ts, cutoff)) is None, p0
+    assert firsts == [112, 22]
+    report(11, 30, t0, "fermionic = bosonic = collapsed past the first real terms "
+                       f"(q^{firsts[0]} at 16/7, q^{firsts[1]} at 7/3)")
+
+
+def test_criterion_12_dead_level_window(monkeypatch):
+    # fermionic_sum stops after numerator(p0) consecutive levels with nothing
+    # within the cutoff; summing twice as many levels must change nothing
+    from bethestates import identities
+    t0 = time.perf_counter()
+    for p0, cutoff in [(F(16, 7), 120), (F(7, 3), 40), (F(5, 2), 30)]:
+        ts = compute_ts(p0)
+        levels = []
+        enumerate_lambda = identities.enumerate_lambda
+        monkeypatch.setattr(identities, "enumerate_lambda",
+                            lambda ts_, l: levels.append(l) or enumerate_lambda(ts_, l))
+        lhs = fermionic_sum(ts, cutoff)
+        monkeypatch.undo()
+        visited = max(levels) + 1
+        assert levels == list(range(visited))
+        total = QSeries.zero(cutoff)
+        for l in range(2 * visited):
+            lead = F(l * l) / ts.p0
+            total = total + level_series(ts, l, cutoff - lead).shift(lead)
+        assert total == lhs, p0
+    report(12, 60, t0, "level sums over twice the visited levels change nothing")

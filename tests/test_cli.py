@@ -109,6 +109,21 @@ def test_precondition_exit(capsys):
     assert rc == 3
 
 
+def test_identity_negative_cutoff_rejected(capsys, monkeypatch):
+    from bethestates import identities
+
+    def no_series_work(*args):
+        raise AssertionError("series work started")
+
+    for name in ("fermionic_sum", "bosonic_sum", "bosonic_sum_collapsed"):
+        monkeypatch.setattr(identities, name, no_series_work)
+    rc = main(["identity", "--p0", "3", "--cutoff", "-5"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "cutoff must be nonnegative" in captured.err
+
+
 def test_output_determinism(capsys):
     argvs = [
         ["ts", "--p0", "16/7", "--json"],

@@ -122,6 +122,21 @@ def test_integer_p0_exponents_are_integers():
         assert all(e.denominator == 1 for e in s.terms)
 
 
+def test_lattice_denominator_is_numerator_of_p0():
+    # |det C| = y_{alpha+1} = numerator(p0), so Theta = C^-1 and 1/p0 share
+    # that denominator
+    from bethestates.identities import _lattice
+    from bethestates.spectral import coupling_matrix
+    for p0 in (1, 2, 3, 6, F(5, 2), F(7, 3), F(16, 7), F(9, 4), F(13, 5), F(55, 34),
+               F(201, 2)):
+        ts = compute_ts(p0)
+        den, signed = _lattice(ts)
+        assert den == F(p0).numerator, p0
+        assert [[F(si * sj * x, den) for sj, x in zip(ts.signs, row)]
+                for si, row in zip(ts.signs, signed)] == \
+            [list(row) for row in coupling_matrix(ts).rows]
+
+
 # -- identity checks -------------------------------------------------------------------
 
 def test_identity_rational_5_2_frozen():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bethestates.qalg import (QPolynomial, QSeries, gauss_binomial, pochhammer,
-                              product_expand, qs_add, qs_div_cyclotomic, qs_mul)
+                              product_expand)
 from bethestates.util import PreconditionError
 
 
@@ -51,7 +51,7 @@ def pentagonal_euler(cutoff):
 def test_add_cancellation():
     a = QSeries({0: 1, 1: 1}, 20)
     b = QSeries({1: -1}, 20)
-    assert qs_add(a, b) == QSeries({0: 1}, 20)
+    assert a + b == QSeries({0: 1}, 20)
 
 
 def test_add_like_terms_fractional_exponent():
@@ -81,7 +81,7 @@ def test_mul_geometric_inverse():
 def test_mul_exponent_addition():
     a = QSeries({-1: 1}, 10)
     b = QSeries({Fraction(3, 2): 1}, 10)
-    prod = qs_mul(a, b)
+    prod = a * b
     assert prod.terms == {Fraction(1, 2): 1}
 
 
@@ -98,7 +98,7 @@ def test_mul_cutoff_tightens_for_negative_min_exponent():
 
 def test_div_cyclotomic_geometric():
     one = QSeries.one(8)
-    out = qs_div_cyclotomic(one, 1)
+    out = one.div_cyclotomic(1)
     assert out.terms == {Fraction(i): 1 for i in range(9)}
 
 
@@ -235,3 +235,117 @@ def test_product_expand_rejects_bad_progression():
         product_expand([(1, 0, 1)], 5)
     with pytest.raises(PreconditionError):
         product_expand([(1, 2, -2)], 5)
+
+
+# -- lattice series against an independent dict-of-Fraction reference ------------
+#
+# A reference value is (terms, cutoff): a {Fraction: int} dict without zeros and
+# a Fraction cutoff, or None for an exact polynomial.
+
+def ref_clean(terms, cutoff):
+    return {e: c for e, c in terms.items() if c and (cutoff is None or e <= cutoff)}
+
+
+def ref_min(terms):
+    return min(terms, default=Fraction(0))
+
+
+def ref_add(a, b):
+    cutoffs = [c for c in (a[1], b[1]) if c is not None]
+    cutoff = min(cutoffs) if cutoffs else None
+    out = dict(a[0])
+    for e, c in b[0].items():
+        out[e] = out.get(e, 0) + c
+    return ref_clean(out, cutoff), cutoff
+
+
+def ref_mul(a, b):
+    (ta, ca), (tb, cb) = a, b
+    if ca is None and cb is not None:
+        (ta, ca), (tb, cb) = (tb, cb), (ta, ca)
+    if ca is not None and cb is None:
+        # the exact factor is truncated where its tail could still matter
+        cb = ca - min(ref_min(tb), 0)
+        tb = ref_clean(tb, cb)
+    cutoff = None
+    if ca is not None:
+        cutoff = min(ca + min(ref_min(tb), 0), cb + min(ref_min(ta), 0))
+    out = {}
+    for e1, c1 in ta.items():
+        for e2, c2 in tb.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return ref_clean(out, cutoff), cutoff
+
+
+def ref_shift(a, d):
+    return {e + d: c for e, c in a[0].items()}, None if a[1] is None else a[1] + d
+
+
+def ref_div_cyclotomic(a, step):
+    """Term-by-term geometric expansion of 1/(1 - q**step)."""
+    if step < 0:
+        terms, cutoff = ref_div_cyclotomic(ref_shift(a, -step), -step)
+        return {e: -c for e, c in terms.items()}, cutoff
+    terms, cutoff = a
+    out = {}
+    for e, c in terms.items():
+        while e <= cutoff:
+            out[e] = out.get(e, 0) + c
+            e += step
+    return ref_clean(out, cutoff), cutoff
+
+
+def ref_first_discrepancy(a, b, upto=None):
+    limits = [c for c in (a[1], b[1], upto) if c is not None]
+    for e in sorted(set(a[0]) | set(b[0])):
+        if limits and e > min(limits):
+            break
+        if a[0].get(e, 0) != b[0].get(e, 0):
+            return (e, a[0].get(e, 0), b[0].get(e, 0))
+    return None
+
+
+def test_lattice_series_matches_dict_reference():
+    rng = random.Random(20261017)
+
+    def rand_exp(lo, hi):
+        den = rng.choice([1, 2, 3])
+        return Fraction(rng.randint(lo * den, hi * den), den)
+
+    def rand_value(exact=None):
+        """(QSeries or QPolynomial, reference) on a random 1/2, 1/3 or integer lattice."""
+        pairs = [(rand_exp(-4, 10), rng.randint(-3, 3)) for _ in range(rng.randint(0, 6))]
+        if exact is None:
+            exact = rng.random() < 0.3
+        cutoff = None if exact else rand_exp(0, 14)
+        merged = {}
+        for e, c in pairs:
+            merged[e] = merged.get(e, 0) + c
+        value = QPolynomial(pairs) if exact else QSeries(pairs, cutoff)
+        return value, (ref_clean(merged, cutoff), cutoff)
+
+    def check(got, ref):
+        assert got.terms == ref[0]
+        assert got.cutoff == ref[1]
+        assert isinstance(got, QPolynomial) == (ref[1] is None)
+
+    steps = [Fraction(s) for s in (1, 2, 3, -1, -2)] + [
+        Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(-1, 2), Fraction(-3, 2)]
+    for _ in range(300):
+        (a, ra), (b, rb) = rand_value(), rand_value()
+        check(a, ra)
+        check(a + b, ref_add(ra, rb))
+        check(a * b, ref_mul(ra, rb))
+        d = rand_exp(-3, 3)
+        check(a.shift(d), ref_shift(ra, d))
+        s, rs = rand_value(exact=False)
+        step = rng.choice(steps)
+        check(s.div_cyclotomic(step), ref_div_cyclotomic(rs, step))
+        # series times an exact polynomial, in both operand orders
+        p, rp = rand_value(exact=True)
+        check(s * p, ref_mul(rs, rp))
+        check(p * s, ref_mul(rp, rs))
+        upto = rng.choice([None, rand_exp(0, 10)])
+        assert s.first_discrepancy(a, upto) == ref_first_discrepancy(rs, ra, upto)
+        nudged, rn = s + QPolynomial.monomial(d, 1), ref_add(rs, ({d: 1}, None))
+        assert s.first_discrepancy(nudged) == ref_first_discrepancy(rs, rn)

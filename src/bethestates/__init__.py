@@ -8,12 +8,12 @@ from .configs import (Partition, XXZConfig, count_xxx, count_xxz_general,
 from .identities import (IdentityReport, bosonic_sum, bosonic_sum_collapsed,
                          check_identity, fermionic_sum, gordon_andrews_products,
                          gordon_andrews_sum, kernel_poly, kernel_sum, level_series,
-                         q_count, q_count_at_one)
+                         q_count)
 from .oracle import (CompletenessReport, check_completeness_xxx,
                      check_completeness_xxz, sl2_multiplicity, weight_count)
 from .qalg import QPolynomial, QSeries, gauss_binomial, pochhammer, product_expand
 from .spectral import (ChainSpec, RationalMatrix, coupling_inverse, coupling_matrix,
-                       invert, offset_vector, parity_matrix, vacancy_linear_form)
+                       offset_vector, parity_matrix, vacancy_linear_form)
 from .tsdata import (TSData, admissible_spin, cf_remainder, compute_ts, phase_shift,
                      string_length, string_position, zone)
 from .util import ParseError, PreconditionError

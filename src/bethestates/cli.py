@@ -91,16 +91,16 @@ def cmd_theta(args) -> int:
     ts = tsdata.compute_ts(args.p0)
     cinv = spectral.coupling_inverse(ts)
     theta = spectral.coupling_matrix(ts)
-    det = cinv.det()
+    det_abs = spectral.scaled_form(ts).den
     payload = {
         "schema": "v1",
         "p0": rat_str(ts.p0),
         "dim": cinv.dim,
         "coupling_inverse": _matrix_rows(cinv),
         "theta": _matrix_rows(theta),
-        "det_abs": rat_str(abs(det)),
+        "det_abs": rat_str(det_abs),
     }
-    lines = [f"dim = {cinv.dim}, |det| = {rat_str(abs(det))}", "coupling inverse:"]
+    lines = [f"dim = {cinv.dim}, |det| = {rat_str(det_abs)}", "coupling inverse:"]
     lines += ["  " + " ".join(f"{rat_str(x):>4}" for x in row) for row in cinv.rows]
     lines.append("theta:")
     lines += ["  " + " ".join(f"{rat_str(x):>8}" for x in row) for row in theta.rows]

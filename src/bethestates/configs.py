@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import factorial, floor, lcm
+from math import factorial, floor
 
-from .spectral import ChainSpec, interaction_delta, offset_vector
+from .spectral import ChainSpec, linear_form
 from .tsdata import TSData, string_length
 from .util import PreconditionError, binom, frac_part
 
@@ -259,7 +259,8 @@ def enumerate_lambda(ts: TSData, l: int) -> list:
 
 
 class _CountContext:
-    """Integer-scaled vacancy linear form for fast admissibility tests.
+    """The integer-scaled vacancy linear form of spectral.linear_form, kept
+    for fast admissibility tests.
 
     tops(lam) returns the integer top vector, or None when some component is
     not an integer (the pair is then skipped by the counting sum).
@@ -268,20 +269,9 @@ class _CountContext:
     __slots__ = ("dim", "signs", "m_scaled", "b_scaled", "denom")
 
     def __init__(self, ts: TSData, chain: ChainSpec, l: int):
-        delta = interaction_delta(ts)
-        b = offset_vector(ts, chain, l)
-        dim = ts.dim
-        denom = 1
-        for row in delta.rows:
-            for x in row:
-                denom = lcm(denom, x.denominator)
-        for x in b:
-            denom = lcm(denom, x.denominator)
-        self.dim = dim
+        self.denom, self.m_scaled, self.b_scaled = linear_form(ts, chain, l)
+        self.dim = ts.dim
         self.signs = ts.signs
-        self.m_scaled = [[int(x * denom) for x in row] for row in delta.rows]
-        self.b_scaled = [int(x * denom) for x in b]
-        self.denom = denom
 
     def tops(self, lam):
         signed = [s * x for s, x in zip(self.signs, lam)]
@@ -297,7 +287,7 @@ class _CountContext:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)   # one entry per level of a chain
 def _context(ts: TSData, chain: ChainSpec, l: int) -> _CountContext:
     return _CountContext(ts, chain, l)
 

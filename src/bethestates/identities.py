@@ -19,7 +19,7 @@ from operator import mul
 
 from .configs import _context, enumerate_lambda
 from .qalg import QPolynomial, QSeries, as_exp, gauss_binomial, product_expand
-from .spectral import ChainSpec, coupling_matrix
+from .spectral import ChainSpec, scaled_form
 from .tsdata import TSData
 from .util import PreconditionError, rat_str
 
@@ -45,13 +45,15 @@ def gauss_general(top: int, b: int, base_sign: int = 1) -> QPolynomial:
 def _lattice(ts: TSData) -> tuple:
     """(D, R) with R[i][j] = s_i s_j D Theta[i][j] an integer, s = ts.signs.
 
-    D is the lcm of the denominators of Theta and of 1/p0, so every quadratic
-    form value and every l^2/p0 lies on (1/D)Z.
+    D is the lcm of |det C| (the denominator of Theta in scaled_form) and of
+    the numerator of p0, so every quadratic form value and every l^2/p0 lies
+    on (1/D)Z.
     """
-    theta = coupling_matrix(ts)
-    den = lcm(ts.p0.numerator, *(x.denominator for row in theta.rows for x in row))
-    return den, tuple(tuple(int(si * sj * x * den) for sj, x in zip(ts.signs, row))
-                      for si, row in zip(ts.signs, theta.rows))
+    form = scaled_form(ts)
+    den = lcm(ts.p0.numerator, form.den)
+    k = den // form.den
+    return den, tuple(tuple(k * si * sj * x for sj, x in zip(ts.signs, row))
+                      for si, row in zip(ts.signs, form.theta))
 
 
 def _scaled_quadratic_form(signed_theta, lam) -> int:
@@ -88,38 +90,6 @@ def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
             qf = _scaled_quadratic_form(signed_theta, lam)
             out = out + term.shift(Fraction(qf, den))
     return out
-
-
-_EVAL1_CACHE: dict[tuple[int, int], int] = {}
-
-
-def q_count_at_one(ts: TSData, chain: ChainSpec, l: int) -> int:
-    """The q-analog evaluated at q = 1.
-
-    Evaluation at q = 1 is a ring homomorphism, so the value of the full
-    product polynomial equals the product of the factor values; this computes
-    each Gaussian factor exactly as a polynomial and multiplies its
-    coefficient sums, avoiding the polynomial product blow-up on large sweeps.
-    """
-    ctx = _context(ts, chain, l)
-    total = 0
-    for lam in enumerate_lambda(ts, l):
-        tops = ctx.tops(lam)
-        if tops is None:
-            continue
-        prod = 1
-        for t, x in zip(tops, lam):
-            if x:
-                key = (t, x)
-                val = _EVAL1_CACHE.get(key)
-                if val is None:
-                    val = gauss_general(t, x, 1).eval_at_one()
-                    _EVAL1_CACHE[key] = val
-                prod *= val
-                if not prod:
-                    break
-        total += prod
-    return total
 
 
 # -- fermionic side --------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Exact rational linear algebra for the string coupling matrix and vacancy forms.
+"""Exact linear algebra for the string coupling matrix and vacancy forms.
 
-The tridiagonal integer matrix C (the inverse coupling matrix) is built zone
-by zone; its exact inverse Theta defines the quadratic form B = 2*Theta.  The
-parity matrix E and the offset vector b complete the linear form whose j-th
-component equals P_j(lambda) + lambda_j.
+The symmetric tridiagonal integer matrix C (the inverse coupling matrix) is
+built zone by zone; its exact inverse Theta defines the quadratic form
+B = 2*Theta.  Theta comes from the continuant recurrences for the leading and
+trailing minors of C, in integers: |det C| = den and den * Theta is the
+signed adjugate, so no dense elimination is needed.  The parity matrix E and
+the offset vector b complete the linear form whose j-th component equals
+P_j(lambda) + lambda_j.  scaled_form is the one coding of Theta and E - B;
+the counting routes, the quadratic form and vacancy_linear_form all read it.
 """
 
 from __future__ import annotations
@@ -11,13 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .tsdata import TSData, phase_shift, string_length, zone
 from .util import PreconditionError, frac_part
 
+# Widest string data (number of string types) whose Theta and linear form are
+# built; wider data is rejected before any O(dim^2) work.  201/2 has dim 102.
+MAX_DIM = 1000
+
 
 class RationalMatrix:
-    """Dense square matrix of exact rationals."""
+    """Dense square matrix of exact rationals, as a value for display and tests."""
 
     __slots__ = ("rows",)
 
@@ -27,97 +37,12 @@ class RationalMatrix:
         if any(len(r) != n for r in self.rows):
             raise PreconditionError("matrix must be square")
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
-
-    def mul(self, other: "RationalMatrix") -> "RationalMatrix":
-        n = self.dim
-        return RationalMatrix(
-            [[sum(self.rows[i][k] * other.rows[k][j] for k in range(n))
-              for j in range(n)] for i in range(n)])
-
-    def matvec(self, vec):
-        n = self.dim
-        if len(vec) != n:
-            raise PreconditionError("vector length mismatch")
-        return [sum(self.rows[i][k] * vec[k] for k in range(n)) for i in range(n)]
-
-    def scaled(self, c) -> "RationalMatrix":
-        c = Fraction(c)
-        return RationalMatrix([[x * c for x in row] for row in self.rows])
-
-    def sub(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
-
-    def det(self) -> Fraction:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        n = self.dim
-        if n == 0:
-            return Fraction(1)
-        a = [list(row) for row in self.rows]
-        sign = 1
-        prev = Fraction(1)
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-                a[i][k] = Fraction(0)
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
-    def invert(self) -> "RationalMatrix":
-        """Exact inverse by Gauss-Jordan elimination with exact pivoting."""
-        n = self.dim
-        a = [list(row) for row in self.rows]
-        b = [list(row) for row in RationalMatrix.identity(n).rows]
-        for col in range(n):
-            piv = None
-            for i in range(col, n):
-                if a[i][col] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                raise PreconditionError("matrix is singular")
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                b[col], b[piv] = b[piv], b[col]
-            p = a[col][col]
-            a[col] = [x / p for x in a[col]]
-            b[col] = [x / p for x in b[col]]
-            for i in range(n):
-                if i == col:
-                    continue
-                f = a[i][col]
-                if f:
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                    b[i] = [x - f * y for x, y in zip(b[i], b[col])]
-        return RationalMatrix(b)
-
-    def is_symmetric(self) -> bool:
-        return all(self.rows[i][j] == self.rows[j][i]
-                   for i in range(self.dim) for j in range(i))
-
-    def is_tridiagonal(self) -> bool:
-        return all(self.rows[i][j] == 0
-                   for i in range(self.dim) for j in range(self.dim)
-                   if abs(i - j) >= 2)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -129,8 +54,34 @@ class RationalMatrix:
         return f"RationalMatrix[{body}]"
 
 
-def invert(m: RationalMatrix) -> RationalMatrix:
-    return m.invert()
+def tridiagonal_adjugate(diag, off) -> tuple:
+    """(det, adj) of the symmetric tridiagonal integer matrix with diagonal
+    diag and off-diagonal off, from the continuant recurrences.
+
+    theta_k (leading k x k minor) and phi_k (trailing minor from row k) obey
+    theta_k = a_k theta_{k-1} - b_{k-1}^2 theta_{k-2}, and the adjugate is
+    adj_ij = (-1)^(i+j) b_i ... b_{j-1} theta_{i-1} phi_{j+1} for i <= j.
+    No minor is divided by, so a vanishing leading minor needs no pivoting.
+    """
+    n = len(diag)
+    theta = [1, diag[0]]
+    for k in range(1, n):
+        theta.append(diag[k] * theta[k] - off[k - 1] ** 2 * theta[k - 1])
+    phi = [1, diag[-1]]
+    for k in range(n - 2, -1, -1):
+        phi.append(diag[k] * phi[-1] - off[k] ** 2 * phi[-2])
+    phi.reverse()
+    det = theta[n]
+    if det == 0:
+        raise PreconditionError("tridiagonal matrix is singular")
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        p = theta[i]
+        for j in range(i, n):
+            adj[i][j] = adj[j][i] = p * phi[j + 1]
+            if j + 1 < n:
+                p *= -off[j]
+    return det, adj
 
 
 @dataclass(frozen=True)
@@ -175,54 +126,94 @@ class ChainSpec:
         return out
 
 
-def coupling_inverse(ts: TSData) -> RationalMatrix:
-    """Symmetric tridiagonal integer matrix fixed by the zone structure."""
+def coupling_bands(ts: TSData) -> tuple:
+    """Diagonal and off-diagonal of the coupling inverse, fixed by the zones.
+
+    String data wider than MAX_DIM is rejected here, before any caller builds
+    a matrix.
+    """
     dim = ts.dim
     if dim < 1:
         raise PreconditionError("coupling matrix needs at least one string type")
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    if dim > MAX_DIM:
+        raise PreconditionError(
+            f"string data too wide: dim {dim} exceeds the ceiling of {MAX_DIM}")
+    diag, off = [], []
     for j in range(1, dim + 1):
         i = zone(ts, j)
         if j == ts.m(ts.alpha + 1):
-            d = (-1) ** (ts.alpha + 1)
+            diag.append((-1) ** (ts.alpha + 1))
         elif j == ts.m(i + 1) - 1:
-            d = (-1) ** i
+            diag.append((-1) ** i)
         else:
-            d = 2 * (-1) ** i
-        rows[j - 1][j - 1] = Fraction(d)
+            diag.append(2 * (-1) ** i)
         if j >= 2:
-            off = (-1) ** (i - 1)
-            rows[j - 2][j - 1] = Fraction(off)
-            rows[j - 1][j - 2] = Fraction(off)
+            off.append(-((-1) ** i))
+    return diag, off
+
+
+def coupling_inverse(ts: TSData) -> RationalMatrix:
+    """Symmetric tridiagonal integer matrix fixed by the zone structure."""
+    diag, off = coupling_bands(ts)
+    rows = [[0] * len(diag) for _ in diag]
+    for k, d in enumerate(diag):
+        rows[k][k] = d
+    for k, b in enumerate(off):
+        rows[k][k + 1] = rows[k + 1][k] = b
     return RationalMatrix(rows)
 
 
-@lru_cache(maxsize=None)
-def coupling_matrix(ts: TSData) -> RationalMatrix:
-    """Theta, the exact inverse of the tridiagonal coupling matrix."""
-    return coupling_inverse(ts).invert()
+def _parity_entries(ts: TSData) -> list:
+    """(i, j, value) of the nonzero entries of the parity matrix E."""
+    signs = ts.signs
+    out = [(k, k, sign) for k, sign in enumerate(signs)]
+    if len(signs) >= 2:
+        last = len(signs) - 1
+        out += [(last - 1, last, -signs[-1]), (last, last - 1, signs[-2])]
+    return out
 
 
 def parity_matrix(ts: TSData) -> RationalMatrix:
     """Diagonal parity signs with a swap in the last corner block."""
-    dim = ts.dim
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for k, sign in enumerate(ts.signs):
-        rows[k][k] = Fraction(sign)
-    if dim >= 2:
-        s_prev, s_dim = ts.signs[-2:]
-        rows[dim - 2][dim - 1] = Fraction(-s_dim)
-        rows[dim - 1][dim - 2] = Fraction(s_prev)
+    rows = [[0] * ts.dim for _ in range(ts.dim)]
+    for i, j, e in _parity_entries(ts):
+        rows[i][j] = e
     return RationalMatrix(rows)
 
 
-@lru_cache(maxsize=None)
-def interaction_delta(ts: TSData) -> RationalMatrix:
-    """E - B with B = 2*Theta; the matrix part of the vacancy linear form."""
-    return parity_matrix(ts).sub(coupling_matrix(ts).scaled(2))
+@dataclass(frozen=True)
+class ScaledForm:
+    """Theta and the vacancy matrix E - 2 Theta on the lattice (1/den)Z.
+
+    den = |det C|; theta = den * Theta and delta = den * (E - 2 Theta) are
+    integer matrices (tuples of rows), since den * Theta = sign(det) adj C.
+    """
+
+    den: int
+    theta: tuple
+    delta: tuple
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
+def scaled_form(ts: TSData) -> ScaledForm:
+    """The one exact coding of Theta and of the matrix part of the vacancy
+    linear form; every consumer reads its integers from here."""
+    det, adj = tridiagonal_adjugate(*coupling_bands(ts))
+    den = abs(det)
+    theta = [row if det > 0 else [-x for x in row] for row in adj]
+    delta = [[-2 * x for x in row] for row in theta]
+    for i, j, e in _parity_entries(ts):
+        delta[i][j] += den * e
+    return ScaledForm(den, tuple(map(tuple, theta)), tuple(map(tuple, delta)))
+
+
+def coupling_matrix(ts: TSData) -> RationalMatrix:
+    """Theta, the exact inverse of the tridiagonal coupling matrix."""
+    form = scaled_form(ts)
+    return RationalMatrix([[Fraction(x, form.den) for x in row] for row in form.theta])
+
+
+@lru_cache(maxsize=4 * MAX_DIM)   # dim x species phases of one chain
 def two_phi(ts: TSData, k: int, two_s: int) -> Fraction:
     return 2 * phase_shift(ts, k, two_s)
 
@@ -241,6 +232,20 @@ def offset_vector(ts: TSData, chain: ChainSpec, l: int):
     return out
 
 
+def linear_form(ts: TSData, chain: ChainSpec, l: int) -> tuple:
+    """(d, M, c) with ((E - B) lam~ + b) = (M lam~ + c) / d in integers.
+
+    M is the delta of scaled_form, rescaled when b is off the lattice
+    (1/den)Z; d is the lcm of den and the denominators of b.
+    """
+    form = scaled_form(ts)
+    b = offset_vector(ts, chain, l)
+    d = lcm(form.den, *(x.denominator for x in b))
+    k = d // form.den
+    rows = form.delta if k == 1 else tuple(tuple(k * x for x in row) for row in form.delta)
+    return d, rows, [int(x * d) for x in b]
+
+
 def vacancy_linear_form(ts: TSData, chain: ChainSpec, l: int, lam):
     """((E - B) lam~ + b) componentwise; subtract lambda_j to get P_j.
 
@@ -248,12 +253,10 @@ def vacancy_linear_form(ts: TSData, chain: ChainSpec, l: int, lam):
     non-integral rationals; a non-integer value flags the (l, lam) pair as
     inadmissible downstream.
     """
-    dim = ts.dim
-    if len(lam) != dim:
+    if len(lam) != ts.dim:
         raise PreconditionError("lambda vector has wrong length")
     if any(x < 0 for x in lam):
         raise PreconditionError("lambda entries must be nonnegative")
+    d, rows, offset = linear_form(ts, chain, l)
     signed = [s * x for s, x in zip(ts.signs, lam)]
-    mv = interaction_delta(ts).matvec([Fraction(x) for x in signed])
-    b = offset_vector(ts, chain, l)
-    return [a + c for a, c in zip(mv, b)]
+    return [Fraction(c + sum(map(mul, row, signed)), d) for row, c in zip(rows, offset)]

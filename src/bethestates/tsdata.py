@@ -9,7 +9,6 @@ final unbounded zone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -164,15 +163,6 @@ def _string_position_zone(ts: TSData, n: int):
         f"length {n} has no positive-parity position for p0 = {ts.p0}")
 
 
-def has_position(ts: TSData, n: int) -> bool:
-    """Whether string_position(ts, n) is defined."""
-    try:
-        _string_position_zone(ts, n)
-    except PreconditionError:
-        return False
-    return True
-
-
 def admissible_spin(ts: TSData, two_s: int) -> bool:
     """Whether a spin with 2s = two_s fits the string classification.
 
@@ -225,7 +215,3 @@ def length_table(ts: TSData):
         hi = ts.m(i + 1) if i <= ts.alpha else None
         rows.append((lo, hi, ts.y(i - 1), ts.y(i)))
     return rows
-
-
-def floor_div(x: Fraction) -> int:
-    return math.floor(x)

@@ -124,6 +124,28 @@ def test_identity_negative_cutoff_rejected(capsys, monkeypatch):
     assert "cutoff must be nonnegative" in captured.err
 
 
+def test_too_wide_string_data_rejected(capsys, monkeypatch):
+    # 1000001/1000000 has a million string types; compute_ts is cheap there,
+    # but building Theta or the linear form would not be
+    from bethestates import spectral
+
+    def no_theta(*args):
+        raise AssertionError("Theta construction started")
+
+    monkeypatch.setattr(spectral, "tridiagonal_adjugate", no_theta)
+    monkeypatch.setattr(spectral, "offset_vector", no_theta)
+    wide = "1000001/1000000"
+    for argv in (["theta", "--p0", wide], ["theta", "--p0", wide, "--json"],
+                 ["count", "--p0", wide, "--chain", "1x2", "--l", "1"],
+                 ["completeness", "--p0", wide, "--chain", "1x2"],
+                 ["identity", "--p0", wide, "--cutoff", "3"]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3, argv
+        assert captured.out == ""
+        assert "dim 1000001 exceeds the ceiling of 1000" in captured.err
+
+
 def test_output_determinism(capsys):
     argvs = [
         ["ts", "--p0", "16/7", "--json"],

@@ -7,7 +7,7 @@ from bethestates.identities import (bosonic_sum, bosonic_sum_collapsed,
                                     fermionic_sum, gauss_general,
                                     gordon_andrews_products, gordon_andrews_sum,
                                     kernel_offset, kernel_poly, kernel_sum,
-                                    level_series, q_count, q_count_at_one)
+                                    level_series, q_count)
 from bethestates.configs import count_xxz_general
 from bethestates.qalg import QPolynomial, QSeries, pochhammer
 from bethestates.spectral import ChainSpec
@@ -64,7 +64,6 @@ def test_q_count_example3():
     chain = ChainSpec(6, [(3, 5)])
     poly = q_count(ts, chain, 5)
     assert poly.eval_at_one() == 101
-    assert q_count_at_one(ts, chain, 5) == 101
 
 
 def test_q_count_level_zero():
@@ -78,7 +77,6 @@ def test_q_count_specializes_to_count_all_levels():
     chain = ChainSpec(6, [(3, 5)])
     for l in range(16):
         assert q_count(ts, chain, l).eval_at_one() == count_xxz_general(ts, chain, l)
-        assert q_count_at_one(ts, chain, l) == count_xxz_general(ts, chain, l)
 
 
 # -- fermionic side -------------------------------------------------------------------

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from bethestates.configs import enumerate_xxz_int
-from bethestates.spectral import (ChainSpec, RationalMatrix, coupling_inverse,
-                                  coupling_matrix, invert, offset_vector,
-                                  parity_matrix, vacancy_linear_form)
+from bethestates.spectral import (ChainSpec, RationalMatrix, coupling_bands,
+                                  coupling_inverse, coupling_matrix, offset_vector,
+                                  parity_matrix, tridiagonal_adjugate,
+                                  vacancy_linear_form)
 from bethestates.tsdata import compute_ts, zone
 from bethestates.util import PreconditionError
 
@@ -40,23 +41,75 @@ def test_coupling_inverse_16_7_matches_printed():
 
 def test_theta_16_7_matches_printed():
     ts = compute_ts(F(16, 7))
-    assert coupling_matrix(ts).scaled(16) == RationalMatrix(PRINTED_THETA_16)
+    assert coupling_matrix(ts) == RationalMatrix(
+        [[F(x, 16) for x in row] for row in PRINTED_THETA_16])
+
+
+def dense(diag, off):
+    """Integer rows of the symmetric tridiagonal matrix with these bands."""
+    n = len(diag)
+    return [[diag[i] if i == j else off[min(i, j)] if abs(i - j) == 1 else 0
+             for j in range(n)] for i in range(n)]
+
+
+def int_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def cofactor_det(rows):
+    n = len(rows)
+    if n == 0:
+        return 1
+    total = 0
+    for j in range(n):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        total += (-1) ** j * rows[0][j] * cofactor_det(minor)
+    return total
+
+
+def cofactor_adjugate(rows):
+    n = len(rows)
+    return [[(-1) ** (i + j) * cofactor_det([r[:i] + r[i + 1:]
+                                              for k, r in enumerate(rows) if k != j])
+             for j in range(n)] for i in range(n)]
+
+
+def random_bands(rng, n):
+    return ([rng.randint(-3, 3) for _ in range(n)],
+            [rng.choice([-2, -1, 1, 2]) for _ in range(n - 1)])
+
+
+DEEP_P0 = [F(55, 34), F(89, 55), F(101, 100), F(201, 2)]
+
+
+def check_coupling_laws(p0):
+    # C is the symmetric tridiagonal matrix of its bands, |det C| = y_{alpha+1},
+    # adj C . C = C . adj C = det C . I in integers, and Theta = adj C / det C
+    ts = compute_ts(p0)
+    diag, off = coupling_bands(ts)
+    rows = dense(diag, off)
+    assert coupling_inverse(ts) == RationalMatrix(rows)
+    det, adj = tridiagonal_adjugate(diag, off)
+    assert abs(det) == ts.y(ts.alpha + 1) == F(p0).numerator, p0
+    n = len(diag)
+    ident = [[det * int(i == j) for j in range(n)] for i in range(n)]
+    assert int_matmul(adj, rows) == ident, p0
+    assert int_matmul(rows, adj) == ident, p0
+    assert coupling_matrix(ts) == RationalMatrix(
+        [[F(x, det) for x in row] for row in adj]), p0
 
 
 def test_det_law():
     for p0 in [F(1), F(2), F(3), F(4), F(5), F(5, 2), F(7, 3), F(16, 7),
-               F(9, 4), F(355, 113)]:
+               F(9, 4), F(355, 113)] + DEEP_P0:
         ts = compute_ts(p0)
-        assert abs(coupling_inverse(ts).det()) == ts.y(ts.alpha + 1)
+        det, _ = tridiagonal_adjugate(*coupling_bands(ts))
+        assert abs(det) == ts.y(ts.alpha + 1)
 
 
 def test_coupling_shape_and_inverse_exact():
-    for p0 in [F(2), F(3), F(7, 3), F(16, 7), F(27, 11)]:
-        ts = compute_ts(p0)
-        cinv = coupling_inverse(ts)
-        assert cinv.is_symmetric() and cinv.is_tridiagonal()
-        prod = coupling_matrix(ts).mul(cinv)
-        assert prod == RationalMatrix.identity(cinv.dim)
+    for p0 in [F(2), F(3), F(7, 3), F(16, 7), F(27, 11)] + DEEP_P0:
+        check_coupling_laws(p0)
 
 
 def test_coupling_laws_random_rationals():
@@ -69,50 +122,40 @@ def test_coupling_laws_random_rationals():
         if p0 in seen or p0.denominator > 12:
             continue
         seen.add(p0)
-        ts = compute_ts(p0)
-        cinv = coupling_inverse(ts)
-        assert cinv.is_symmetric() and cinv.is_tridiagonal()
-        assert abs(cinv.det()) == ts.y(ts.alpha + 1)
-        assert coupling_matrix(ts).mul(cinv) == RationalMatrix.identity(cinv.dim)
+        check_coupling_laws(p0)
 
 
-def test_invert_identity_and_involution():
-    ident = RationalMatrix.identity(4)
-    assert invert(ident) == ident
+def test_continuant_adjugate_matches_cofactors():
     rng = random.Random(11)
-    for _ in range(10):
-        n = rng.randint(1, 5)
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
-        m = RationalMatrix(rows)
-        if m.det() == 0:
+    checked = zero_leading = 0
+    while checked < 60:
+        diag, off = random_bands(rng, rng.randint(1, 6))
+        rows = dense(diag, off)
+        det = cofactor_det(rows)
+        if det == 0:
             continue
-        assert invert(invert(m)) == m
+        leading = [cofactor_det([r[:k] for r in rows[:k]]) for k in range(1, len(diag))]
+        zero_leading += 0 in leading
+        assert tridiagonal_adjugate(diag, off) == (det, cofactor_adjugate(rows))
+        checked += 1
+    # a leading minor of zero needs a row swap in Gaussian elimination
+    assert zero_leading >= 5
+    assert tridiagonal_adjugate([0, 1], [1]) == (-1, [[1, -1], [-1, 0]])
 
 
 def test_invert_rejects_singular():
     with pytest.raises(PreconditionError):
-        RationalMatrix([[1, 1], [1, 1]]).invert()
-
-
-def test_bareiss_det_matches_cofactor_on_small():
-    def cofactor_det(rows):
-        n = len(rows)
-        if n == 1:
-            return rows[0][0]
-        total = Fraction(0)
-        for j in range(n):
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            total += (-1) ** j * rows[0][j] * cofactor_det(minor)
-        return total
-
+        tridiagonal_adjugate([1, 1], [1])
+    with pytest.raises(PreconditionError):
+        tridiagonal_adjugate([0], [])
     rng = random.Random(3)
-    for _ in range(15):
-        n = rng.randint(1, 4)
-        rows = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        assert RationalMatrix(rows).det() == cofactor_det(rows)
+    found = 0
+    while found < 10:
+        diag, off = random_bands(rng, rng.randint(2, 5))
+        if cofactor_det(dense(diag, off)) == 0:
+            found += 1
+            with pytest.raises(PreconditionError):
+                tridiagonal_adjugate(diag, off)
 
 
 def test_parity_matrix_16_7():
@@ -197,6 +240,25 @@ def test_linear_form_equals_closed_forms_exhaustively():
                 tops = vacancy_linear_form(ts, chain, l, lam)
                 vac = tuple(t - x for t, x in zip(tops, lam))
                 assert vac == tuple(rec.vacancies), (p0, species, l, rec.cfg)
+
+
+def test_linear_form_matches_dense_reference():
+    # ((E - 2 Theta) lam~ + b) by a Fraction matvec over the dense matrices,
+    # also for spins outside the classification, whose offsets lie off the
+    # lattice of Theta (every component then stays fractional)
+    rng = random.Random(7)
+    for p0, species in [(F(16, 7), [(1, 2), (8, 1)]), (F(16, 7), [(2, 3)]),
+                        (F(27, 11), [(9, 2)]), (F(55, 34), [(2, 1), (7, 2)]),
+                        (F(201, 2), [(1, 4)]), (3, [(1, 3)])]:
+        ts = compute_ts(p0)
+        chain = ChainSpec(p0, species)
+        theta, e = coupling_matrix(ts).rows, parity_matrix(ts).rows
+        for l in range(4):
+            lam = [rng.randint(0, 2) for _ in range(ts.dim)]
+            signed = [(-1) ** zone(ts, k) * x for k, x in enumerate(lam, 1)]
+            want = [sum((e[i][k] - 2 * theta[i][k]) * x for k, x in enumerate(signed)) + c
+                    for i, c in enumerate(offset_vector(ts, chain, l))]
+            assert vacancy_linear_form(ts, chain, l, lam) == want, (p0, species, l)
 
 
 def test_linear_form_validates_input():

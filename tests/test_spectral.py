@@ -143,6 +143,43 @@ def test_continuant_adjugate_matches_cofactors():
     assert tridiagonal_adjugate([0, 1], [1]) == (-1, [[1, -1], [-1, 0]])
 
 
+def test_invert_identity_and_involution():
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert tridiagonal_adjugate([1] * 4, [0] * 3) == (1, ident)
+    rng = random.Random(11)
+    checked = 0
+    while checked < 10:
+        n = rng.randint(1, 5)
+        diag = [rng.randint(-3, 3) for _ in range(n)]
+        off = [rng.randint(-3, 3) for _ in range(n - 1)]
+        rows = dense(diag, off)
+        if cofactor_det(rows) == 0:
+            continue
+        det, adj = tridiagonal_adjugate(diag, off)
+        # the inverse of Theta = adj / det is det * adj(adj) / det(adj): the matrix itself
+        d_adj = cofactor_det(adj)
+        assert [[F(det * x, d_adj) for x in row]
+                for row in cofactor_adjugate(adj)] == rows
+        checked += 1
+
+
+def test_bareiss_det_matches_cofactor_on_small():
+    rng = random.Random(3)
+    nonsingular = 0
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        diag = [rng.randint(-4, 4) for _ in range(n)]
+        off = [rng.randint(-4, 4) for _ in range(n - 1)]
+        det = cofactor_det(dense(diag, off))
+        if det == 0:
+            with pytest.raises(PreconditionError):
+                tridiagonal_adjugate(diag, off)
+            continue
+        assert tridiagonal_adjugate(diag, off)[0] == det
+        nonsingular += 1
+    assert nonsingular >= 15
+
+
 def test_invert_rejects_singular():
     with pytest.raises(PreconditionError):
         tridiagonal_adjugate([1, 1], [1])

@@ -1,7 +1,7 @@
 """Exact Bethe-state counting and q-series identity checks for generalized
 XXX and XXZ spin chains with rational anisotropy."""
 
-from .bijection import PairImage, PairingReport, forget, pair, staircase_decompose, verify_pairing
+from .bijection import PairImage, PairingReport, forget, pair, verify_pairing
 from .configs import (Partition, XXZConfig, count_xxx, count_xxz_general,
                       enumerate_lambda, enumerate_xxx_configs, enumerate_xxx_rigged,
                       enumerate_xxz_int, xxx_vacancy, xxz_vacancy_int)

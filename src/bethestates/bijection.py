@@ -15,19 +15,17 @@ from math import floor
 
 from . import configs, oracle
 from .configs import Partition, XXZConfig
-from .qalg import QPolynomial, gauss_binomial
 from .spectral import ChainSpec
 from .tsdata import TSData
-from .util import PreconditionError, rat_str
+from .util import PreconditionError, rat_str, report_header
 
 
 def _require_treated_case(ts: TSData, chain: ChainSpec) -> int:
-    if not ts.is_integer() or ts.p0 < 2:
-        raise PreconditionError("pairing needs integer p0 >= 2")
-    if not ts.p0 > chain.s_sum:
+    p0 = ts.integer_p0("pairing", 2)
+    if not p0 > chain.s_sum:
         raise PreconditionError(
             f"outside treated case: need p0 > sum of spins ({rat_str(chain.s_sum)})")
-    return int(ts.p0)
+    return p0
 
 
 def _config_from_partition(nu: Partition, p0: int, clubs: int) -> XXZConfig:
@@ -77,40 +75,6 @@ def forget(ts: TSData, chain: ChainSpec, cfg: XXZConfig) -> Partition:
     return nu
 
 
-def staircase_decompose(m_bound: int, k: int) -> list:
-    """Split the k-multisets over 0..m_bound into classes by the number of
-    entries strictly below the maximum; class j carries weight exponent j.
-
-    Verifies the exact polynomial identity behind the split:
-    binom_q(m+k, k) = sum_j q**j binom_q(m+j-1, j) for m >= 1.
-    """
-    if m_bound < 0 or k < 0:
-        raise PreconditionError("bounds must be nonnegative")
-    if m_bound >= 1:
-        lhs = gauss_binomial(m_bound + k, k, 1)
-        rhs = QPolynomial.zero()
-        for j in range(k + 1):
-            rhs = rhs + QPolynomial.monomial(j, 1) * gauss_binomial(m_bound + j - 1, j, 1)
-        if lhs != rhs:
-            raise AssertionError(f"staircase identity fails at m={m_bound}, k={k}")
-    if m_bound == 0:
-        return [(0, 0)]
-    return [(j, j) for j in range(k + 1)]
-
-
-def conjectured_state_class(riggings, m_bound: int) -> int:
-    """Class index of one weakly increasing rigging list.
-
-    EXPERIMENTAL: the configuration-level pairing is verified exhaustively,
-    but this state-level refinement (split club riggings by how many sit
-    strictly below the bound) is only the natural reading of the staircase
-    identity, not a verified map.
-    """
-    if any(r < 0 or r > m_bound for r in riggings):
-        raise PreconditionError("riggings out of range")
-    return sum(1 for r in riggings if r < m_bound)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -136,9 +100,7 @@ class PairingReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "v1",
-            "p0": rat_str(self.chain.p0),
-            "chain": [{"two_s": s, "count": n} for s, n in self.chain.species],
+            **report_header(self.chain.p0, self.chain),
             "all_passed": self.all_passed,
             "checks": [
                 {"name": c.name, "passed": c.passed,

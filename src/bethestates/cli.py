@@ -15,7 +15,7 @@ import sys
 
 from . import bijection, configs, identities, oracle, spectral, tsdata
 from .spectral import ChainSpec
-from .util import ParseError, PreconditionError, parse_rational, rat_str
+from .util import ParseError, PreconditionError, parse_rational, rat_str, report_header
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -54,8 +54,7 @@ def cmd_ts(args) -> int:
     ts = tsdata.compute_ts(args.p0)
     table = tsdata.length_table(ts)
     payload = {
-        "schema": "v1",
-        "p0": rat_str(ts.p0),
+        **report_header(ts.p0),
         "alpha": ts.alpha,
         "quotients": list(ts.quotients),
         "remainders": [rat_str(p) for p in ts.remainders],
@@ -93,8 +92,7 @@ def cmd_theta(args) -> int:
     theta = spectral.coupling_matrix(ts)
     det_abs = spectral.scaled_form(ts).den
     payload = {
-        "schema": "v1",
-        "p0": rat_str(ts.p0),
+        **report_header(ts.p0),
         "dim": cinv.dim,
         "coupling_inverse": _matrix_rows(cinv),
         "theta": _matrix_rows(theta),
@@ -117,9 +115,7 @@ def cmd_count(args) -> int:
     chain = _chain_for(ts, args)
     detail = configs.count_xxz_general_detailed(ts, chain, args.l)
     payload = {
-        "schema": "v1",
-        "p0": rat_str(ts.p0),
-        "chain": [{"two_s": s, "count": n} for s, n in chain.species],
+        **report_header(ts.p0, chain),
         "l": args.l,
         "total": detail.total,
         "summands": detail.admissible,
@@ -137,9 +133,7 @@ def cmd_enumerate(args) -> int:
     chain = _chain_for(ts, args)
     records = configs.enumerate_xxz_int(ts, chain, args.l)
     payload = {
-        "schema": "v1",
-        "p0": rat_str(ts.p0),
-        "chain": [{"two_s": s, "count": n} for s, n in chain.species],
+        **report_header(ts.p0, chain),
         "l": args.l,
         "total": sum(r.count for r in records),
         "configs": [

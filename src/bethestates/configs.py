@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial, floor
+from operator import mul
 
 from .spectral import ChainSpec, linear_form
 from .tsdata import TSData, string_length
@@ -162,15 +163,12 @@ class XXZConfig:
         return Partition(parts)
 
 
-def _require_integer_p0(ts: TSData) -> int:
-    if not ts.is_integer() or ts.p0 < 2:
-        raise PreconditionError("direct XXZ enumeration needs integer p0 >= 2")
-    return int(ts.p0)
+_DIRECT = "direct XXZ enumeration"
 
 
 def xxz_vacancy_int(ts: TSData, chain: ChainSpec, cfg: XXZConfig, j: int) -> int:
     """Vacancy number P_j at integer p0, from the closed-form expressions."""
-    p0 = _require_integer_p0(ts)
+    p0 = ts.integer_p0(_DIRECT, 2)
     if not (1 <= j <= p0):
         raise PreconditionError(f"string index out of range: {j}")
     mu = chain.mu()
@@ -187,7 +185,7 @@ def xxz_vacancy_int(ts: TSData, chain: ChainSpec, cfg: XXZConfig, j: int) -> int
 
 
 def xxz_vacancies_int(ts: TSData, chain: ChainSpec, cfg: XXZConfig) -> tuple:
-    p0 = _require_integer_p0(ts)
+    p0 = ts.integer_p0(_DIRECT, 2)
     return tuple(xxz_vacancy_int(ts, chain, cfg, j) for j in range(1, p0 + 1))
 
 
@@ -205,7 +203,7 @@ def enumerate_xxz_int(ts: TSData, chain: ChainSpec, l: int) -> list:
     ones of unoccupied string types.  Order: club count descending, then the
     partition in ascending lexicographic order.
     """
-    p0 = _require_integer_p0(ts)
+    p0 = ts.integer_p0(_DIRECT, 2)
     if l < 0:
         raise PreconditionError("level must be nonnegative")
     out = []
@@ -254,7 +252,6 @@ def enumerate_lambda(ts: TSData, l: int) -> list:
     # rec refers to itself through its closure cell; clearing the cell frees
     # the function, and the list with it, without waiting for the cyclic GC
     del rec
-    out.sort()
     return out
 
 
@@ -266,21 +263,18 @@ class _CountContext:
     not an integer (the pair is then skipped by the counting sum).
     """
 
-    __slots__ = ("dim", "signs", "m_scaled", "b_scaled", "denom")
+    __slots__ = ("signs", "m_scaled", "b_scaled", "denom")
 
     def __init__(self, ts: TSData, chain: ChainSpec, l: int):
         self.denom, self.m_scaled, self.b_scaled = linear_form(ts, chain, l)
-        self.dim = ts.dim
         self.signs = ts.signs
 
     def tops(self, lam):
-        signed = [s * x for s, x in zip(self.signs, lam)]
+        signed = list(map(mul, self.signs, lam))
         d = self.denom
         out = []
-        for j in range(self.dim):
-            row = self.m_scaled[j]
-            num = self.b_scaled[j] + sum(row[k] * signed[k] for k in range(self.dim))
-            q, r = divmod(num, d)
+        for row, c in zip(self.m_scaled, self.b_scaled):
+            q, r = divmod(c + sum(map(mul, row, signed)), d)
             if r:
                 return None
             out.append(q)

@@ -21,7 +21,7 @@ from .configs import _context, enumerate_lambda
 from .qalg import QPolynomial, QSeries, as_exp, gauss_binomial, product_expand
 from .spectral import ChainSpec, scaled_form
 from .tsdata import TSData
-from .util import PreconditionError, rat_str
+from .util import PreconditionError, rat_str, report_header
 
 
 # -- q-analog of the state count ------------------------------------------------
@@ -255,15 +255,9 @@ def bosonic_sum_collapsed(ts: TSData, cutoff) -> QSeries:
 
 # -- integer p0: Gordon-Andrews forms ---------------------------------------------
 
-def _require_integer(ts: TSData) -> int:
-    if not ts.is_integer():
-        raise PreconditionError("this form needs integer p0")
-    return int(ts.p0)
-
-
 def gordon_andrews_sum(ts: TSData, cutoff) -> QSeries:
     """1 + sum over k of (-1)**k q**(k^2 p0 + k(k-1)/2) (1 + q**k), integer p0."""
-    p0 = _require_integer(ts)
+    p0 = ts.integer_p0("this form")
     cutoff = as_exp(cutoff)
     acc = QSeries.one(cutoff)
     k = 1
@@ -285,7 +279,7 @@ def gordon_andrews_products(ts: TSData, cutoff) -> tuple:
     n != 0, p0, p0+1 mod 2p0+1 and equals the fermionic sum divided by the
     Euler product.
     """
-    p0 = _require_integer(ts)
+    p0 = ts.integer_p0("this form")
     cutoff = as_exp(cutoff)
     mod = 2 * p0 + 1
     triple = product_expand(
@@ -324,8 +318,7 @@ class IdentityReport:
             e, a, b = self.first_discrepancy
             disc = {"exponent": rat_str(e), "lhs": a, "rhs": b}
         return {
-            "schema": "v1",
-            "p0": rat_str(self.p0),
+            **report_header(self.p0),
             "cutoff": rat_str(self.cutoff),
             "lhs": series_terms(self.lhs),
             "rhs": series_terms(self.rhs),

@@ -12,7 +12,7 @@ from fractions import Fraction
 from . import configs
 from .spectral import ChainSpec
 from .tsdata import TSData
-from .util import PreconditionError, parallel_map, rat_str
+from .util import PreconditionError, report_header
 
 
 def weight_count(mu, w: int) -> int:
@@ -51,10 +51,8 @@ class CompletenessReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "v1",
+            **report_header(self.chain.p0, self.chain),
             "kind": self.kind,
-            "p0": rat_str(self.chain.p0),
-            "chain": [{"two_s": s, "count": n} for s, n in self.chain.species],
             "lhs_total": self.lhs_total,
             "per_l": [{"l": l, "count": c, "weight": w} for l, c, w in self.per_l],
             "rhs_total": self.rhs_total,
@@ -73,18 +71,12 @@ def check_completeness_xxx(chain: ChainSpec) -> CompletenessReport:
     return CompletenessReport(chain, "xxx", lhs, per_l, lhs == rhs)
 
 
-def _xxz_level_count(args):
-    ts, chain, l = args
-    return configs.count_xxz_general(ts, chain, l)
-
-
 def check_completeness_xxz(ts: TSData, chain: ChainSpec) -> CompletenessReport:
     """Total dimension against the plain sum of XXZ state counts over levels."""
     if Fraction(chain.p0) != ts.p0:
         raise PreconditionError("chain and string data disagree on p0")
     n = chain.n_total
     lhs = chain.dimension()
-    counts = parallel_map(_xxz_level_count, [(ts, chain, l) for l in range(n + 1)])
-    per_l = tuple((l, c, 1) for l, c in enumerate(counts))
+    per_l = tuple((l, configs.count_xxz_general(ts, chain, l), 1) for l in range(n + 1))
     rhs = sum(c for _, c, _ in per_l)
     return CompletenessReport(chain, "xxz", lhs, per_l, lhs == rhs)

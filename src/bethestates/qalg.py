@@ -27,9 +27,10 @@ a polynomial, one involving a series returns a series.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import lcm
-from operator import add, mul, sub
+from operator import add, mul
 
 from .util import PreconditionError
 
@@ -263,9 +264,6 @@ class QSeries:
                 return (e, ta.get(e, 0), tb.get(e, 0))
         return None
 
-    def agrees_with(self, other: "QSeries", upto=None) -> bool:
-        return self.first_discrepancy(other, upto) is None
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -296,46 +294,12 @@ class QPolynomial(QSeries):
     def monomial(cls, exponent, coeff: int = 1) -> "QPolynomial":
         return cls({exponent: coeff})
 
-    def max_exp(self):
-        return Fraction(self.lo + len(self.coeffs) - 1, self.den) if self.coeffs else None
-
     def eval_at_one(self) -> int:
         return sum(self.coeffs)
 
     def subs_inverse(self) -> "QPolynomial":
         """Substitute q -> 1/q (negate every exponent)."""
         return _new(self.den, 1 - self.lo - len(self.coeffs), self.coeffs[::-1], None)
-
-    def __pow__(self, n: int) -> "QPolynomial":
-        if n < 0:
-            raise PreconditionError("negative power of a polynomial")
-        out = QPolynomial.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def exact_div(self, other: "QPolynomial") -> "QPolynomial":
-        """Exact division; raises ArithmeticError when the quotient is not exact."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return QPolynomial()
-        den, (lo_a, a, _), (lo_b, b, _) = _aligned(self, other)
-        n = len(a) - len(b) + 1
-        if n <= 0:
-            raise ArithmeticError("inexact polynomial division")
-        rem = list(a)
-        out = [0] * n
-        for k in range(n):
-            if rem[k]:
-                q, r = divmod(rem[k], b[0])
-                if r:
-                    raise ArithmeticError("inexact polynomial division")
-                out[k] = q
-                rem[k:k + len(b)] = map(sub, rem[k:k + len(b)], map(mul, b, repeat(q)))
-        if any(rem[n:]):
-            raise ArithmeticError("inexact polynomial division")
-        return _new(den, lo_a - lo_b, out, None)
 
     def to_series(self, cutoff) -> QSeries:
         return self.truncated(cutoff)
@@ -373,31 +337,29 @@ def pochhammer(step_sign: int, n: int) -> QPolynomial:
     return out
 
 
-_GAUSS_CACHE: dict[tuple[int, int], QPolynomial] = {}
+@lru_cache(maxsize=1024)   # keyed by (m, min(n, m - n))
+def _gauss_positive(m: int, small: int) -> QPolynomial:
+    """[m, small]_q as the series prod_i (1 - q**(m-small+i)) / (1 - q**i),
+    i = 1..small, cut at its degree small*(m-small), where it is exact."""
+    ser = QSeries.one(small * (m - small))
+    for i in range(1, small + 1):
+        ser = (ser * QPolynomial({0: 1, m - small + i: -1})).div_cyclotomic(i)
+    return _new(ser.den, ser.lo, ser.coeffs, None)
 
 
 def gauss_binomial(m: int, n: int, base_sign: int = 1) -> QPolynomial:
     """Gaussian binomial coefficient in base q**base_sign.
 
-    Zero unless 0 <= n <= m; otherwise the exact quotient
-    (x;x)_m / ((x;x)_n (x;x)_{m-n}) with x = q**base_sign, computed one
-    factor pair at a time by exact polynomial division (every intermediate is
-    itself a Gaussian binomial, so each division is exact).  The inverse base
-    is an exponent relabeling.
+    Zero unless 0 <= n <= m; otherwise the quotient
+    (x;x)_m / ((x;x)_n (x;x)_{m-n}) with x = q**base_sign.  It is a
+    polynomial of degree n*(m-n), so its power series cut at that degree is
+    exact.  The inverse base is an exponent relabeling.
     """
     if base_sign not in (1, -1):
         raise PreconditionError("base_sign must be +1 or -1")
     if not (0 <= n <= m):
         return QPolynomial.zero()
-    key = (m, n)
-    poly = _GAUSS_CACHE.get(key)
-    if poly is None:
-        small = min(n, m - n)
-        poly = QPolynomial.one()
-        for i in range(1, small + 1):
-            poly = poly * QPolynomial({0: 1, m - small + i: -1})
-            poly = poly.exact_div(QPolynomial({0: 1, i: -1}))
-        _GAUSS_CACHE[key] = poly
+    poly = _gauss_positive(m, min(n, m - n))
     if base_sign == -1:
         return poly.subs_inverse()
     return poly

@@ -49,6 +49,14 @@ class TSData:
     def is_integer(self) -> bool:
         return self.p0.denominator == 1
 
+    def integer_p0(self, use: str, least: int = 1) -> int:
+        """p0 as an int; PreconditionError naming the use when p0 is not an
+        integer >= least."""
+        if not self.is_integer() or self.p0 < least:
+            bound = f" >= {least}" if least > 1 else ""
+            raise PreconditionError(f"{use} needs integer p0{bound}")
+        return int(self.p0)
+
 
 def compute_ts(p0) -> TSData:
     """Run the continued-fraction recurrences for rational p0 >= 1."""

@@ -1,11 +1,9 @@
-"""Small shared helpers: exact parsing, fractional parts, optional process pool."""
+"""Small shared helpers: exact parsing, fractional parts, report headers."""
 
 from __future__ import annotations
 
 import math
-import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 
@@ -48,25 +46,10 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def worker_cap() -> int:
-    """Maximum worker processes, capped by the BETHE_THREADS environment variable."""
-    raw = os.environ.get("BETHE_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 1
-    return max(1, cap)
-
-
-def parallel_map(fn, items):
-    """Map fn over items, in order.  Uses processes only when BETHE_THREADS > 1.
-
-    Results are reduced in input order regardless of completion order, so
-    output is deterministic either way.
-    """
-    items = list(items)
-    cap = worker_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
+def report_header(p0, chain=None) -> dict:
+    """The fields that open every schema-v1 JSON report: the schema tag, p0,
+    and the chain's species when the report is about a chain."""
+    head = {"schema": "v1", "p0": rat_str(p0)}
+    if chain is not None:
+        head["chain"] = [{"two_s": s, "count": n} for s, n in chain.species]
+    return head

@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bethestates.bijection import (conjectured_state_class, forget, pair,
-                                   staircase_decompose, verify_pairing)
+from bethestates.bijection import forget, pair, verify_pairing
 from bethestates.configs import Partition, XXZConfig, enumerate_xxx_configs
 from bethestates.qalg import QPolynomial, gauss_binomial
 from bethestates.spectral import ChainSpec
@@ -91,17 +90,6 @@ def test_staircase_identity_exact():
             for j in range(k + 1):
                 rhs = rhs + QPolynomial.monomial(j, 1) * gauss_binomial(m + j - 1, j)
             assert lhs == rhs, (m, k)
-            staircase_decompose(m, k)  # internal check must not raise
-
-
-def test_staircase_classes():
-    assert staircase_decompose(0, 4) == [(0, 0)]
-    assert staircase_decompose(3, 1) == [(0, 0), (1, 1)]
-    assert conjectured_state_class((3, 3), 3) == 0
-    assert conjectured_state_class((0, 3), 3) == 1
-    assert conjectured_state_class((0, 1, 2), 3) == 3
-    with pytest.raises(PreconditionError):
-        conjectured_state_class((4,), 3)
 
 
 def test_verify_pairing_acceptance_chains():

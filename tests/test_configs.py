@@ -1,15 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from bethestates.configs import (Partition, XXZConfig, count_xxx, count_xxz_general,
+from bethestates.configs import (Partition, XXZConfig, _context, count_xxx, count_xxz_general,
                                  count_xxz_general_detailed, enumerate_lambda,
                                  enumerate_xxx_configs, enumerate_xxx_rigged,
                                  enumerate_xxz_int, partitions, render_xxx,
                                  render_xxz, signed_binom, xxx_config_count,
                                  xxx_vacancy, xxz_vacancy_int)
 from bethestates.oracle import sl2_multiplicity
-from bethestates.spectral import ChainSpec
+from bethestates.spectral import ChainSpec, scaled_form, vacancy_linear_form
 from bethestates.tsdata import compute_ts
 from bethestates.util import PreconditionError
 
@@ -179,6 +180,35 @@ def test_enumerate_lambda_lex_and_weights():
     assert (0, 0, 0, 0, 1, 0, 0) in lams
     assert (1, 1, 0, 0, 0, 0, 0) in lams
     assert (2, 0, 0, 0, 0, 0, 0) in lams
+
+
+def test_tops_match_vacancy_linear_form():
+    # tops is the linear form when every component is an integer and None as
+    # soon as one is not; seeded lam, admissible and off-lattice spins
+    rng = random.Random(20261018)
+    cases = [(F(16, 7), ((1, 3),)), (F(16, 7), ((1, 2), (6, 1))), (F(27, 11), ((8, 1),)),
+             (F(7, 3), ((2, 3),)), (F(6), ((3, 2),)), (F(55, 34), ((2, 2), (7, 1))),
+             (F(7, 2), ((1, 3),)), (F(5, 2), ((1, 2), (2, 1)))]
+    seen = {"integer": 0, "first row integer": 0, "last row integer": 0}
+    for p0, species in cases:
+        ts = compute_ts(p0)
+        chain = ChainSpec(p0, species)
+        for l in range(chain.n_total + 1):
+            ctx = _context(ts, chain, l)
+            if p0 == F(27, 11):
+                assert ctx.denom == 135 > scaled_form(ts).den == 27
+            for _ in range(8):
+                lam = [rng.randint(0, 3) for _ in range(ts.dim)]
+                exact = vacancy_linear_form(ts, chain, l, lam)
+                tops = ctx.tops(lam)
+                if all(x.denominator == 1 for x in exact):
+                    assert tops == [int(x) for x in exact], (p0, species, l, lam)
+                    seen["integer"] += 1
+                else:
+                    assert tops is None, (p0, species, l, lam)
+                    seen["first row integer"] += exact[0].denominator == 1
+                    seen["last row integer"] += exact[-1].denominator == 1
+    assert all(n >= 10 for n in seen.values()), seen
 
 
 def test_enumerate_xxz_rejects_noninteger_p0():

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import factorial, floor
-from operator import mul
+from itertools import combinations_with_replacement, repeat
+from math import comb, floor
+from operator import floordiv, mod
 
-from .spectral import ChainSpec, linear_form
+from .spectral import ChainSpec, apply_form, linear_form
 from .tsdata import TSData, string_length
 from .util import PreconditionError, binom, frac_part
 
@@ -28,10 +28,9 @@ def signed_binom(a: int, b: int) -> int:
     Negative tops contribute signed terms; the counting sum relies on the
     resulting cancellations above half filling.
     """
-    num = 1
-    for i in range(b):
-        num *= a - i
-    return num // factorial(b)
+    if a >= 0:
+        return comb(a, b)
+    return (-1) ** b * comb(b - a - 1, b)
 
 
 @dataclass(frozen=True)
@@ -231,27 +230,57 @@ def string_weights(ts: TSData) -> tuple:
 
 
 def enumerate_lambda(ts: TSData, l: int) -> list:
-    """All multiplicity vectors with sum n_k lam_k = l, lexicographically."""
+    """All multiplicity vectors with sum n_k lam_k = l, lexicographically.
+
+    A depth-first search on an explicit stack.  Bit r of reach[k] is set when
+    r is a sum of the weights from component k on, so only prefixes that
+    complete are pushed and no branch ends without a vector.  A zero
+    remainder closes the vector with zeros at once, components heavier than
+    the remainder take 0 without a branch, and the last component is the
+    quotient of the remainder.
+    """
     if l < 0:
         raise PreconditionError("level must be nonnegative")
     weights = string_weights(ts)
     dim = len(weights)
+    last = dim - 1
+    wl = weights[last]
+    low = (2 << l) - 1          # bits 0..l
+    reach = [1] * (dim + 1)
+    for k in range(last, -1, -1):
+        w, below = weights[k], reach[k + 1]
+        for shift in range(w, l + 1, w):
+            below |= reach[k + 1] << shift
+        reach[k] = below & low
     out = []
-
-    def rec(k: int, rem: int, acc):
-        if k == dim - 1:
-            q, r = divmod(rem, weights[k])
-            if r == 0:
-                out.append(acc + (q,))
-            return
+    if not reach[0] >> l & 1:
+        return out
+    stack = [(0, l, ())]
+    pop, push, emit = stack.pop, stack.append, out.append
+    while stack:
+        k, rem, acc = pop()
+        if not rem:
+            emit(acc + (0,) * (dim - k))
+            continue
+        start = k
+        while weights[k] > rem:
+            k += 1
+        acc += (0,) * (k - start)
         w = weights[k]
-        for c in range(rem // w + 1):
-            rec(k + 1, rem - c * w, acc + (c,))
-
-    rec(0, l, ())
-    # rec refers to itself through its closure cell; clearing the cell frees
-    # the function, and the list with it, without waiting for the cyclic GC
-    del rec
+        if k == last:
+            emit(acc + (rem // w,))
+            continue
+        if k + 1 == last:
+            for c in range(rem // w + 1):
+                q, r = divmod(rem - c * w, wl)
+                if not r:
+                    emit(acc + (c, q))
+            continue
+        below = reach[k + 1]
+        for c in range(rem // w, -1, -1):
+            r = rem - c * w
+            if below >> r & 1:
+                push((k + 1, r, acc + (c,)))
     return out
 
 
@@ -263,22 +292,17 @@ class _CountContext:
     not an integer (the pair is then skipped by the counting sum).
     """
 
-    __slots__ = ("signs", "m_scaled", "b_scaled", "denom")
+    __slots__ = ("columns", "b_scaled", "denom")
 
     def __init__(self, ts: TSData, chain: ChainSpec, l: int):
-        self.denom, self.m_scaled, self.b_scaled = linear_form(ts, chain, l)
-        self.signs = ts.signs
+        self.denom, self.columns, self.b_scaled = linear_form(ts, chain, l)
 
     def tops(self, lam):
-        signed = list(map(mul, self.signs, lam))
-        d = self.denom
-        out = []
-        for row, c in zip(self.m_scaled, self.b_scaled):
-            q, r = divmod(c + sum(map(mul, row, signed)), d)
-            if r:
-                return None
-            out.append(q)
-        return out
+        scaled = apply_form(self.columns, self.b_scaled, lam)
+        den = repeat(self.denom)
+        if any(map(mod, scaled, den)):
+            return None
+        return list(map(floordiv, scaled, den))
 
 
 @lru_cache(maxsize=128)   # one entry per level of a chain

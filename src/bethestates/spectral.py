@@ -8,6 +8,8 @@ signed adjugate, so no dense elimination is needed.  The parity matrix E and
 the offset vector b complete the linear form whose j-th component equals
 P_j(lambda) + lambda_j.  scaled_form is the one coding of Theta and E - B;
 the counting routes, the quadratic form and vacancy_linear_form all read it.
+E - B is kept as parity-signed columns, so apply_form evaluates the form in
+O(dim) per nonzero lambda component.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .tsdata import TSData, phase_shift, string_length, zone
 from .util import PreconditionError, frac_part
@@ -185,13 +188,15 @@ def parity_matrix(ts: TSData) -> RationalMatrix:
 class ScaledForm:
     """Theta and the vacancy matrix E - 2 Theta on the lattice (1/den)Z.
 
-    den = |det C|; theta = den * Theta and delta = den * (E - 2 Theta) are
-    integer matrices (tuples of rows), since den * Theta = sign(det) adj C.
+    den = |det C|; theta = den * Theta (a tuple of rows) is an integer matrix,
+    since den * Theta = sign(det) adj C.  columns[k] = s_k * (column k of
+    den * (E - 2 Theta)), s = ts.signs, so the matrix part of the form at
+    lambda is sum_k lambda_k * columns[k].
     """
 
     den: int
     theta: tuple
-    delta: tuple
+    columns: tuple
 
 
 @lru_cache(maxsize=16)
@@ -201,10 +206,11 @@ def scaled_form(ts: TSData) -> ScaledForm:
     det, adj = tridiagonal_adjugate(*coupling_bands(ts))
     den = abs(det)
     theta = [row if det > 0 else [-x for x in row] for row in adj]
-    delta = [[-2 * x for x in row] for row in theta]
+    # theta is symmetric, so its rows are its columns
+    columns = [[-2 * s * x for x in row] for s, row in zip(ts.signs, theta)]
     for i, j, e in _parity_entries(ts):
-        delta[i][j] += den * e
-    return ScaledForm(den, tuple(map(tuple, theta)), tuple(map(tuple, delta)))
+        columns[j][i] += ts.signs[j] * den * e
+    return ScaledForm(den, tuple(map(tuple, theta)), tuple(map(tuple, columns)))
 
 
 def coupling_matrix(ts: TSData) -> RationalMatrix:
@@ -233,17 +239,31 @@ def offset_vector(ts: TSData, chain: ChainSpec, l: int):
 
 
 def linear_form(ts: TSData, chain: ChainSpec, l: int) -> tuple:
-    """(d, M, c) with ((E - B) lam~ + b) = (M lam~ + c) / d in integers.
+    """(d, columns, c) with ((E - B) lam~ + b) = apply_form(columns, c, lam) / d.
 
-    M is the delta of scaled_form, rescaled when b is off the lattice
-    (1/den)Z; d is the lcm of den and the denominators of b.
+    columns are those of scaled_form, the very tuple when d == den and
+    rescaled when b is off the lattice (1/den)Z; d is the lcm of den and the
+    denominators of b.
     """
     form = scaled_form(ts)
     b = offset_vector(ts, chain, l)
     d = lcm(form.den, *(x.denominator for x in b))
     k = d // form.den
-    rows = form.delta if k == 1 else tuple(tuple(k * x for x in row) for row in form.delta)
-    return d, rows, [int(x * d) for x in b]
+    columns = form.columns if k == 1 else tuple(tuple(k * x for x in col)
+                                                for col in form.columns)
+    return d, columns, [int(x * d) for x in b]
+
+
+def apply_form(columns, c, lam) -> list:
+    """c + sum of lam_k * columns[k] over the nonzero lam_k, as a list.
+
+    The terms form one chain of lazy maps, summed row by row by the list.
+    """
+    out = c
+    for col, x in zip(columns, lam):
+        if x:
+            out = map(add, out, col if x == 1 else map(mul, col, repeat(x)))
+    return list(out)
 
 
 def vacancy_linear_form(ts: TSData, chain: ChainSpec, l: int, lam):
@@ -257,6 +277,5 @@ def vacancy_linear_form(ts: TSData, chain: ChainSpec, l: int, lam):
         raise PreconditionError("lambda vector has wrong length")
     if any(x < 0 for x in lam):
         raise PreconditionError("lambda entries must be nonnegative")
-    d, rows, offset = linear_form(ts, chain, l)
-    signed = [s * x for s, x in zip(ts.signs, lam)]
-    return [Fraction(c + sum(map(mul, row, signed)), d) for row, c in zip(rows, offset)]
+    d, columns, offset = linear_form(ts, chain, l)
+    return [Fraction(v, d) for v in apply_form(columns, offset, lam)]

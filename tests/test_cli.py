@@ -146,6 +146,16 @@ def test_too_wide_string_data_rejected(capsys, monkeypatch):
         assert "dim 1000001 exceeds the ceiling of 1000" in captured.err
 
 
+def test_widest_string_data_counts(capsys):
+    # dim 1000 is the ceiling; the lambda enumeration has no recursion depth
+    rc, out = run_cli(capsys, ["count", "--p0", "1997/2", "--chain", "1x2", "--l", "1"])
+    assert rc == 0
+    assert "Z(l=1) = 2 with 2 summands" in out
+    rc, out = run_cli(capsys, ["completeness", "--p0", "1997/2", "--chain", "1x2"])
+    assert rc == 0
+    assert "dimension 4 vs level sum 4: matched=True" in out
+
+
 def test_output_determinism(capsys):
     argvs = [
         ["ts", "--p0", "16/7", "--json"],

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import factorial
 
 import pytest
 
@@ -7,8 +9,8 @@ from bethestates.configs import (Partition, XXZConfig, _context, count_xxx, coun
                                  count_xxz_general_detailed, enumerate_lambda,
                                  enumerate_xxx_configs, enumerate_xxx_rigged,
                                  enumerate_xxz_int, partitions, render_xxx,
-                                 render_xxz, signed_binom, xxx_config_count,
-                                 xxx_vacancy, xxz_vacancy_int)
+                                 render_xxz, signed_binom, string_weights,
+                                 xxx_config_count, xxx_vacancy, xxz_vacancy_int)
 from bethestates.oracle import sl2_multiplicity
 from bethestates.spectral import ChainSpec, scaled_form, vacancy_linear_form
 from bethestates.tsdata import compute_ts
@@ -33,6 +35,13 @@ def test_partitions_generator():
     assert sorted(partitions(4, 2)) == sorted([(2, 2), (2, 1, 1), (1, 1, 1, 1)])
 
 
+def falling_factorial_binom(a, b):
+    num = 1
+    for i in range(b):
+        num *= a - i
+    return num // factorial(b)
+
+
 def test_signed_binom():
     from math import comb
     for a in range(0, 8):
@@ -41,6 +50,9 @@ def test_signed_binom():
     assert signed_binom(-1, 1) == -1
     assert signed_binom(-2, 2) == 3
     assert signed_binom(-1, 0) == 1
+    for a in range(-15, 16):
+        for b in range(13):
+            assert signed_binom(a, b) == falling_factorial_binom(a, b), (a, b)
 
 
 # -- XXX --------------------------------------------------------------------------
@@ -180,6 +192,37 @@ def test_enumerate_lambda_lex_and_weights():
     assert (0, 0, 0, 0, 1, 0, 0) in lams
     assert (1, 1, 0, 0, 0, 0, 0) in lams
     assert (2, 0, 0, 0, 0, 0, 0) in lams
+
+
+def brute_force_lambda(weights, l):
+    ranges = [range(l // w + 1) for w in weights]
+    return sorted(lam for lam in product(*ranges)
+                  if sum(w * x for w, x in zip(weights, lam)) == l)
+
+
+def test_enumerate_lambda_matches_brute_force():
+    for p0, top in [(F(1), 10), (F(3), 10), (F(16, 7), 10), (F(55, 34), 10), (F(201, 2), 7)]:
+        ts = compute_ts(p0)
+        weights = string_weights(ts)
+        assert enumerate_lambda(ts, 0) == [(0,) * ts.dim]
+        for l in range(top + 1):
+            lams = enumerate_lambda(ts, l)
+            assert type(lams) is list
+            assert lams == brute_force_lambda(weights, l), (p0, l)
+
+
+def test_context_shares_scaled_columns():
+    # on the lattice of Theta every level reads the cached columns themselves
+    ts = compute_ts(F(201, 2))
+    chain = ChainSpec(ts.p0, [(1, 4)])
+    form = scaled_form(ts)
+    shared = 0
+    for l in range(chain.n_total + 1):
+        ctx = _context(ts, chain, l)
+        if ctx.denom == form.den:
+            assert ctx.columns is form.columns, l
+            shared += 1
+    assert shared
 
 
 def test_tops_match_vacancy_linear_form():

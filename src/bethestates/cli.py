@@ -65,8 +65,7 @@ def cmd_ts(args) -> int:
         "length_table": [
             {"j_lo": lo, "j_hi": hi, "value_at_lo": v, "slope": s}
             for lo, hi, v, s in table],
-        "string_lengths": [int(tsdata.string_length(ts, k))
-                           for k in range(1, ts.dim + 1)],
+        "string_lengths": list(tsdata.string_weights(ts)),
     }
     lines = [
         f"p0 = {rat_str(ts.p0)} = {list(ts.quotients)}   alpha = {ts.alpha}",
@@ -121,9 +120,7 @@ def cmd_count(args) -> int:
         "summands": detail.admissible,
         "skipped_fractional": detail.skipped_fractional,
     }
-    lines = [f"Z(l={args.l}) = {detail.total} with {detail.admissible} summands"
-             + (f" ({detail.skipped_fractional} fractional skipped)"
-                if detail.skipped_fractional else "")]
+    lines = [f"Z(l={args.l}) = {detail.total} with {detail.admissible} summands"]
     _emit(payload, args.json, lines)
     return EXIT_OK
 
@@ -223,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("enumerate", cmd_enumerate, "configurations at one level (integer p0)",
         chain=True, level=True, diagrams=True)
     add("identity", cmd_identity, "fermionic vs bosonic series check", cutoff=True)
-    add("completeness", cmd_completeness, "level sum against the dimension",
-        chain=True)
+    add("completeness", cmd_completeness,
+        "level counts against the weight-space dimensions", chain=True)
     add("bijection", cmd_bijection, "pairing checks (integer p0 > sum of spins)",
         chain=True)
     return parser

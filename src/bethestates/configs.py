@@ -18,8 +18,8 @@ from math import comb, floor
 from operator import floordiv, mod
 
 from .spectral import ChainSpec, apply_form, linear_form
-from .tsdata import TSData, string_length
-from .util import PreconditionError, binom, frac_part
+from .tsdata import TSData, string_weights
+from .util import PreconditionError, frac_part
 
 
 def signed_binom(a: int, b: int) -> int:
@@ -113,7 +113,7 @@ def xxx_config_count(nu: Partition, mu) -> int:
     """Number of rigging choices for one configuration."""
     total = 1
     for n in sorted(set(nu.parts)):
-        total *= binom(xxx_vacancy(nu, mu, n) + nu.mult(n), nu.mult(n))
+        total *= comb(xxx_vacancy(nu, mu, n) + nu.mult(n), nu.mult(n))
     return total
 
 
@@ -215,19 +215,14 @@ def enumerate_xxz_int(ts: TSData, chain: ChainSpec, l: int) -> list:
             vac = xxz_vacancies_int(ts, chain, cfg)
             if any(v < 0 for v in vac):
                 continue
-            count = binom(vac[p0 - 1] + clubs, clubs)
+            count = comb(vac[p0 - 1] + clubs, clubs)
             for j in range(1, p0):
-                count *= binom(vac[j - 1] + lam[j - 1], lam[j - 1])
+                count *= comb(vac[j - 1] + lam[j - 1], lam[j - 1])
             out.append(XXZRecord(cfg, vac, count))
     return out
 
 
 # -- XXZ model, general rational p0: linear-form route -------------------------
-
-def string_weights(ts: TSData) -> tuple:
-    """Integer string lengths n_k for k = 1..dim."""
-    return tuple(int(string_length(ts, Fraction(k))) for k in range(1, ts.dim + 1))
-
 
 def enumerate_lambda(ts: TSData, l: int) -> list:
     """All multiplicity vectors with sum n_k lam_k = l, lexicographically.
@@ -286,10 +281,11 @@ def enumerate_lambda(ts: TSData, l: int) -> list:
 
 class _CountContext:
     """The integer-scaled vacancy linear form of spectral.linear_form, kept
-    for fast admissibility tests.
+    for fast evaluation of the tops.
 
-    tops(lam) returns the integer top vector, or None when some component is
-    not an integer (the pair is then skipped by the counting sum).
+    tops(lam) returns the integer top vector.  On a chain inside the string
+    classification every top of a level-l vector is an integer, so a
+    fractional one raises AssertionError rather than being skipped.
     """
 
     __slots__ = ("columns", "b_scaled", "denom")
@@ -301,7 +297,7 @@ class _CountContext:
         scaled = apply_form(self.columns, self.b_scaled, lam)
         den = repeat(self.denom)
         if any(map(mod, scaled, den)):
-            return None
+            raise AssertionError(f"fractional top at lambda = {tuple(lam)}")
         return list(map(floordiv, scaled, den))
 
 
@@ -314,28 +310,23 @@ def _context(ts: TSData, chain: ChainSpec, l: int) -> _CountContext:
 class GeneralCount:
     total: int
     admissible: int        # lambda vectors with a nonzero contribution
-    skipped_fractional: int  # lambda vectors dropped for non-integer tops
+    skipped_fractional: int = 0   # always 0: every top is an integer (v1 JSON key)
 
 
 def count_xxz_general_detailed(ts: TSData, chain: ChainSpec, l: int) -> GeneralCount:
     """Binomial-product sum over multiplicity vectors at level l.
 
-    Vectors with a non-integer top component are skipped (with a diagnostic
-    counter).  Integer tops use the generalized binomial, so negative tops
-    give signed contributions; below half filling every nonzero term is
-    positive and the sum agrees with the direct census.
+    A chain with a spin outside the string classification raises
+    PreconditionError before any vector is enumerated.  Tops use the
+    generalized binomial, so negative tops give signed contributions; below
+    half filling every nonzero term is positive and the sum agrees with the
+    direct census.
     """
     ctx = _context(ts, chain, l)
-    total = 0
-    admissible = 0
-    skipped = 0
+    total = admissible = 0
     for lam in enumerate_lambda(ts, l):
-        tops = ctx.tops(lam)
-        if tops is None:
-            skipped += 1
-            continue
         prod = 1
-        for t, x in zip(tops, lam):
+        for t, x in zip(ctx.tops(lam), lam):
             if x:
                 prod *= signed_binom(t, x)
                 if not prod:
@@ -343,7 +334,7 @@ def count_xxz_general_detailed(ts: TSData, chain: ChainSpec, l: int) -> GeneralC
         if prod:
             total += prod
             admissible += 1
-    return GeneralCount(total, admissible, skipped)
+    return GeneralCount(total, admissible)
 
 
 def count_xxz_general(ts: TSData, chain: ChainSpec, l: int) -> int:

@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, floor, lcm
+from math import comb, floor
 from operator import mul
 
 from .configs import _context, enumerate_lambda
 from .qalg import QPolynomial, QSeries, as_exp, gauss_binomial, product_expand
 from .spectral import ChainSpec, scaled_form
-from .tsdata import TSData
+from .tsdata import TSData, string_weights
 from .util import PreconditionError, rat_str, report_header
 
 
@@ -41,24 +41,9 @@ def gauss_general(top: int, b: int, base_sign: int = 1) -> QPolynomial:
     return poly.subs_inverse() if base_sign == -1 else poly
 
 
-@lru_cache(maxsize=16)
-def _lattice(ts: TSData) -> tuple:
-    """(D, R) with R[i][j] = s_i s_j D Theta[i][j] an integer, s = ts.signs.
-
-    D is the lcm of |det C| (the denominator of Theta in scaled_form) and of
-    the numerator of p0, so every quadratic form value and every l^2/p0 lies
-    on (1/D)Z.
-    """
-    form = scaled_form(ts)
-    den = lcm(ts.p0.numerator, form.den)
-    k = den // form.den
-    return den, tuple(tuple(k * si * sj * x for sj, x in zip(ts.signs, row))
-                      for si, row in zip(ts.signs, form.theta))
-
-
 def _scaled_quadratic_form(signed_theta, lam) -> int:
-    """D * (lam~ Theta lam~^t) = (D/2) lam~ B lam~^t for the multiplicity
-    vector, lam~ the parity-signed lam, from the matrix R of _lattice."""
+    """den * (lam~ Theta lam~^t) = (den/2) lam~ B lam~^t for the multiplicity
+    vector, lam~ the parity-signed lam, from the matrix scaled_form(ts).theta."""
     total = 0
     for row, x in zip(signed_theta, lam):
         if x:
@@ -74,21 +59,18 @@ def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
     Evaluating at q = 1 recovers the plain count.
     """
     ctx = _context(ts, chain, l)
-    den, signed_theta = _lattice(ts)
+    form = scaled_form(ts)
     out = QPolynomial.zero()
     for lam in enumerate_lambda(ts, l):
-        tops = ctx.tops(lam)
-        if tops is None:
-            continue
         term = QPolynomial.one()
-        for t, x, eps in zip(tops, lam, ts.signs):
+        for t, x, eps in zip(ctx.tops(lam), lam, ts.signs):
             if x:
                 term = term * gauss_general(t, x, eps)
                 if term.is_zero():
                     break
         if not term.is_zero():
-            qf = _scaled_quadratic_form(signed_theta, lam)
-            out = out + term.shift(Fraction(qf, den))
+            qf = _scaled_quadratic_form(form.theta, lam)
+            out = out + term.shift(Fraction(qf, form.den))
     return out
 
 
@@ -105,11 +87,12 @@ def level_series(ts: TSData, l: int, cutoff) -> QSeries:
 
 
 def _level_terms(ts: TSData, l: int, lead: int, cutoff: Fraction):
-    """The series of each level-l multiplicity vector, times q**(lead/D), that
+    """The series of each level-l multiplicity vector, times q**(lead/den), that
     has a term within the cutoff.  The exact minimal exponent is known in
     closed form, so vectors whose series lies wholly past the cutoff are
     skipped without any series work."""
-    den, signed_theta = _lattice(ts)
+    form = scaled_form(ts)
+    den, signed_theta = form.den, form.theta
     signs = ts.signs
     limit = floor(cutoff * den)
     for lam in enumerate_lambda(ts, l):
@@ -124,29 +107,52 @@ def _level_terms(ts: TSData, l: int, lead: int, cutoff: Fraction):
         yield term
 
 
+@lru_cache(maxsize=16)
+def dead_level_window(ts: TSData) -> int:
+    """W = max n_k: fermionic_sum stops after W consecutive dead levels,
+    levels with no vector that has a term within the cutoff.
+
+    den = numerator(p0) times the least exponent of the series of lam is
+    e(lam) = lam M lam^t + den * sum_{s_k < 0} lam_k (lam_k + 1)/2, where
+    M = den Theta~ + denominator(p0) n n^t includes l^2/p0, l = n . lam.
+    Checked here (AssertionError otherwise): M >= 0 entrywise, and M_kk = 0
+    only where s_k < 0.  So raising lam_k by one adds 2 (M lam)_k + M_kk,
+    plus den (lam_k + 1) if s_k < 0: e grows by >= 1 in every component.
+    Proof: if levels l0 .. l0 + W - 1 are dead, lower a vector at a level
+    >= l0 + W one unit at a time.  Each step drops the level by n_k <= W, so
+    it meets a vector it dominates in that window, which is past the cutoff,
+    and so is it.  The loop ends, as e(lam) >= sum lam_k >= l / W.
+    """
+    form = scaled_form(ts)
+    weights = string_weights(ts)
+    q = ts.p0.denominator
+    for k, (row, n_k, s_k) in enumerate(zip(form.theta, weights, ts.signs)):
+        m = [x + q * n_k * n_j for x, n_j in zip(row, weights)]
+        if min(m) < 0 or (m[k] == 0 and s_k > 0):
+            raise AssertionError(
+                f"fermionic exponent not monotone at p0 = {ts.p0}, row {k + 1}")
+    return max(weights)
+
+
 def fermionic_sum(ts: TSData, cutoff) -> QSeries:
     """Sum of q**(l^2/p0) V_l over levels l >= 0, truncated at the cutoff.
 
-    The level loop stops once the exact minimal exponent has exceeded the
-    cutoff for numerator-of-p0 consecutive levels, which guards against
-    non-monotone dips without assuming a growth bound.
+    The level loop stops after dead_level_window(ts) consecutive dead levels;
+    that function proves that no later level has a term within the cutoff.
     """
     cutoff = as_exp(cutoff)
-    den, _ = _lattice(ts)
-    window = ts.p0.numerator
+    window = dead_level_window(ts)
     acc = QSeries.zero(cutoff)
     dead = 0
     l = 0
     while dead < window:
-        lead = l * l * den * ts.p0.denominator // ts.p0.numerator   # D * l^2/p0
+        lead = l * l * ts.p0.denominator   # den * l^2/p0, den = numerator(p0)
         live = False
         for term in _level_terms(ts, l, lead, cutoff):
             live = True
             acc = acc + term
         dead = 0 if live else dead + 1
         l += 1
-        if l > 100000:
-            raise AssertionError("level sum failed to terminate")
     return acc
 
 
@@ -210,7 +216,7 @@ def bosonic_sum(ts: TSData, cutoff) -> QSeries:
             else:
                 sgn = (-1) ** m
             poly = kernel_poly(eps, k, m) * QPolynomial.monomial(e, sgn)
-            ser = poly.to_series(cutoff)
+            ser = poly.truncated(cutoff)
             for i in range(1, k + 1):
                 ser = ser.div_cyclotomic(i)
             acc = acc + ser
@@ -245,7 +251,7 @@ def bosonic_sum_collapsed(ts: TSData, cutoff) -> QSeries:
             break
         sgn = (-1) ** k if a % 2 else 1
         poly = collapsed_kernel(ts, k) * QPolynomial.monomial(k * k * base, sgn)
-        ser = poly.to_series(cutoff)
+        ser = poly.truncated(cutoff)
         for i in range(1, k + 1):
             ser = ser.div_cyclotomic(i)
         acc = acc + ser
@@ -266,7 +272,7 @@ def gordon_andrews_sum(ts: TSData, cutoff) -> QSeries:
         if e > cutoff:
             break
         poly = QPolynomial({Fraction(e): (-1) ** k, Fraction(e + k): (-1) ** k})
-        acc = acc + poly.to_series(cutoff)
+        acc = acc + poly.truncated(cutoff)
         k += 1
     return acc
 

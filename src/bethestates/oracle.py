@@ -7,7 +7,6 @@ configuration-counting route; the completeness checks compare the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import configs
 from .spectral import ChainSpec
@@ -72,11 +71,14 @@ def check_completeness_xxx(chain: ChainSpec) -> CompletenessReport:
 
 
 def check_completeness_xxz(ts: TSData, chain: ChainSpec) -> CompletenessReport:
-    """Total dimension against the plain sum of XXZ state counts over levels."""
-    if Fraction(chain.p0) != ts.p0:
+    """Total dimension against the plain sum of XXZ state counts over levels;
+    matched also needs the count at each level l to be weight_count(mu, l)."""
+    if chain.p0 != ts.p0:
         raise PreconditionError("chain and string data disagree on p0")
-    n = chain.n_total
+    mu = chain.mu()
     lhs = chain.dimension()
-    per_l = tuple((l, configs.count_xxz_general(ts, chain, l), 1) for l in range(n + 1))
-    rhs = sum(c for _, c, _ in per_l)
-    return CompletenessReport(chain, "xxz", lhs, per_l, lhs == rhs)
+    per_l = tuple((l, configs.count_xxz_general(ts, chain, l), 1)
+                  for l in range(chain.n_total + 1))
+    matched = lhs == sum(c for _, c, _ in per_l) and all(
+        c == weight_count(mu, l) for l, c, _ in per_l)
+    return CompletenessReport(chain, "xxz", lhs, per_l, matched)

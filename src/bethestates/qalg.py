@@ -2,11 +2,11 @@
 
 A value stores a lattice denominator ``den``, an integer offset ``lo`` and a
 dense, trimmed list of integer coefficients: coeffs[i] is the coefficient of
-q**((lo + i)/den).  (Every exponent in this package lies on (1/D)Z, with D
-the lcm of the denominators of Theta and 1/p0.)  Operands on different
-lattices are rescaled to the lcm of their denominators, which multiplies
-``lo`` and ``cut`` by the factor and spreads the coefficients with that
-stride.  ``terms`` gives the value as a Fraction-keyed mapping, built on
+q**((lo + i)/den).  (Every exponent in this package lies on (1/D)Z, with
+D = numerator(p0) the denominator of both Theta and 1/p0.)  Operands on
+different lattices are rescaled to the lcm of their denominators, which
+multiplies ``lo`` and ``cut`` by the factor and spreads the coefficients
+with that stride.  ``terms`` gives the value as a Fraction-keyed mapping, built on
 demand.  There is no floating point anywhere; coefficient lists are never
 mutated once stored, and every operation returns a fresh object.
 
@@ -300,9 +300,6 @@ class QPolynomial(QSeries):
     def subs_inverse(self) -> "QPolynomial":
         """Substitute q -> 1/q (negate every exponent)."""
         return _new(self.den, 1 - self.lo - len(self.coeffs), self.coeffs[::-1], None)
-
-    def to_series(self, cutoff) -> QSeries:
-        return self.truncated(cutoff)
 
     def __eq__(self, other):
         if isinstance(other, int):

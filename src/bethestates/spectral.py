@@ -6,11 +6,11 @@ B = 2*Theta.  Theta comes from the continuant recurrences for the leading and
 trailing minors of C, in integers: |det C| = den and den * Theta is the
 signed adjugate, so no dense elimination is needed.  The parity matrix E and
 the offset vector b complete the linear form whose j-th component equals
-P_j(lambda) + lambda_j.  scaled_form is the one coding of Theta and E - B;
-the counting routes, the quadratic form and vacancy_linear_form all read it.
-E - B is kept as parity-signed columns, so apply_form evaluates the form in
-O(dim) per nonzero lambda component.
-"""
+P_j(lambda) + lambda_j.  scaled_form is the one coding of Theta and E - B on
+the lattice (1/den)Z, den = numerator(p0); the counting routes, the quadratic
+form and vacancy_linear_form all read it.  E - B is kept as parity-signed
+columns, so apply_form evaluates the form in O(dim) per nonzero lambda
+component."""
 
 from __future__ import annotations
 
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import lcm
 from operator import add, mul
 
-from .tsdata import TSData, phase_shift, string_length, zone
+from .tsdata import (TSData, admissible_spin, admissible_spins, phase_shift,
+                     string_length, zone)
 from .util import PreconditionError, frac_part
 
 # Widest string data (number of string types) whose Theta and linear form are
@@ -188,10 +188,10 @@ def parity_matrix(ts: TSData) -> RationalMatrix:
 class ScaledForm:
     """Theta and the vacancy matrix E - 2 Theta on the lattice (1/den)Z.
 
-    den = |det C|; theta = den * Theta (a tuple of rows) is an integer matrix,
-    since den * Theta = sign(det) adj C.  columns[k] = s_k * (column k of
-    den * (E - 2 Theta)), s = ts.signs, so the matrix part of the form at
-    lambda is sum_k lambda_k * columns[k].
+    den = |det C| = numerator(p0); theta = den * Theta~ (a tuple of rows),
+    Theta~_ij = s_i s_j Theta_ij with s = ts.signs, is integral as den * Theta
+    = sign(det) adj C.  columns[k] = s_k * (column k of den * (E - 2 Theta)),
+    so the matrix part of the form at lambda is sum_k lambda_k * columns[k].
     """
 
     den: int
@@ -203,20 +203,27 @@ class ScaledForm:
 def scaled_form(ts: TSData) -> ScaledForm:
     """The one exact coding of Theta and of the matrix part of the vacancy
     linear form; every consumer reads its integers from here."""
-    det, adj = tridiagonal_adjugate(*coupling_bands(ts))
+    diag, off = coupling_bands(ts)
+    signs = ts.signs
+    # S C S, S = diag(signs), has the same determinant and the inverse Theta~
+    off = [b * s * t for b, s, t in zip(off, signs, signs[1:])]
+    det, adj = tridiagonal_adjugate(diag, off)
     den = abs(det)
+    if den != ts.p0.numerator:
+        raise AssertionError(f"|det C| = {den} is not the numerator of p0 = {ts.p0}")
     theta = [row if det > 0 else [-x for x in row] for row in adj]
-    # theta is symmetric, so its rows are its columns
-    columns = [[-2 * s * x for x in row] for s, row in zip(ts.signs, theta)]
+    # theta is symmetric, so its rows are its columns; s_k Theta_ik = s_i Theta~_ik
+    columns = [[-2 * si * x for si, x in zip(signs, row)] for row in theta]
     for i, j, e in _parity_entries(ts):
-        columns[j][i] += ts.signs[j] * den * e
+        columns[j][i] += signs[j] * den * e
     return ScaledForm(den, tuple(map(tuple, theta)), tuple(map(tuple, columns)))
 
 
 def coupling_matrix(ts: TSData) -> RationalMatrix:
     """Theta, the exact inverse of the tridiagonal coupling matrix."""
     form = scaled_form(ts)
-    return RationalMatrix([[Fraction(x, form.den) for x in row] for row in form.theta])
+    return RationalMatrix([[Fraction(si * sj * x, form.den) for sj, x in zip(ts.signs, row)]
+                           for si, row in zip(ts.signs, form.theta)])
 
 
 @lru_cache(maxsize=4 * MAX_DIM)   # dim x species phases of one chain
@@ -239,19 +246,24 @@ def offset_vector(ts: TSData, chain: ChainSpec, l: int):
 
 
 def linear_form(ts: TSData, chain: ChainSpec, l: int) -> tuple:
-    """(d, columns, c) with ((E - B) lam~ + b) = apply_form(columns, c, lam) / d.
+    """(den, columns, c) with ((E - B) lam~ + b) = apply_form(columns, c, lam) / den.
 
-    columns are those of scaled_form, the very tuple when d == den and
-    rescaled when b is off the lattice (1/den)Z; d is the lcm of den and the
-    denominators of b.
+    The entry of the counting routes: a chain with a spin outside the string
+    classification has no Bethe states and is rejected here, before any
+    lambda is enumerated.  For the others b lies on the lattice (1/den)Z, so
+    c is an integer vector and every level shares the columns of scaled_form.
     """
     form = scaled_form(ts)
-    b = offset_vector(ts, chain, l)
-    d = lcm(form.den, *(x.denominator for x in b))
-    k = d // form.den
-    columns = form.columns if k == 1 else tuple(tuple(k * x for x in col)
-                                                for col in form.columns)
-    return d, columns, [int(x * d) for x in b]
+    bad = sorted({two_s for two_s, _ in chain.species if not admissible_spin(ts, two_s)})
+    if bad:
+        ok = ", ".join(map(str, admissible_spins(ts))) or "none"
+        raise PreconditionError(
+            f"chain has 2s = {', '.join(map(str, bad))} outside the string classification "
+            f"at p0 = {ts.p0}; admissible 2s: {ok}")
+    c = [x * form.den for x in offset_vector(ts, chain, l)]
+    if any(x.denominator != 1 for x in c):
+        raise AssertionError(f"offset vector off the lattice (1/{form.den})Z at level {l}")
+    return form.den, form.columns, [int(x) for x in c]
 
 
 def apply_form(columns, c, lam) -> list:
@@ -269,13 +281,14 @@ def apply_form(columns, c, lam) -> list:
 def vacancy_linear_form(ts: TSData, chain: ChainSpec, l: int, lam):
     """((E - B) lam~ + b) componentwise; subtract lambda_j to get P_j.
 
-    lam~ flips the sign of odd-zone components.  Components may be
-    non-integral rationals; a non-integer value flags the (l, lam) pair as
-    inadmissible downstream.
+    lam~ flips the sign of odd-zone components.  Any spin is accepted, also
+    one outside the string classification that the counting routes reject;
+    components may then be non-integral rationals.
     """
     if len(lam) != ts.dim:
         raise PreconditionError("lambda vector has wrong length")
     if any(x < 0 for x in lam):
         raise PreconditionError("lambda entries must be nonnegative")
-    d, columns, offset = linear_form(ts, chain, l)
-    return [Fraction(v, d) for v in apply_form(columns, offset, lam)]
+    form = scaled_form(ts)
+    return [Fraction(v, form.den) + x for v, x in
+            zip(apply_form(form.columns, [0] * ts.dim, lam), offset_vector(ts, chain, l))]

@@ -46,13 +46,10 @@ class TSData:
         """Parities (-1)**zone(j) of the string types j = 1..dim."""
         return tuple((-1) ** zone(self, j) for j in range(1, self.dim + 1))
 
-    def is_integer(self) -> bool:
-        return self.p0.denominator == 1
-
     def integer_p0(self, use: str, least: int = 1) -> int:
         """p0 as an int; PreconditionError naming the use when p0 is not an
         integer >= least."""
-        if not self.is_integer() or self.p0 < least:
+        if self.p0.denominator != 1 or self.p0 < least:
             bound = f" >= {least}" if least > 1 else ""
             raise PreconditionError(f"{use} needs integer p0{bound}")
         return int(self.p0)
@@ -71,13 +68,9 @@ def compute_ts(p0) -> TSData:
         quot.append(int(nu))
         rem.append(rem[i] - nu * rem[i + 1])
     alpha = len(quot) - 1
-    if alpha > 0 and quot[-1] == 1:
-        # normalize a trailing partial quotient 1 into its predecessor
-        quot = quot[:-2] + [quot[-2] + 1]
-        alpha -= 1
-        rem = _remainders_from_quotients(p0, quot)
+    # p_{alpha+1} < p_alpha once alpha >= 1, so the last quotient is >= 2
     if alpha > 0 and quot[-1] < 2:
-        raise AssertionError("continued fraction normalization failed")
+        raise AssertionError("continued fraction ends in a partial quotient 1")
 
     ys = [0, 1]
     for nu in quot:
@@ -94,13 +87,6 @@ def compute_ts(p0) -> TSData:
     p0_bar = Fraction(ys[-2], zs[-2]) if alpha > 0 else None
     return TSData(p0, alpha, tuple(quot), tuple(rem), tuple(ys), tuple(zs),
                   tuple(bounds), p0_bar)
-
-
-def _remainders_from_quotients(p0: Fraction, quot) -> list:
-    rem = [p0, Fraction(1)]
-    for i, nu in enumerate(quot):
-        rem.append(rem[i] - nu * rem[i + 1])
-    return rem
 
 
 def zone(ts: TSData, j) -> int:
@@ -120,6 +106,11 @@ def string_length(ts: TSData, j) -> Fraction:
     j = Fraction(j)
     i = zone(ts, j)
     return _zone_length(ts, j, i)
+
+
+def string_weights(ts: TSData) -> tuple:
+    """Integer string lengths n_k for k = 1..dim."""
+    return tuple(int(string_length(ts, Fraction(k))) for k in range(1, ts.dim + 1))
 
 
 def cf_remainder(ts: TSData, j) -> Fraction:
@@ -186,6 +177,13 @@ def admissible_spin(ts: TSData, two_s: int) -> bool:
     except PreconditionError:
         return False
     return chi.denominator == 1 and chi <= ts.dim
+
+
+def admissible_spins(ts: TSData) -> list:
+    """Every 2s that admissible_spin accepts, ascending.  2s + 1 is then the
+    length of a string type, or y_{alpha+1} = numerator(p0) ending zone alpha."""
+    lengths = set(string_weights(ts)) | {ts.p0.numerator}
+    return sorted(n - 1 for n in lengths if n > 1 and admissible_spin(ts, n - 1))
 
 
 def phase_shift(ts: TSData, k: int, two_s: int) -> Fraction:

@@ -41,11 +41,6 @@ def rat_str(x) -> str:
     return str(Fraction(x))
 
 
-def binom(n: int, k: int) -> int:
-    """C(n, k) for n, k >= 0; zero when k > n."""
-    return math.comb(n, k)
-
-
 def report_header(p0, chain=None) -> dict:
     """The fields that open every schema-v1 JSON report: the schema tag, p0,
     and the chain's species when the report is about a chain."""

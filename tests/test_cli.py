@@ -68,11 +68,32 @@ def test_completeness_ok(capsys):
     assert "dimension 1024 vs level sum 1024: matched=True" in out
 
 
-def test_completeness_mismatch_exit_code(capsys):
-    # a spin outside the string classification has no complete Bethe count
-    rc, out = run_cli(capsys, ["completeness", "--p0", "5/2", "--chain", "2x1"])
+def test_completeness_mismatch_exit_code(capsys, monkeypatch):
+    # moving one state from level 1 to level 2 keeps the level sum equal to
+    # the dimension; the per-level comparison must still catch it
+    from bethestates import configs
+    count = configs.count_xxz_general
+    monkeypatch.setattr(configs, "count_xxz_general",
+                        lambda ts, chain, l: count(ts, chain, l) + {1: -1, 2: 1}.get(l, 0))
+    rc, out = run_cli(capsys, ["completeness", "--p0", "6", "--chain", "3x5"])
     assert rc == 1
-    assert "matched=False" in out
+    assert "dimension 1024 vs level sum 1024: matched=False" in out
+
+
+def test_inadmissible_spin_exits_3(capsys):
+    # a spin outside the string classification has no Bethe states; the
+    # counting commands refuse it and name the admissible 2s
+    for argv, msg in [(["completeness", "--p0", "5/2", "--chain", "2x1"],
+                       "2s = 2 outside the string classification at p0 = 5/2; "
+                       "admissible 2s: 1\n"),
+                      (["count", "--p0", "27/11", "--chain", "8x2", "--l", "3"],
+                       "2s = 8 outside the string classification at p0 = 27/11; "
+                       "admissible 2s: 1, 6, 11, 16, 21, 26\n")]:
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3, argv
+        assert captured.out == ""
+        assert captured.err.endswith(msg), captured.err
 
 
 def test_bijection_ok_and_guard(capsys):

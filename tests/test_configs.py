@@ -5,15 +5,15 @@ from math import factorial
 
 import pytest
 
-from bethestates.configs import (Partition, XXZConfig, _context, count_xxx, count_xxz_general,
-                                 count_xxz_general_detailed, enumerate_lambda,
-                                 enumerate_xxx_configs, enumerate_xxx_rigged,
+from bethestates.configs import (Partition, XXZConfig, _context, _CountContext, count_xxx,
+                                 count_xxz_general, count_xxz_general_detailed,
+                                 enumerate_lambda, enumerate_xxx_configs, enumerate_xxx_rigged,
                                  enumerate_xxz_int, partitions, render_xxx,
                                  render_xxz, signed_binom, string_weights,
                                  xxx_config_count, xxx_vacancy, xxz_vacancy_int)
 from bethestates.oracle import sl2_multiplicity
 from bethestates.spectral import ChainSpec, scaled_form, vacancy_linear_form
-from bethestates.tsdata import compute_ts
+from bethestates.tsdata import admissible_spins, compute_ts
 from bethestates.util import PreconditionError
 
 F = Fraction
@@ -212,46 +212,96 @@ def test_enumerate_lambda_matches_brute_force():
 
 
 def test_context_shares_scaled_columns():
-    # on the lattice of Theta every level reads the cached columns themselves
+    # inside the string classification every level reads the cached columns
     ts = compute_ts(F(201, 2))
     chain = ChainSpec(ts.p0, [(1, 4)])
     form = scaled_form(ts)
-    shared = 0
     for l in range(chain.n_total + 1):
         ctx = _context(ts, chain, l)
-        if ctx.denom == form.den:
-            assert ctx.columns is form.columns, l
-            shared += 1
-    assert shared
+        assert ctx.denom == form.den == 201, l
+        assert ctx.columns is form.columns, l
 
 
 def test_tops_match_vacancy_linear_form():
-    # tops is the linear form when every component is an integer and None as
-    # soon as one is not; seeded lam, admissible and off-lattice spins
+    # tops is the linear form when every component is an integer and raises
+    # as soon as one is not; seeded lam on admissible chains.  There a
+    # fractional lam gives fractional rows only, so a one-row shift of the
+    # offset checks that a single fractional row raises too.
     rng = random.Random(20261018)
-    cases = [(F(16, 7), ((1, 3),)), (F(16, 7), ((1, 2), (6, 1))), (F(27, 11), ((8, 1),)),
-             (F(7, 3), ((2, 3),)), (F(6), ((3, 2),)), (F(55, 34), ((2, 2), (7, 1))),
-             (F(7, 2), ((1, 3),)), (F(5, 2), ((1, 2), (2, 1)))]
-    seen = {"integer": 0, "first row integer": 0, "last row integer": 0}
+    cases = [(F(16, 7), ((1, 3),)), (F(6), ((3, 2),)), (F(55, 34), ((2, 2), (7, 1))),
+             (F(7, 2), ((1, 3),))]
+    seen = {"integer": 0, "fractional": 0, "first row integer": 0, "last row integer": 0}
     for p0, species in cases:
         ts = compute_ts(p0)
         chain = ChainSpec(p0, species)
         for l in range(chain.n_total + 1):
             ctx = _context(ts, chain, l)
-            if p0 == F(27, 11):
-                assert ctx.denom == 135 > scaled_form(ts).den == 27
             for _ in range(8):
                 lam = [rng.randint(0, 3) for _ in range(ts.dim)]
                 exact = vacancy_linear_form(ts, chain, l, lam)
-                tops = ctx.tops(lam)
                 if all(x.denominator == 1 for x in exact):
-                    assert tops == [int(x) for x in exact], (p0, species, l, lam)
+                    assert ctx.tops(lam) == [int(x) for x in exact], (p0, species, l, lam)
                     seen["integer"] += 1
+                    for row, key in ((-1, "first row integer"), (0, "last row integer")):
+                        shifted = _CountContext.__new__(_CountContext)
+                        shifted.denom, shifted.columns = ctx.denom, ctx.columns
+                        shifted.b_scaled = list(ctx.b_scaled)
+                        shifted.b_scaled[row] += 1
+                        with pytest.raises(AssertionError, match="fractional top"):
+                            shifted.tops(lam)
+                        seen[key] += 1
                 else:
-                    assert tops is None, (p0, species, l, lam)
-                    seen["first row integer"] += exact[0].denominator == 1
-                    seen["last row integer"] += exact[-1].denominator == 1
+                    with pytest.raises(AssertionError, match="fractional top"):
+                        ctx.tops(lam)
+                    seen["fractional"] += 1
     assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_inadmissible_chains_raise_before_enumerating(monkeypatch):
+    # a spin outside the string classification is rejected at every level,
+    # naming the offending 2s and the admissible ones, and every counting
+    # route refuses the chain before a single lambda vector
+    from bethestates import configs, identities
+    from bethestates.oracle import check_completeness_xxz
+
+    def no_lambda(*args):
+        raise AssertionError("lambda enumeration started")
+
+    monkeypatch.setattr(configs, "enumerate_lambda", no_lambda)
+    monkeypatch.setattr(identities, "enumerate_lambda", no_lambda)
+    for p0, species, msg in [(F(16, 7), ((1, 2), (6, 1)), "2s = 6 .*admissible 2s: 1, 8, 15$"),
+                             (F(27, 11), ((8, 1),), "2s = 8 .*admissible 2s: 1, 6, 11, 16"),
+                             (F(7, 3), ((2, 3),), "2s = 2 .*admissible 2s: 1$"),
+                             (F(5, 2), ((1, 2), (2, 1)), "2s = 2 .*admissible 2s: 1$")]:
+        ts = compute_ts(p0)
+        chain = ChainSpec(p0, species)
+        for l in range(chain.n_total + 1):
+            with pytest.raises(PreconditionError, match=msg):
+                _context(ts, chain, l)
+        for route in (lambda: count_xxz_general(ts, chain, 1),
+                      lambda: identities.q_count(ts, chain, 1),
+                      lambda: check_completeness_xxz(ts, chain)):
+            with pytest.raises(PreconditionError, match=msg):
+                route()
+
+
+def test_tops_are_integers_for_every_admissible_spin():
+    # the fact behind the fractional-top assertion, checked on the exact
+    # Fraction form: every admissible 2s, alone and in pairs, with N <= 10
+    vectors = 0
+    for p0 in (F(16, 7), F(27, 11), F(55, 34), F(7, 2), F(6), F(13, 5)):
+        ts = compute_ts(p0)
+        spins = [s for s in admissible_spins(ts) if s <= 10]
+        chains = [((s, n),) for s in spins for n in range(1, 10 // s + 1)]
+        chains += [((s, 1), (t, 1)) for s in spins for t in spins if s < t and s + t <= 10]
+        for species in chains:
+            chain = ChainSpec(p0, species)
+            for l in range(chain.n_total + 1):
+                for lam in enumerate_lambda(ts, l):
+                    tops = vacancy_linear_form(ts, chain, l, lam)
+                    assert all(x.denominator == 1 for x in tops), (p0, species, l, lam)
+                    vectors += 1
+    assert vectors > 1000
 
 
 def test_enumerate_xxz_rejects_noninteger_p0():

@@ -1,16 +1,17 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from bethestates.identities import (bosonic_sum, bosonic_sum_collapsed,
-                                    check_identity, collapsed_kernel, divide_by_euler,
-                                    fermionic_sum, gauss_general,
+                                    check_identity, collapsed_kernel, dead_level_window,
+                                    divide_by_euler, fermionic_sum, gauss_general,
                                     gordon_andrews_products, gordon_andrews_sum,
                                     kernel_offset, kernel_poly, kernel_sum,
                                     level_series, q_count)
-from bethestates.configs import count_xxz_general
+from bethestates.configs import count_xxz_general, string_weights
 from bethestates.qalg import QPolynomial, QSeries, pochhammer
-from bethestates.spectral import ChainSpec
+from bethestates.spectral import ChainSpec, ScaledForm, coupling_matrix, scaled_form
 from bethestates.tsdata import compute_ts
 from bethestates.util import PreconditionError
 
@@ -120,19 +121,50 @@ def test_integer_p0_exponents_are_integers():
         assert all(e.denominator == 1 for e in s.terms)
 
 
+def reduced_p0(top):
+    """Every reduced a/b >= 1 with a <= top."""
+    return [F(a, b) for a in range(1, top + 1) for b in range(1, a + 1) if gcd(a, b) == 1]
+
+
 def test_lattice_denominator_is_numerator_of_p0():
     # |det C| = y_{alpha+1} = numerator(p0), so Theta = C^-1 and 1/p0 share
-    # that denominator
-    from bethestates.identities import _lattice
-    from bethestates.spectral import coupling_matrix
+    # that denominator; scaled_form asserts it and stores den * Theta~
     for p0 in (1, 2, 3, 6, F(5, 2), F(7, 3), F(16, 7), F(9, 4), F(13, 5), F(55, 34),
                F(201, 2)):
         ts = compute_ts(p0)
-        den, signed = _lattice(ts)
-        assert den == F(p0).numerator, p0
-        assert [[F(si * sj * x, den) for sj, x in zip(ts.signs, row)]
-                for si, row in zip(ts.signs, signed)] == \
+        form = scaled_form(ts)
+        assert form.den == F(p0).numerator, p0
+        assert [[F(si * sj * x, form.den) for sj, x in zip(ts.signs, row)]
+                for si, row in zip(ts.signs, form.theta)] == \
             [list(row) for row in coupling_matrix(ts).rows]
+    sweep = reduced_p0(60)
+    assert len(sweep) == 1102
+    for p0 in sweep:
+        assert scaled_form(compute_ts(p0)).den == p0.numerator, p0
+
+
+def test_fermionic_exponent_grows_in_every_component():
+    # the precondition of the dead-level stopping rule holds over the sweep,
+    # and the window is the largest string weight
+    for p0 in reduced_p0(60):
+        ts = compute_ts(p0)
+        assert dead_level_window(ts) == max(string_weights(ts)), p0
+
+
+def test_dead_level_window_raises_on_a_negative_entry(monkeypatch):
+    # the check can fail: a form with one entry lowered below -n_i n_j q is
+    # rejected before any level is summed
+    from bethestates import identities
+    ts = compute_ts(F(16, 7))
+    form = scaled_form(ts)
+    theta = [list(row) for row in form.theta]
+    theta[0][1] = theta[1][0] = -ts.p0.denominator - 1     # n_1 = n_2 = 1
+    monkeypatch.setattr(identities, "scaled_form",
+                        lambda ts_: ScaledForm(form.den, tuple(map(tuple, theta)),
+                                               form.columns))
+    dead_level_window.cache_clear()
+    with pytest.raises(AssertionError, match="not monotone at p0 = 16/7, row 1"):
+        fermionic_sum(ts, 6)
 
 
 # -- identity checks -------------------------------------------------------------------

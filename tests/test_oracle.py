@@ -76,15 +76,39 @@ def test_completeness_xxz_small_cases():
     assert rep2.lhs_total == 2 and rep2.matched
 
 
-def test_completeness_fails_for_inadmissible_spin():
+def test_completeness_fails_for_inadmissible_spin(monkeypatch):
     # negative control: a spin outside the string classification carries no
-    # Bethe states, so the level sum falls short of the dimension
+    # Bethe states, so the check refuses the chain before counting anything
+    from bethestates import configs
     from bethestates.tsdata import admissible_spin
+
+    def no_lambda(*args):
+        raise AssertionError("lambda enumeration started")
+
+    monkeypatch.setattr(configs, "enumerate_lambda", no_lambda)
     ts = compute_ts(F(5, 2))
     assert not admissible_spin(ts, 6)
-    rep = check_completeness_xxz(ts, ChainSpec(F(5, 2), [(6, 1)]))
+    with pytest.raises(PreconditionError, match="2s = 6 outside .*admissible 2s: 1$"):
+        check_completeness_xxz(ts, ChainSpec(F(5, 2), [(6, 1)]))
+
+
+def test_completeness_matches_every_level(monkeypatch):
+    # the count at each level equals the number of weight-l states, not only
+    # in total; a count moved between two levels is a mismatch
+    from bethestates import configs
+    for p0, species in [(F(16, 7), [(1, 20)]), (F(55, 34), [(2, 12)]),
+                        (F(3), [(2, 4), (1, 3)]), (F(27, 11), [(6, 2), (1, 3)])]:
+        chain = ChainSpec(p0, species)
+        rep = check_completeness_xxz(compute_ts(p0), chain)
+        assert rep.matched, (p0, species)
+        assert [c for _, c, _ in rep.per_l] == [weight_count(chain.mu(), l)
+                                                for l in range(chain.n_total + 1)]
+    count = configs.count_xxz_general
+    monkeypatch.setattr(configs, "count_xxz_general",
+                        lambda ts, chain, l: count(ts, chain, l) + {3: -1, 4: 1}.get(l, 0))
+    rep = check_completeness_xxz(compute_ts(F(16, 7)), ChainSpec(F(16, 7), [(1, 8)]))
+    assert rep.rhs_total == rep.lhs_total == 256
     assert not rep.matched
-    assert rep.rhs_total < rep.lhs_total == 7
 
 
 def test_completeness_json_shape():

@@ -92,12 +92,6 @@ class PairingReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_json_dict(self) -> dict:
         return {
             **report_header(self.chain.p0, self.chain),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, repeat
 from math import comb, floor
 from operator import floordiv, mod
@@ -301,11 +300,6 @@ class _CountContext:
         return list(map(floordiv, scaled, den))
 
 
-@lru_cache(maxsize=128)   # one entry per level of a chain
-def _context(ts: TSData, chain: ChainSpec, l: int) -> _CountContext:
-    return _CountContext(ts, chain, l)
-
-
 @dataclass(frozen=True)
 class GeneralCount:
     total: int
@@ -322,7 +316,7 @@ def count_xxz_general_detailed(ts: TSData, chain: ChainSpec, l: int) -> GeneralC
     half filling every nonzero term is positive and the sum agrees with the
     direct census.
     """
-    ctx = _context(ts, chain, l)
+    ctx = _CountContext(ts, chain, l)
     total = admissible = 0
     for lam in enumerate_lambda(ts, l):
         prod = 1

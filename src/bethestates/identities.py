@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb, floor
 from operator import mul
 
-from .configs import _context, enumerate_lambda
+from .configs import _CountContext, enumerate_lambda
 from .qalg import QPolynomial, QSeries, as_exp, gauss_binomial, product_expand
 from .spectral import ChainSpec, scaled_form
 from .tsdata import TSData, string_weights
@@ -58,7 +58,7 @@ def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
     monomial times a product of Gaussian binomials in base q**(parity).
     Evaluating at q = 1 recovers the plain count.
     """
-    ctx = _context(ts, chain, l)
+    ctx = _CountContext(ts, chain, l)
     form = scaled_form(ts)
     out = QPolynomial.zero()
     for lam in enumerate_lambda(ts, l):
@@ -100,11 +100,8 @@ def _level_terms(ts: TSData, l: int, lead: int, cutoff: Fraction):
         min_exp = e0 + den * sum(x * (x + 1) for x, s in zip(lam, signs) if s < 0) // 2
         if min_exp > limit:
             continue
-        term = QSeries.monomial(Fraction(e0, den), 1, cutoff)
-        for x, eps in zip(lam, signs):
-            for i in range(1, x + 1):
-                term = term.div_cyclotomic(eps * i)
-        yield term
+        yield QSeries.monomial(Fraction(e0, den), 1, cutoff).div_cyclotomic(
+            *(eps * i for x, eps in zip(lam, signs) for i in range(1, x + 1)))
 
 
 @lru_cache(maxsize=16)
@@ -216,10 +213,7 @@ def bosonic_sum(ts: TSData, cutoff) -> QSeries:
             else:
                 sgn = (-1) ** m
             poly = kernel_poly(eps, k, m) * QPolynomial.monomial(e, sgn)
-            ser = poly.truncated(cutoff)
-            for i in range(1, k + 1):
-                ser = ser.div_cyclotomic(i)
-            acc = acc + ser
+            acc = acc + poly.truncated(cutoff).div_cyclotomic(*range(1, k + 1))
         k += 1
     return acc
 
@@ -251,10 +245,7 @@ def bosonic_sum_collapsed(ts: TSData, cutoff) -> QSeries:
             break
         sgn = (-1) ** k if a % 2 else 1
         poly = collapsed_kernel(ts, k) * QPolynomial.monomial(k * k * base, sgn)
-        ser = poly.truncated(cutoff)
-        for i in range(1, k + 1):
-            ser = ser.div_cyclotomic(i)
-        acc = acc + ser
+        acc = acc + poly.truncated(cutoff).div_cyclotomic(*range(1, k + 1))
         k += 1
     return acc
 
@@ -297,12 +288,8 @@ def gordon_andrews_products(ts: TSData, cutoff) -> tuple:
 
 def divide_by_euler(series: QSeries) -> QSeries:
     """Divide by the Euler product, i.e. multiply by the partition series."""
-    out = series
-    i = 1
-    while i <= series.cutoff - (series.min_exp() or 0):
-        out = out.div_cyclotomic(i)
-        i += 1
-    return out
+    span = floor(series.cutoff - (series.min_exp() or 0))
+    return series.div_cyclotomic(*range(1, span + 1))
 
 
 # -- reports ----------------------------------------------------------------------

@@ -14,8 +14,9 @@ from .tsdata import TSData
 from .util import PreconditionError, report_header
 
 
-def weight_count(mu, w: int) -> int:
-    """Number of integer tuples with 0 <= a_i <= mu_i and sum a_i = w."""
+def _weight_counts(mu) -> list:
+    """counts[w] = number of integer tuples with 0 <= a_i <= mu_i and
+    sum a_i = w, for w = 0 .. sum(mu)."""
     counts = [1]
     for m in mu:
         nxt = [0] * (len(counts) + m)
@@ -23,9 +24,13 @@ def weight_count(mu, w: int) -> int:
             for a in range(m + 1):
                 nxt[i + a] += c
         counts = nxt
-    if w < 0 or w >= len(counts):
-        return 0
-    return counts[w]
+    return counts
+
+
+def weight_count(mu, w: int) -> int:
+    """Number of integer tuples with 0 <= a_i <= mu_i and sum a_i = w."""
+    counts = _weight_counts(mu)
+    return counts[w] if 0 <= w < len(counts) else 0
 
 
 def sl2_multiplicity(mu, l: int) -> int:
@@ -33,7 +38,8 @@ def sl2_multiplicity(mu, l: int) -> int:
     n = sum(mu)
     if l < 0 or 2 * l > n:
         raise PreconditionError(f"l out of range: {l}")
-    return weight_count(mu, l) - (weight_count(mu, l - 1) if l > 0 else 0)
+    counts = _weight_counts(mu)
+    return counts[l] - (counts[l - 1] if l > 0 else 0)
 
 
 @dataclass(frozen=True)
@@ -75,10 +81,10 @@ def check_completeness_xxz(ts: TSData, chain: ChainSpec) -> CompletenessReport:
     matched also needs the count at each level l to be weight_count(mu, l)."""
     if chain.p0 != ts.p0:
         raise PreconditionError("chain and string data disagree on p0")
-    mu = chain.mu()
     lhs = chain.dimension()
     per_l = tuple((l, configs.count_xxz_general(ts, chain, l), 1)
                   for l in range(chain.n_total + 1))
+    weights = _weight_counts(chain.mu())
     matched = lhs == sum(c for _, c, _ in per_l) and all(
-        c == weight_count(mu, l) for l, c, _ in per_l)
+        c == weights[l] for l, c, _ in per_l)
     return CompletenessReport(chain, "xxz", lhs, per_l, matched)

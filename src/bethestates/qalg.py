@@ -225,32 +225,35 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def div_cyclotomic(self, step) -> "QSeries":
-        """Divide by (1 - q**step), step != 0.
+    def div_cyclotomic(self, *steps) -> "QSeries":
+        """Divide by the product of (1 - q**step) over the steps, each nonzero.
 
-        For step > 0 this is multiplication by the geometric series
-        1 + q**step + q**(2 step) + ... up to the cutoff: the prefix sum
-        c[k] += c[k - step] in increasing k, done one step-long block at a
-        time.  A negative step is reduced to the positive case through
-        1/(1 - q**step) = -q**(-step)/(1 - q**(-step)).
+        Every negative step is first made positive through
+        1/(1 - q**step) = -q**(-step)/(1 - q**(-step)), so together they give
+        one shift and one sign.  Dividing by 1 - q**s, s > 0, multiplies by
+        the geometric series 1 + q**s + q**(2 s) + ... up to the cutoff: the
+        prefix sum c[k] += c[k - s] in increasing k, done one s-long block at
+        a time, for every step on the same coefficient list.
         """
-        step = as_exp(step)
-        if step == 0:
+        steps = [as_exp(s) for s in steps]
+        if 0 in steps:
             raise PreconditionError("cyclotomic step must be nonzero")
         if self.cut is None:
             raise PreconditionError("dividing by 1 - q**step needs a cutoff")
-        if step < 0:
-            return -(self.shift(-step).div_cyclotomic(-step))
-        den = lcm(self.den, step.denominator)
+        den = lcm(self.den, *(s.denominator for s in steps))
         lo, coeffs, cut = _on_lattice(self, den)
-        s = _scaled(step, den)
-        n = cut - lo + 1
+        shift = -sum(_scaled(s, den) for s in steps if s < 0)
         if not coeffs:
-            return _new(den, lo, [], cut)
+            return _new(den, lo, [], cut + shift)
+        n = cut - lo + 1
         c = coeffs + [0] * (n - len(coeffs))
-        for k in range(s, n, s):
-            c[k:k + s] = map(add, c[k:k + s], c[k - s:k])
-        return _new(den, lo, c, cut)
+        for s in steps:
+            s = abs(_scaled(s, den))
+            for k in range(s, n, s):
+                c[k:k + s] = map(add, c[k:k + s], c[k - s:k])
+        if sum(s < 0 for s in steps) % 2:
+            c = [-x for x in c]
+        return _new(den, lo + shift, c, cut + shift)
 
     def first_discrepancy(self, other: "QSeries", upto=None):
         """First (exponent, own coeff, other coeff) difference within the
@@ -338,9 +341,10 @@ def pochhammer(step_sign: int, n: int) -> QPolynomial:
 def _gauss_positive(m: int, small: int) -> QPolynomial:
     """[m, small]_q as the series prod_i (1 - q**(m-small+i)) / (1 - q**i),
     i = 1..small, cut at its degree small*(m-small), where it is exact."""
-    ser = QSeries.one(small * (m - small))
-    for i in range(1, small + 1):
-        ser = (ser * QPolynomial({0: 1, m - small + i: -1})).div_cyclotomic(i)
+    num = QSeries.one(small * (m - small))
+    for e in range(m - small + 1, m + 1):
+        num = num * QPolynomial({0: 1, e: -1})
+    ser = num.div_cyclotomic(*range(1, small + 1))
     return _new(ser.den, ser.lo, ser.coeffs, None)
 
 
@@ -371,6 +375,7 @@ def product_expand(factors, cutoff) -> QSeries:
     """
     cutoff = as_exp(cutoff)
     out = QSeries.one(cutoff)
+    steps = []
     for sign, a, b in factors:
         a = as_exp(a)
         b = as_exp(b)
@@ -379,14 +384,11 @@ def product_expand(factors, cutoff) -> QSeries:
         if a <= 0 or a + b <= 0:
             raise PreconditionError(
                 f"progression {a}*n+{b} must have positive slope and exponents")
-        n = 1
-        while True:
-            e = a * n + b
-            if e > cutoff:
-                break
+        e = a + b
+        while e <= cutoff:
             if sign == 1:
                 out = out * QPolynomial({0: 1, e: -1})
             else:
-                out = out.div_cyclotomic(e)
-            n += 1
-    return out
+                steps.append(e)
+            e += a
+    return out.div_cyclotomic(*steps)

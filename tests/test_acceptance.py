@@ -237,8 +237,9 @@ def test_criterion_11_identity_past_first_bosonic_term():
 
 
 def test_criterion_12_dead_level_window(monkeypatch):
-    # fermionic_sum stops after numerator(p0) consecutive levels with nothing
-    # within the cutoff; summing twice as many levels must change nothing
+    # fermionic_sum stops after max(string_weights(ts)) consecutive levels
+    # with nothing within the cutoff; summing twice as many levels must
+    # change nothing
     from bethestates import identities
     t0 = time.perf_counter()
     for p0, cutoff in [(F(16, 7), 120), (F(7, 3), 40), (F(5, 2), 30)]:

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from bethestates.configs import (Partition, XXZConfig, _context, _CountContext, count_xxx,
+from bethestates.configs import (Partition, XXZConfig, _CountContext, count_xxx,
                                  count_xxz_general, count_xxz_general_detailed,
                                  enumerate_lambda, enumerate_xxx_configs, enumerate_xxx_rigged,
                                  enumerate_xxz_int, partitions, render_xxx,
@@ -217,7 +217,7 @@ def test_context_shares_scaled_columns():
     chain = ChainSpec(ts.p0, [(1, 4)])
     form = scaled_form(ts)
     for l in range(chain.n_total + 1):
-        ctx = _context(ts, chain, l)
+        ctx = _CountContext(ts, chain, l)
         assert ctx.denom == form.den == 201, l
         assert ctx.columns is form.columns, l
 
@@ -235,7 +235,7 @@ def test_tops_match_vacancy_linear_form():
         ts = compute_ts(p0)
         chain = ChainSpec(p0, species)
         for l in range(chain.n_total + 1):
-            ctx = _context(ts, chain, l)
+            ctx = _CountContext(ts, chain, l)
             for _ in range(8):
                 lam = [rng.randint(0, 3) for _ in range(ts.dim)]
                 exact = vacancy_linear_form(ts, chain, l, lam)
@@ -277,7 +277,7 @@ def test_inadmissible_chains_raise_before_enumerating(monkeypatch):
         chain = ChainSpec(p0, species)
         for l in range(chain.n_total + 1):
             with pytest.raises(PreconditionError, match=msg):
-                _context(ts, chain, l)
+                _CountContext(ts, chain, l)
         for route in (lambda: count_xxz_general(ts, chain, 1),
                       lambda: identities.q_count(ts, chain, 1),
                       lambda: check_completeness_xxz(ts, chain)):

@@ -303,6 +303,7 @@ def ref_first_discrepancy(a, b, upto=None):
 
 def test_lattice_series_matches_dict_reference():
     rng = random.Random(20261017)
+    step_rng = random.Random(20261018)
 
     def rand_exp(lo, hi):
         den = rng.choice([1, 2, 3])
@@ -337,6 +338,16 @@ def test_lattice_series_matches_dict_reference():
         s, rs = rand_value(exact=False)
         step = rng.choice(steps)
         check(s.div_cyclotomic(step), ref_div_cyclotomic(rs, step))
+        # 0-4 mixed-sign factors in one call against one reference division
+        # per factor; a zero anywhere among them is refused
+        many = [step_rng.choice(steps) for _ in range(step_rng.randint(0, 4))]
+        ref = rs
+        for one in many:
+            ref = ref_div_cyclotomic(ref, one)
+        check(s.div_cyclotomic(*many), ref)
+        many.insert(step_rng.randint(0, len(many)), step_rng.choice([0, Fraction(0)]))
+        with pytest.raises(PreconditionError, match="nonzero"):
+            s.div_cyclotomic(*many)
         # series times an exact polynomial, in both operand orders
         p, rp = rand_value(exact=True)
         check(s * p, ref_mul(rs, rp))

@@ -161,8 +161,9 @@ def verify_pairing(ts: TSData, chain: ChainSpec) -> PairingReport:
                     f"printed bound {rat_str(printed_hi)}")
 
     xxz_formula = sum(configs.count_xxz_general(ts, chain, l) for l in range(n + 1))
-    xxx_weighted = sum(
-        (n - 2 * l + 1) * oracle.sl2_multiplicity(mu, l) for l in range(n // 2 + 1))
+    weights = oracle._weight_counts(mu)   # sl2 multiplicity at l: weights[l] - weights[l - 1]
+    xxx_weighted = sum((n - 2 * l + 1) * (weights[l] - (weights[l - 1] if l else 0))
+                       for l in range(n // 2 + 1))
     dim = chain.dimension()
     ok_d = xxz_formula == xxx_weighted == dim
     fail_d = [] if ok_d else [(xxz_formula, xxx_weighted, dim)]

@@ -78,19 +78,25 @@ def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
 
 def level_series(ts: TSData, l: int, cutoff) -> QSeries:
     """V_l: sum over level-l multiplicity vectors of the quadratic-form
-    monomial divided by finite q-factorials in base q**(parity)."""
+    monomial divided by finite q-factorials in base q**(parity).
+
+    Each vector is divided on its own: the reference for fermionic_sum,
+    which divides each q-factorial once for all vectors that share it."""
     cutoff = as_exp(cutoff)
+    form = scaled_form(ts)
     acc = QSeries.zero(cutoff)
-    for term in _level_terms(ts, l, 0, cutoff):
-        acc = acc + term
+    for e0, lam in _level_terms(ts, l, 0, cutoff):
+        acc = acc + QSeries.monomial(Fraction(e0, form.den), 1, cutoff).div_cyclotomic(
+            *(eps * i for x, eps in zip(lam, ts.signs) for i in range(1, x + 1)))
     return acc
 
 
 def _level_terms(ts: TSData, l: int, lead: int, cutoff: Fraction):
-    """The series of each level-l multiplicity vector, times q**(lead/den), that
-    has a term within the cutoff.  The exact minimal exponent is known in
-    closed form, so vectors whose series lies wholly past the cutoff are
-    skipped without any series work."""
+    """(e0, lam) for each level-l multiplicity vector lam whose series
+    q**(e0/den) / prod_k (q**s_k; q**s_k)_{lam_k}, e0 = lead + den times its
+    quadratic form, has a term within the cutoff.  The exact minimal exponent
+    is known in closed form, so vectors whose series lies wholly past the
+    cutoff are skipped without any series work."""
     form = scaled_form(ts)
     den, signed_theta = form.den, form.theta
     signs = ts.signs
@@ -98,10 +104,44 @@ def _level_terms(ts: TSData, l: int, lead: int, cutoff: Fraction):
     for lam in enumerate_lambda(ts, l):
         e0 = lead + _scaled_quadratic_form(signed_theta, lam)
         min_exp = e0 + den * sum(x * (x + 1) for x, s in zip(lam, signs) if s < 0) // 2
-        if min_exp > limit:
-            continue
-        yield QSeries.monomial(Fraction(e0, den), 1, cutoff).div_cyclotomic(
-            *(eps * i for x, eps in zip(lam, signs) for i in range(1, x + 1)))
+        if min_exp <= limit:
+            yield e0, lam
+
+
+def _trie_sum(groups: dict, den: int, cutoff: Fraction) -> QSeries:
+    """Sum over groups {path: [e0, ...]} of q**(e0/den) divided by the
+    q-factorials on the path, each (q**s; q**s)_x written as the signed
+    length s * x.
+
+    The paths are the leaves of a trie whose nodes are their prefixes; in
+    sorted order, paths that share a prefix are adjacent.  Bottom-up, a
+    node's value is its own monomials plus its children's values, each
+    divided by that child's q-factorial in one div_cyclotomic call.  The walk
+    is iterative, as a path can be dim deep; only the sums along the current
+    path are held, and each group is dropped once read.
+    """
+    path, sums = [], [QSeries.zero(cutoff)]
+
+    def close():
+        f = path.pop()
+        s = 1 if f > 0 else -1
+        top = sums.pop()
+        sums[-1] = sums[-1] + top.div_cyclotomic(*range(s, f + s, s))
+
+    for key in sorted(groups):
+        common = 0
+        while common < min(len(path), len(key)) and path[common] == key[common]:
+            common += 1
+        while len(path) > common:
+            close()
+        for factor in key[common:]:
+            path.append(factor)
+            sums.append(QSeries.zero(cutoff))
+        monomials = QSeries([(Fraction(e, den), 1) for e in groups.pop(key)], cutoff)
+        sums[-1] = sums[-1] + monomials
+    while path:
+        close()
+    return sums[0]
 
 
 @lru_cache(maxsize=16)
@@ -136,21 +176,27 @@ def fermionic_sum(ts: TSData, cutoff) -> QSeries:
 
     The level loop stops after dead_level_window(ts) consecutive dead levels;
     that function proves that no later level has a term within the cutoff.
+    The surviving vectors of all levels are grouped by their q-factorials
+    and summed in one _trie_sum, so each q-factorial divides once.
     """
     cutoff = as_exp(cutoff)
     window = dead_level_window(ts)
-    acc = QSeries.zero(cutoff)
+    # signed lengths s_k * lam_k of the nonzero lam_k, largest |.| first (so
+    # the longest divisions sit nearest the root) -> e0 of each such vector
+    groups = {}
     dead = 0
     l = 0
     while dead < window:
         lead = l * l * ts.p0.denominator   # den * l^2/p0, den = numerator(p0)
         live = False
-        for term in _level_terms(ts, l, lead, cutoff):
+        for e0, lam in _level_terms(ts, l, lead, cutoff):
             live = True
-            acc = acc + term
+            path = tuple(sorted((s * x for x, s in zip(lam, ts.signs) if x),
+                                key=lambda f: (abs(f), f), reverse=True))
+            groups.setdefault(path, []).append(e0)
         dead = 0 if live else dead + 1
         l += 1
-    return acc
+    return _trie_sum(groups, scaled_form(ts).den, cutoff)
 
 
 # -- bosonic side ----------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import groupby, repeat
 from operator import add, mul
 
 from .tsdata import (TSData, admissible_spin, admissible_spins, phase_shift,
@@ -245,6 +245,16 @@ def offset_vector(ts: TSData, chain: ChainSpec, l: int):
     return out
 
 
+def _runs(values) -> str:
+    """Ascending integers as text, each run of three or more consecutive
+    values written a..b: [1, 2, 3, 4, 7, 8] -> '1..4, 7, 8'."""
+    parts = []
+    for _, run in groupby(enumerate(values), lambda iv: iv[1] - iv[0]):
+        run = [v for _, v in run]
+        parts += [f"{run[0]}..{run[-1]}"] if len(run) >= 3 else map(str, run)
+    return ", ".join(parts)
+
+
 def linear_form(ts: TSData, chain: ChainSpec, l: int) -> tuple:
     """(den, columns, c) with ((E - B) lam~ + b) = apply_form(columns, c, lam) / den.
 
@@ -256,7 +266,7 @@ def linear_form(ts: TSData, chain: ChainSpec, l: int) -> tuple:
     form = scaled_form(ts)
     bad = sorted({two_s for two_s, _ in chain.species if not admissible_spin(ts, two_s)})
     if bad:
-        ok = ", ".join(map(str, admissible_spins(ts))) or "none"
+        ok = _runs(admissible_spins(ts)) or "none"
         raise PreconditionError(
             f"chain has 2s = {', '.join(map(str, bad))} outside the string classification "
             f"at p0 = {ts.p0}; admissible 2s: {ok}")

@@ -17,7 +17,7 @@ from bethestates import (ChainSpec, QPolynomial, QSeries, check_completeness_xxx
                          gauss_binomial, sl2_multiplicity, verify_pairing)
 from bethestates.configs import xxx_config_count, xxx_vacancy
 from bethestates.identities import (bosonic_sum, bosonic_sum_collapsed,
-                                    divide_by_euler, fermionic_sum,
+                                    check_identity, divide_by_euler, fermionic_sum,
                                     gordon_andrews_products, gordon_andrews_sum,
                                     kernel_sum, level_series, q_count)
 from bethestates.qalg import pochhammer
@@ -258,3 +258,13 @@ def test_criterion_12_dead_level_window(monkeypatch):
             total = total + level_series(ts, l, cutoff - lead).shift(lead)
         assert total == lhs, p0
     report(12, 60, t0, "level sums over twice the visited levels change nothing")
+
+
+def test_criterion_13_identity_16_7_at_240():
+    # the frontier case of the level loop: 16/7 well past its first real
+    # bosonic term (112), with every q-factorial divided once
+    t0 = time.perf_counter()
+    rep = check_identity(compute_ts(F(16, 7)), 240)
+    assert rep.agree
+    assert any(c for e, c in rep.rhs.terms.items() if e > 112)
+    report(13, 5, t0, "fermionic = bosonic at 16/7 up to q^240")

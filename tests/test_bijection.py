@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bethestates import oracle
 from bethestates.bijection import forget, pair, verify_pairing
 from bethestates.configs import Partition, XXZConfig, enumerate_xxx_configs
 from bethestates.qalg import QPolynomial, gauss_binomial
@@ -114,3 +115,15 @@ def test_verify_pairing_report_shape():
     assert d["schema"] == "v1" and d["all_passed"] is True
     assert {c["name"] for c in d["checks"]} == {
         "vacancy_dominance", "downward_closure", "window_equality", "global_count"}
+
+
+def test_verify_pairing_runs_one_weight_dp(monkeypatch):
+    # the global count reads the sl2 multiplicity of every level from one
+    # pass of the weight DP
+    calls = []
+    weight_counts = oracle._weight_counts
+    monkeypatch.setattr(oracle, "_weight_counts",
+                        lambda mu: calls.append(mu) or weight_counts(mu))
+    rep = verify_pairing(compute_ts(8), ChainSpec(8, [(1, 7)]))
+    assert rep.all_passed
+    assert calls == [(1,) * 7]

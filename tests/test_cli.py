@@ -96,6 +96,18 @@ def test_inadmissible_spin_exits_3(capsys):
         assert captured.err.endswith(msg), captured.err
 
 
+def test_inadmissible_spin_message_names_runs(capsys):
+    # 997 admissible 2s at 1997/2 are one run, printed as a range
+    rc = main(["count", "--p0", "1997/2", "--chain", "1000x1", "--l", "1"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "2s = 1000 outside the string classification at p0 = 1997/2; "
+        "admissible 2s: 1..997\n"), captured.err
+    assert len(captured.err.encode()) < 200
+
+
 def test_bijection_ok_and_guard(capsys):
     rc, out = run_cli(capsys, ["bijection", "--p0", "6", "--chain", "2x5"])
     assert rc == 0

@@ -167,6 +167,32 @@ def test_dead_level_window_raises_on_a_negative_entry(monkeypatch):
         fermionic_sum(ts, 6)
 
 
+@pytest.mark.parametrize("p0, cutoff, window", [
+    (F(2), 20, None), (F(3), 20, None), (F(7, 2), 20, None), (F(27, 11), 16, None),
+    (F(55, 34), 10, None), (F(201, 2), 16, 6)])
+def test_fermionic_sum_equals_per_vector_reference(monkeypatch, p0, cutoff, window):
+    # fermionic_sum divides each q-factorial once, for the sum of all vectors
+    # below it in a trie; level_series divides vector by vector.  At 201/2
+    # the proved window, 101 dead levels, is out of reach, so a shorter one
+    # stops the loop early; the sides are compared on the visited levels.
+    from bethestates import identities
+    ts = compute_ts(p0)
+    if window is not None:
+        monkeypatch.setattr(identities, "dead_level_window", lambda ts_: window)
+    levels = []
+    enumerate_lambda = identities.enumerate_lambda
+    monkeypatch.setattr(identities, "enumerate_lambda",
+                        lambda ts_, l: levels.append(l) or enumerate_lambda(ts_, l))
+    lhs = fermionic_sum(ts, cutoff)
+    monkeypatch.undo()
+    assert levels == list(range(len(levels)))
+    reference = QSeries.zero(cutoff)
+    for l in levels:
+        lead = F(l * l) / p0
+        reference = reference + level_series(ts, l, cutoff - lead).shift(lead)
+    assert lhs == reference
+
+
 # -- identity checks -------------------------------------------------------------------
 
 def test_identity_rational_5_2_frozen():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bethestates.configs import enumerate_xxz_int
-from bethestates.spectral import (ChainSpec, RationalMatrix, coupling_bands,
+from bethestates.spectral import (ChainSpec, RationalMatrix, _runs, coupling_bands,
                                   coupling_inverse, coupling_matrix, offset_vector,
                                   parity_matrix, tridiagonal_adjugate,
                                   vacancy_linear_form)
@@ -305,6 +305,12 @@ def test_linear_form_validates_input():
         vacancy_linear_form(ts, chain, 0, [0, 0])
     with pytest.raises(PreconditionError):
         vacancy_linear_form(ts, chain, 0, [0, -1, 0])
+
+
+def test_runs_of_three_or_more_become_ranges():
+    # the admissible-2s list of the exit-3 message; a pair stays a list
+    assert [_runs(v) for v in ([], [1, 2], [1, 2, 3], [1, 8, 15], [1, 2, 4, 5, 6, 9])] == \
+        ["", "1, 2", "1..3", "1, 8, 15", "1, 2, 4..6, 9"]
 
 
 def test_chain_spec_validation():

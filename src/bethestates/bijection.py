@@ -22,17 +22,11 @@ from .util import PreconditionError, rat_str, report_header
 
 def _require_treated_case(ts: TSData, chain: ChainSpec) -> int:
     p0 = ts.integer_p0("pairing", 2)
+    chain.require_p0(ts.p0)
     if not p0 > chain.s_sum:
         raise PreconditionError(
             f"outside treated case: need p0 > sum of spins ({rat_str(chain.s_sum)})")
     return p0
-
-
-def _config_from_partition(nu: Partition, p0: int, clubs: int) -> XXZConfig:
-    lam = [0] * (p0 - 1)
-    for p in nu.parts:
-        lam[p - 1] += 1
-    return XXZConfig(tuple(lam), clubs)
 
 
 def _admissible(ts: TSData, chain: ChainSpec, cfg: XXZConfig) -> bool:
@@ -53,12 +47,12 @@ def pair(ts: TSData, chain: ChainSpec, nu: Partition) -> PairImage:
     if not configs._xxx_admissible(nu, mu):
         raise PreconditionError(f"not an XXX configuration: {nu}")
     designated = floor(chain.s_sum - nu.size)
-    cfg = _config_from_partition(nu, p0, designated)
+    cfg = XXZConfig.from_parts(nu.parts, p0, designated)
     if not _admissible(ts, chain, cfg):
         raise AssertionError(f"designated partner of {nu} is not admissible")
     descendants = tuple(
         k for k in range(designated)
-        if _admissible(ts, chain, _config_from_partition(nu, p0, k)))
+        if _admissible(ts, chain, XXZConfig.from_parts(nu.parts, p0, k)))
     return PairImage(nu, designated, descendants)
 
 
@@ -68,10 +62,8 @@ def forget(ts: TSData, chain: ChainSpec, cfg: XXZConfig) -> Partition:
     if not _admissible(ts, chain, cfg):
         raise PreconditionError("not an admissible XXZ configuration")
     nu = cfg.partition()
-    if 2 * cfg.level <= chain.n_total:
-        if not configs._xxx_admissible(nu, chain.mu()):
-            raise AssertionError(
-                f"stripped configuration {nu} fails XXX admissibility")
+    if 2 * cfg.level <= chain.n_total and not configs._xxx_admissible(nu, chain.mu()):
+        raise AssertionError(f"stripped configuration {nu} fails XXX admissibility")
     return nu
 
 
@@ -118,22 +110,22 @@ def verify_pairing(ts: TSData, chain: ChainSpec) -> PairingReport:
     p0 = _require_treated_case(ts, chain)
     mu = chain.mu()
     n = chain.n_total
-    per_level = {l: configs.enumerate_xxz_int(ts, chain, l) for l in range(n + 1)}
+    census = {}   # every admissible configuration -> its vacancy numbers
+    for l in range(n + 1):
+        for rec in configs.enumerate_xxz_int(ts, chain, l):
+            census[rec.cfg] = rec.vacancies
 
     fail_a = []
     fail_b = []
-    for l, recs in per_level.items():
-        for rec in recs:
-            cfg = rec.cfg
+    for cfg, vac in census.items():
+        l = cfg.level
+        if 2 * l <= n:
             nu = cfg.partition()
-            if 2 * l <= n:
-                for j in range(1, p0):
-                    if configs.xxx_vacancy(nu, mu, j) < rec.vacancies[j - 1]:
-                        fail_a.append((l, cfg, j))
-            if cfg.clubs > 0:
-                lower = XXZConfig(cfg.lam, cfg.clubs - 1)
-                if not _admissible(ts, chain, lower):
-                    fail_b.append((l, cfg))
+            for j in range(1, p0):
+                if configs.xxx_vacancy(nu, mu, j) < vac[j - 1]:
+                    fail_a.append((l, cfg, j))
+        if cfg.clubs > 0 and XXZConfig(cfg.lam, cfg.clubs - 1) not in census:
+            fail_b.append((l, cfg))
 
     fail_c = []
     range_notes = []
@@ -141,9 +133,8 @@ def verify_pairing(ts: TSData, chain: ChainSpec) -> PairingReport:
         for nu in configs.enumerate_xxx_configs(l0, mu):
             window = [k for k in range(n - 2 * l0 + 1) if 0 <= n - 2 * l0 - 2 * k < p0]
             for k in window:
-                cfg = _config_from_partition(nu, p0, k)
-                vac = configs.xxz_vacancies_int(ts, chain, cfg)
-                if any(v < 0 for v in vac):
+                vac = census.get(XXZConfig.from_parts(nu.parts, p0, k))
+                if vac is None:
                     fail_c.append((nu, k, "inadmissible"))
                     continue
                 for j in range(1, p0 - 1):
@@ -153,11 +144,13 @@ def verify_pairing(ts: TSData, chain: ChainSpec) -> PairingReport:
                     fail_c.append((nu, k, "tail vacancy p0-1"))
                 if vac[p0 - 1] != nu.mult(p0 - 1):
                     fail_c.append((nu, k, "tail vacancy p0"))
-            img = pair(ts, chain, nu)
+            # the descendants of pair(ts, chain, nu), read from the census
+            descendants = [k for k in range(floor(chain.s_sum - l0))
+                           if XXZConfig.from_parts(nu.parts, p0, k) in census]
             printed_hi = chain.s_sum - nu.size - 1  # claimed open upper bound
-            if any(Fraction(k) >= printed_hi for k in img.descendants):
+            if any(Fraction(k) >= printed_hi for k in descendants):
                 range_notes.append(
-                    f"nu={nu.parts}: descendants {img.descendants} exceed "
+                    f"nu={nu.parts}: descendants {tuple(descendants)} exceed "
                     f"printed bound {rat_str(printed_hi)}")
 
     xxz_formula = sum(configs.count_xxz_general(ts, chain, l) for l in range(n + 1))

@@ -11,14 +11,13 @@ direct census route, which is checked in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations_with_replacement, repeat
-from math import comb, floor
+from itertools import accumulate, combinations_with_replacement, repeat
+from math import comb
 from operator import floordiv, mod
 
 from .spectral import ChainSpec, apply_form, linear_form
 from .tsdata import TSData, string_weights
-from .util import PreconditionError, frac_part
+from .util import PreconditionError
 
 
 def signed_binom(a: int, b: int) -> int:
@@ -150,41 +149,48 @@ class XXZConfig:
     lam: tuple
     clubs: int
 
+    @classmethod
+    def from_parts(cls, parts, p0: int, clubs: int) -> XXZConfig:
+        """The configuration whose strings have the lengths parts, each
+        below p0, next to the given number of clubs."""
+        lam = [0] * (p0 - 1)
+        for p in parts:
+            lam[p - 1] += 1
+        return cls(tuple(lam), clubs)
+
     @property
     def level(self) -> int:
         return sum((j + 1) * m for j, m in enumerate(self.lam)) + self.clubs
 
     def partition(self) -> Partition:
-        parts = []
-        for j in range(len(self.lam), 0, -1):
-            parts.extend([j] * self.lam[j - 1])
-        return Partition(parts)
+        return Partition(j for j in range(len(self.lam), 0, -1)
+                         for _ in range(self.lam[j - 1]))
 
 
 _DIRECT = "direct XXZ enumeration"
 
 
+def xxz_vacancies_int(ts: TSData, chain: ChainSpec, cfg: XXZConfig) -> tuple:
+    """Vacancy numbers P_1..P_p0 at integer p0, from the closed forms in one
+    pass.  With N - 2l = p0 f + r, 0 <= r < p0, and nu' the conjugate of the
+    strings (nu'_j of length >= j, suffix sums of lam):
+      P_j = sum_m N_m min(j, 2s_m) - 2 (nu'_1 + ... + nu'_j) - j f  (j <= p0-2),
+      P_{p0-1} = r + f + clubs,  P_p0 = f + lam_{p0-1}."""
+    p0 = ts.integer_p0(_DIRECT, 2)
+    chain.require_p0(ts.p0)
+    f, r = divmod(chain.n_total - 2 * cfg.level, p0)
+    conj = list(accumulate(reversed(cfg.lam)))[::-1]
+    heads = [sum(n * min(j, two_s) for two_s, n in chain.species) - 2 * below - j * f
+             for j, below in zip(range(1, p0 - 1), accumulate(conj))]
+    return (*heads, r + f + cfg.clubs, f + cfg.lam[p0 - 2])
+
+
 def xxz_vacancy_int(ts: TSData, chain: ChainSpec, cfg: XXZConfig, j: int) -> int:
-    """Vacancy number P_j at integer p0, from the closed-form expressions."""
+    """Vacancy number P_j at integer p0 (see xxz_vacancies_int)."""
     p0 = ts.integer_p0(_DIRECT, 2)
     if not (1 <= j <= p0):
         raise PreconditionError(f"string index out of range: {j}")
-    mu = chain.mu()
-    l = cfg.level
-    nu = cfg.partition()
-    arg = Fraction(chain.n_total - 2 * l, p0)
-    fl = floor(arg)
-    if j == p0:
-        return fl + (cfg.lam[p0 - 2] if p0 >= 2 else 0)
-    if j == p0 - 1:
-        return int(p0 * frac_part(arg)) + fl + cfg.clubs
-    conj = nu.conjugate()
-    return sum(min(j, m) for m in mu) - 2 * sum(conj[:j]) - j * fl
-
-
-def xxz_vacancies_int(ts: TSData, chain: ChainSpec, cfg: XXZConfig) -> tuple:
-    p0 = ts.integer_p0(_DIRECT, 2)
-    return tuple(xxz_vacancy_int(ts, chain, cfg, j) for j in range(1, p0 + 1))
+    return xxz_vacancies_int(ts, chain, cfg)[j - 1]
 
 
 @dataclass(frozen=True)
@@ -207,16 +213,13 @@ def enumerate_xxz_int(ts: TSData, chain: ChainSpec, l: int) -> list:
     out = []
     for clubs in range(l, -1, -1):
         for parts in sorted(partitions(l - clubs, p0 - 1)):
-            lam = [0] * (p0 - 1)
-            for p in parts:
-                lam[p - 1] += 1
-            cfg = XXZConfig(tuple(lam), clubs)
+            cfg = XXZConfig.from_parts(parts, p0, clubs)
             vac = xxz_vacancies_int(ts, chain, cfg)
             if any(v < 0 for v in vac):
                 continue
             count = comb(vac[p0 - 1] + clubs, clubs)
-            for j in range(1, p0):
-                count *= comb(vac[j - 1] + lam[j - 1], lam[j - 1])
+            for v, m in zip(vac, cfg.lam):
+                count *= comb(v + m, m)
             out.append(XXZRecord(cfg, vac, count))
     return out
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, floor
 from operator import mul
 
@@ -144,7 +143,6 @@ def _trie_sum(groups: dict, den: int, cutoff: Fraction) -> QSeries:
     return sums[0]
 
 
-@lru_cache(maxsize=16)
 def dead_level_window(ts: TSData) -> int:
     """W = max n_k: fermionic_sum stops after W consecutive dead levels,
     levels with no vector that has a term within the cutoff.

@@ -79,8 +79,7 @@ def check_completeness_xxx(chain: ChainSpec) -> CompletenessReport:
 def check_completeness_xxz(ts: TSData, chain: ChainSpec) -> CompletenessReport:
     """Total dimension against the plain sum of XXZ state counts over levels;
     matched also needs the count at each level l to be weight_count(mu, l)."""
-    if chain.p0 != ts.p0:
-        raise PreconditionError("chain and string data disagree on p0")
+    chain.require_p0(ts.p0)
     lhs = chain.dimension()
     per_l = tuple((l, configs.count_xxz_general(ts, chain, l), 1)
                   for l in range(chain.n_total + 1))

@@ -121,6 +121,11 @@ class ChainSpec:
             out.extend([two_s] * count)
         return tuple(out)
 
+    def require_p0(self, p0) -> None:
+        """PreconditionError unless the chain was specified at anisotropy p0."""
+        if self.p0 != p0:
+            raise PreconditionError("chain and string data disagree on p0")
+
     def dimension(self) -> int:
         """Total Hilbert-space dimension, the product of (2s_m+1)**N_m."""
         out = 1
@@ -226,23 +231,23 @@ def coupling_matrix(ts: TSData) -> RationalMatrix:
                            for si, row in zip(ts.signs, form.theta)])
 
 
-@lru_cache(maxsize=4 * MAX_DIM)   # dim x species phases of one chain
-def two_phi(ts: TSData, k: int, two_s: int) -> Fraction:
-    return 2 * phase_shift(ts, k, two_s)
+@lru_cache(maxsize=16)
+def _phase_vector(ts: TSData, chain: ChainSpec) -> tuple:
+    """(s_j n_j, s_j sum_m 2 N_m Phi(j, 2s_m)) for j = 1..dim: the parts of
+    the offset vector that do not depend on the level, once per chain."""
+    return tuple((sign * string_length(ts, Fraction(j)),
+                  sign * sum(2 * phase_shift(ts, j, two_s) * count
+                             for two_s, count in chain.species))
+                 for j, sign in enumerate(ts.signs, 1))
 
 
 def offset_vector(ts: TSData, chain: ChainSpec, l: int):
     """The inhomogeneous vector b of the vacancy linear form at level l."""
-    if chain.p0 != ts.p0:
-        raise PreconditionError("chain and string data disagree on p0")
+    chain.require_p0(ts.p0)
     if l < 0:
         raise PreconditionError("level must be nonnegative")
     f = frac_part(Fraction(chain.n_total - 2 * l) / ts.p0)
-    out = []
-    for j, sign in enumerate(ts.signs, 1):
-        phases = sum(two_phi(ts, j, two_s) * count for two_s, count in chain.species)
-        out.append(sign * (string_length(ts, Fraction(j)) * f - phases))
-    return out
+    return [n * f - phases for n, phases in _phase_vector(ts, chain)]
 
 
 def _runs(values) -> str:

@@ -268,3 +268,12 @@ def test_criterion_13_identity_16_7_at_240():
     assert rep.agree
     assert any(c for e, c in rep.rhs.terms.items() if e > 112)
     report(13, 5, t0, "fermionic = bosonic at 16/7 up to q^240")
+
+
+def test_criterion_14_pairing_13_1x24():
+    # the census of every level is the one source of the pairing checks'
+    # XXZ vacancy numbers, so a 24-site chain at p0 = 13 checks in seconds
+    t0 = time.perf_counter()
+    rep = verify_pairing(compute_ts(13), ChainSpec(13, [(1, 24)]))
+    assert rep.all_passed
+    report(14, 10, t0, "pairing checks at p0 = 13 on 24 spin-1/2 sites")

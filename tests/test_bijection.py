@@ -74,12 +74,11 @@ def test_forget_pair_roundtrip():
     for l0 in range(6):
         for nu in enumerate_xxx_configs(l0, chain.mu()):
             img = pair(ts, chain, nu)
-            from bethestates.bijection import _config_from_partition
-            cfg = _config_from_partition(nu, 6, img.designated_clubs)
+            cfg = XXZConfig.from_parts(nu.parts, 6, img.designated_clubs)
             assert forget(ts, chain, cfg) == nu
             # descendants are admissible and sit in the same fiber
             for k in img.descendants:
-                cfg_k = _config_from_partition(nu, 6, k)
+                cfg_k = XXZConfig.from_parts(nu.parts, 6, k)
                 assert forget(ts, chain, cfg_k) == nu
 
 
@@ -94,12 +93,53 @@ def test_staircase_identity_exact():
 
 
 def test_verify_pairing_acceptance_chains():
-    for p0, species in [(6, [(2, 5)]), (8, [(3, 5)]), (7, [(1, 6)])]:
+    for p0, species in [(6, [(2, 5)]), (8, [(3, 5)]), (7, [(1, 6)]),
+                        (9, [(1, 4), (2, 3)]), (11, [(1, 10), (2, 5)])]:
         ts = compute_ts(p0)
         rep = verify_pairing(ts, ChainSpec(p0, species))
         assert rep.all_passed, (p0, species,
                                 [(c.name, c.failures[:3]) for c in rep.checks
                                  if not c.passed])
+
+
+def test_verify_pairing_reads_the_census(monkeypatch):
+    # one census per level; checks (b) and (c) evaluate no XXZ vacancy
+    # number outside it
+    from bethestates import configs
+    levels, outside = [], []
+    inside = [False]
+    enumerate_xxz_int, xxz_vacancies_int = configs.enumerate_xxz_int, configs.xxz_vacancies_int
+
+    def census(ts_, chain_, l):
+        levels.append(l)
+        inside[0] = True
+        try:
+            return enumerate_xxz_int(ts_, chain_, l)
+        finally:
+            inside[0] = False
+
+    def vacancies(*args):
+        if not inside[0]:
+            outside.append(args)
+        return xxz_vacancies_int(*args)
+
+    monkeypatch.setattr(configs, "enumerate_xxz_int", census)
+    monkeypatch.setattr(configs, "xxz_vacancies_int", vacancies)
+    monkeypatch.setattr(configs, "xxz_vacancy_int", None)
+    rep = verify_pairing(compute_ts(9), ChainSpec(9, [(1, 4), (2, 3)]))
+    assert rep.all_passed
+    assert levels == list(range(11))
+    assert outside == []
+
+
+def test_pairing_rejects_a_chain_at_another_p0():
+    ts, chain = compute_ts(6), ChainSpec(7, [(2, 3)])
+    with pytest.raises(PreconditionError, match="disagree on p0"):
+        pair(ts, chain, Partition(()))
+    with pytest.raises(PreconditionError, match="disagree on p0"):
+        forget(ts, chain, XXZConfig((0, 0, 0, 0, 0), 3))
+    with pytest.raises(PreconditionError, match="disagree on p0"):
+        verify_pairing(ts, chain)
 
 
 def test_verify_pairing_guard():

@@ -141,6 +141,35 @@ def test_example3_vacancy_probes():
     assert xxz_vacancy_int(ts, chain, cfg5, 5) == 5
 
 
+def test_census_evaluates_the_closed_form_once_per_configuration(monkeypatch):
+    # one xxz_vacancies_int call per candidate configuration, no per-index
+    # call and no Partition built
+    from bethestates import configs
+    ts, chain = compute_ts(11), ChainSpec(11, [(1, 20)])
+    calls, built = [], []
+    vacancies = configs.xxz_vacancies_int
+    monkeypatch.setattr(configs, "xxz_vacancies_int",
+                        lambda ts_, chain_, cfg: calls.append(cfg) or vacancies(ts_, chain_, cfg))
+    monkeypatch.setattr(configs, "xxz_vacancy_int", None)
+    init = Partition.__init__
+    monkeypatch.setattr(Partition, "__init__",
+                        lambda self, parts: built.append(parts) or init(self, parts))
+    recs = enumerate_xxz_int(ts, chain, 14)   # above half filling: some rejected
+    monkeypatch.undo()
+    candidates = sum(1 for clubs in range(15) for _ in partitions(14 - clubs, 10))
+    assert len(calls) == len(set(calls)) == candidates
+    assert built == []
+    assert 0 < len(recs) < candidates
+
+
+def test_census_rejects_a_chain_at_another_p0():
+    ts, chain = compute_ts(6), ChainSpec(7, [(2, 3)])
+    with pytest.raises(PreconditionError, match="disagree on p0"):
+        enumerate_xxz_int(ts, chain, 2)
+    with pytest.raises(PreconditionError, match="disagree on p0"):
+        xxz_vacancy_int(ts, chain, XXZConfig((0,) * 5, 0), 1)
+
+
 def test_example3_formula_route():
     ts, chain = example3()
     detail = count_xxz_general_detailed(ts, chain, 5)

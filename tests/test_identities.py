@@ -162,7 +162,6 @@ def test_dead_level_window_raises_on_a_negative_entry(monkeypatch):
     monkeypatch.setattr(identities, "scaled_form",
                         lambda ts_: ScaledForm(form.den, tuple(map(tuple, theta)),
                                                form.columns))
-    dead_level_window.cache_clear()
     with pytest.raises(AssertionError, match="not monotone at p0 = 16/7, row 1"):
         fermionic_sum(ts, 6)
 

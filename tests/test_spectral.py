@@ -265,18 +265,35 @@ def test_linear_form_reproduces_example_labels():
 
 def test_linear_form_equals_closed_forms_exhaustively():
     # the two independent vacancy routes agree on every admissible
-    # configuration of several small chains
-    sweeps = [(2, [(1, 4)]), (3, [(2, 3)]), (6, [(3, 2)]), (4, [(1, 2), (3, 1)])]
+    # configuration of several small chains, at every level
+    sweeps = [(2, [(1, 4)]), (3, [(2, 3)]), (6, [(3, 2)]), (4, [(1, 2), (3, 1)]),
+              (5, [(1, 3), (3, 2)]), (8, [(2, 2), (5, 1)]), (9, [(1, 3), (4, 2)])]
     for p0, species in sweeps:
         ts = compute_ts(p0)
         chain = ChainSpec(p0, species)
         n = chain.n_total
-        for l in range(n // 2 + 1):
+        for l in range(n + 1):
             for rec in enumerate_xxz_int(ts, chain, l):
                 lam = list(rec.cfg.lam) + [rec.cfg.clubs]
                 tops = vacancy_linear_form(ts, chain, l, lam)
                 vac = tuple(t - x for t, x in zip(tops, lam))
                 assert vac == tuple(rec.vacancies), (p0, species, l, rec.cfg)
+
+
+def test_phase_shifts_computed_once_per_chain(monkeypatch):
+    # the level-independent part of the offset vector is built once per
+    # chain: dim x species phases for all levels, here 1000 x 5
+    from bethestates import spectral
+    calls = []
+    phase_shift = spectral.phase_shift
+    monkeypatch.setattr(spectral, "phase_shift",
+                        lambda ts_, k, two_s: calls.append(k) or phase_shift(ts_, k, two_s))
+    spectral._phase_vector.cache_clear()
+    ts = compute_ts(F(1997, 2))
+    chain = ChainSpec(ts.p0, [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1)])
+    vectors = [offset_vector(ts, chain, l) for l in range(chain.n_total + 1)]
+    assert ts.dim == 1000 and len(calls) == 5 * ts.dim
+    assert vectors[0] != vectors[1]
 
 
 def test_linear_form_matches_dense_reference():

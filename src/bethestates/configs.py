@@ -68,15 +68,28 @@ class Partition:
 
 
 def partitions(n: int, max_part: int | None = None):
-    """All partitions of n with parts bounded by max_part, largest-first."""
+    """All partitions of n with parts bounded by max_part, largest-first.
+
+    Iterative, so the number of parts is not bounded by the recursion limit:
+    the next partition lowers the last part above 1 by one and refills what
+    it and the trailing 1s held, largest-first, below the lowered part."""
     if max_part is None:
         max_part = n
-    if n == 0:
-        yield ()
+    if n < 0 or (n > 0 and max_part < 1):
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+    parts, rest, bound = [], n, min(n, max_part)
+    while True:
+        if rest:
+            q, r = divmod(rest, bound)
+            parts += [bound] * q + ([r] if r else [])
+        yield tuple(parts)
+        rest = 1
+        while parts and parts[-1] == 1:
+            rest += parts.pop()
+        if not parts:
+            return
+        parts[-1] -= 1
+        bound = parts[-1]
 
 
 # -- XXX model ----------------------------------------------------------------
@@ -144,15 +157,23 @@ def enumerate_xxx_rigged(l: int, mu) -> list:
 
 @dataclass(frozen=True)
 class XXZConfig:
-    """String multiplicities (lam_1..lam_{p0-1}) plus the club count."""
+    """String multiplicities (lam_1..lam_{p0-1}) plus the club count, all
+    nonnegative."""
 
     lam: tuple
     clubs: int
+
+    def __post_init__(self):
+        if self.clubs < 0 or any(m < 0 for m in self.lam):
+            raise PreconditionError(
+                f"negative multiplicity in configuration {self.lam}, {self.clubs} clubs")
 
     @classmethod
     def from_parts(cls, parts, p0: int, clubs: int) -> XXZConfig:
         """The configuration whose strings have the lengths parts, each
         below p0, next to the given number of clubs."""
+        if not all(0 < p < p0 for p in parts):
+            raise PreconditionError(f"string lengths must lie in 1..{p0 - 1}: {tuple(parts)}")
         lam = [0] * (p0 - 1)
         for p in parts:
             lam[p - 1] += 1
@@ -178,6 +199,9 @@ def xxz_vacancies_int(ts: TSData, chain: ChainSpec, cfg: XXZConfig) -> tuple:
       P_{p0-1} = r + f + clubs,  P_p0 = f + lam_{p0-1}."""
     p0 = ts.integer_p0(_DIRECT, 2)
     chain.require_p0(ts.p0)
+    if len(cfg.lam) != p0 - 1:
+        raise PreconditionError(
+            f"expected {p0 - 1} string multiplicities at p0 = {p0}, got {len(cfg.lam)}")
     f, r = divmod(chain.n_total - 2 * cfg.level, p0)
     conj = list(accumulate(reversed(cfg.lam)))[::-1]
     heads = [sum(n * min(j, two_s) for two_s, n in chain.species) - 2 * below - j * f

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import comb, floor
 from operator import mul
 
@@ -35,8 +36,7 @@ def gauss_general(top: int, b: int, base_sign: int = 1) -> QPolynomial:
         return QPolynomial.zero()
     if top >= 0:
         return gauss_binomial(top, b, base_sign)
-    shift = Fraction(top * b) - Fraction(b * (b - 1), 2)
-    poly = gauss_binomial(b - top - 1, b, 1) * QPolynomial.monomial(shift, (-1) ** b)
+    poly = gauss_binomial(b - top - 1, b, 1).shift(top * b - b * (b - 1) // 2) * (-1) ** b
     return poly.subs_inverse() if base_sign == -1 else poly
 
 
@@ -209,9 +209,7 @@ def kernel_poly(sign: int, k: int, m: int) -> QPolynomial:
         first, second = 0, 2 * k - m
     else:
         first, second = k + m, 0
-    out = QPolynomial.monomial(first, 1) * gauss_binomial(k - 1, m, 1)
-    out = out + QPolynomial.monomial(second, 1) * gauss_binomial(k - 1, m - 1, 1)
-    return out
+    return gauss_binomial(k - 1, m, 1).shift(first) + gauss_binomial(k - 1, m - 1, 1).shift(second)
 
 
 def kernel_offset(alpha: int, k: int, m: int) -> int:
@@ -227,8 +225,7 @@ def kernel_sum(k: int) -> QPolynomial:
         raise PreconditionError("kernel sum needs k >= 1")
     out = QPolynomial.zero()
     for m in range(k + 1):
-        mono = QPolynomial.monomial(Fraction(m * (m + 1), 2), (-1) ** m)
-        out = out + mono * kernel_poly(1, k, m)
+        out = out + kernel_poly(1, k, m).shift(m * (m + 1) // 2) * (-1) ** m
     return out
 
 
@@ -238,28 +235,33 @@ def _bosonic_exponent(ts: TSData, k: int, m: int) -> int:
     return quad + kernel_offset(a, k, m)
 
 
+def _bosonic_k_sum(ts: TSData, cutoff, term) -> QSeries:
+    """1 + sum over k >= 1 of term(k, exps) / (q; q)_k up to the cutoff, with
+    exps the exponents _bosonic_exponent(ts, k, m), m = 0..k.  The sum stops
+    at the first k whose exponents all lie past the cutoff; each k divides
+    once."""
+    acc = QSeries.one(cutoff)
+    for k in count(1):
+        exps = [_bosonic_exponent(ts, k, m) for m in range(k + 1)]
+        if min(exps) > cutoff:
+            return acc
+        acc = acc + term(k, exps).truncated(cutoff).div_cyclotomic(*range(1, k + 1))
+
+
 def bosonic_sum(ts: TSData, cutoff) -> QSeries:
     """Alternating double sum over k >= m >= 0, (k, m) != (0, 0)."""
     cutoff = as_exp(cutoff)
-    a = ts.alpha
-    eps = 1 if a % 2 == 0 else -1
-    acc = QSeries.one(cutoff)
-    k = 1
-    while True:
-        exps = [_bosonic_exponent(ts, k, m) for m in range(k + 1)]
-        if min(exps) > cutoff:
-            break
+    eps = 1 if ts.alpha % 2 == 0 else -1
+
+    def term(k, exps):
+        out = QPolynomial.zero()
         for m, e in enumerate(exps):
-            if e > cutoff:
-                continue
-            if a % 2 == 0:
-                sgn = (-1) ** (k + m)
-            else:
-                sgn = (-1) ** m
-            poly = kernel_poly(eps, k, m) * QPolynomial.monomial(e, sgn)
-            acc = acc + poly.truncated(cutoff).div_cyclotomic(*range(1, k + 1))
-        k += 1
-    return acc
+            if e <= cutoff:
+                sgn = (-1) ** (k + m) if eps == 1 else (-1) ** m
+                out = out + kernel_poly(eps, k, m).shift(e) * sgn
+        return out
+
+    return _bosonic_k_sum(ts, cutoff, term)
 
 
 def collapsed_kernel(ts: TSData, k: int) -> QPolynomial:
@@ -273,7 +275,7 @@ def collapsed_kernel(ts: TSData, k: int) -> QPolynomial:
     out = QPolynomial.zero()
     for m in range(k + 1):
         e = m * m * ya * za1 - k * m * cross + kernel_offset(a, k, k - m)
-        out = out + QPolynomial.monomial(e, (-1) ** m) * kernel_poly(eps, k, k - m)
+        out = out + kernel_poly(eps, k, k - m).shift(e) * (-1) ** m
     return out
 
 
@@ -282,16 +284,9 @@ def bosonic_sum_collapsed(ts: TSData, cutoff) -> QSeries:
     cutoff = as_exp(cutoff)
     a = ts.alpha
     base = (ts.y(a + 1) + ts.y(a)) * (ts.z(a) + ts.z(a - 1))
-    acc = QSeries.one(cutoff)
-    k = 1
-    while True:
-        if min(_bosonic_exponent(ts, k, m) for m in range(k + 1)) > cutoff:
-            break
-        sgn = (-1) ** k if a % 2 else 1
-        poly = collapsed_kernel(ts, k) * QPolynomial.monomial(k * k * base, sgn)
-        acc = acc + poly.truncated(cutoff).div_cyclotomic(*range(1, k + 1))
-        k += 1
-    return acc
+    sgn = -1 if a % 2 else 1
+    return _bosonic_k_sum(
+        ts, cutoff, lambda k, _: collapsed_kernel(ts, k).shift(k * k * base) * sgn ** k)
 
 
 # -- integer p0: Gordon-Andrews forms ---------------------------------------------

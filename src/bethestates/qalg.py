@@ -333,7 +333,7 @@ def pochhammer(step_sign: int, n: int) -> QPolynomial:
         raise PreconditionError("pochhammer length must be nonnegative")
     out = QPolynomial.one()
     for i in range(1, n + 1):
-        out = out * QPolynomial({0: 1, step_sign * i: -1})
+        out = out - out.shift(step_sign * i)
     return out
 
 
@@ -343,7 +343,7 @@ def _gauss_positive(m: int, small: int) -> QPolynomial:
     i = 1..small, cut at its degree small*(m-small), where it is exact."""
     num = QSeries.one(small * (m - small))
     for e in range(m - small + 1, m + 1):
-        num = num * QPolynomial({0: 1, e: -1})
+        num = num - num.shift(e)
     ser = num.div_cyclotomic(*range(1, small + 1))
     return _new(ser.den, ser.lo, ser.coeffs, None)
 
@@ -387,7 +387,7 @@ def product_expand(factors, cutoff) -> QSeries:
         e = a + b
         while e <= cutoff:
             if sign == 1:
-                out = out * QPolynomial({0: 1, e: -1})
+                out = out - out.shift(e)
             else:
                 steps.append(e)
             e += a

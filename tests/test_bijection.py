@@ -4,7 +4,8 @@ import pytest
 
 from bethestates import oracle
 from bethestates.bijection import forget, pair, verify_pairing
-from bethestates.configs import Partition, XXZConfig, enumerate_xxx_configs
+from bethestates.configs import (Partition, XXZConfig, enumerate_xxx_configs,
+                                 xxz_vacancies_int, xxz_vacancy_int)
 from bethestates.qalg import QPolynomial, gauss_binomial
 from bethestates.spectral import ChainSpec
 from bethestates.tsdata import compute_ts
@@ -57,6 +58,26 @@ def test_forget_example3_config():
     chain = ChainSpec(6, [(3, 5)])
     assert forget(ts, chain, XXZConfig((0, 1, 0, 0, 0), 4)) == Partition((2,))
     assert forget(ts, chain, XXZConfig((0, 0, 0, 0, 0), 5)) == Partition(())
+
+
+def test_malformed_configurations_raise():
+    # negative entries and string lengths outside 1..p0-1 at construction; a
+    # multiplicity vector whose length is not p0 - 1 when its vacancies are
+    # asked for
+    ts, chain = compute_ts(6), ChainSpec(6, [(2, 5)])
+    for lam, clubs in (((0,) * 5, -1), ((-1, 0, 0, 0, 0), 0)):
+        with pytest.raises(PreconditionError, match="negative multiplicity"):
+            XXZConfig(lam, clubs)
+    for parts in ((0,), (2, -1), (6,)):
+        with pytest.raises(PreconditionError, match="string lengths must lie in 1..5"):
+            XXZConfig.from_parts(parts, 6, 0)
+    for cfg in (XXZConfig((1, 0, 0, 0, 0, 0, 0), 0), XXZConfig((0,) * 4, 0)):
+        with pytest.raises(PreconditionError, match="expected 5 string multiplicities"):
+            forget(ts, chain, cfg)
+        with pytest.raises(PreconditionError, match="expected 5 string multiplicities"):
+            xxz_vacancy_int(ts, chain, cfg, 1)
+        with pytest.raises(PreconditionError, match="expected 5 string multiplicities"):
+            xxz_vacancies_int(ts, chain, cfg)
 
 
 def test_forget_all_example3_configs():

@@ -142,6 +142,14 @@ def test_precondition_exit(capsys):
     assert rc == 3
 
 
+def test_enumerate_level_past_the_recursion_limit(capsys):
+    # at p0 = 2 every string has length 1: level 1200 asks for partitions
+    # with up to 1200 parts
+    rc, out = run_cli(capsys, ["enumerate", "--p0", "2", "--chain", "1x3", "--l", "1200"])
+    assert rc == 0
+    assert out == "0 configurations, total 0\n"
+
+
 def test_identity_negative_cutoff_rejected(capsys, monkeypatch):
     from bethestates import identities
 

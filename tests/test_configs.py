@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -33,6 +34,33 @@ def test_partitions_generator():
         [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)])
     assert list(partitions(0)) == [()]
     assert sorted(partitions(4, 2)) == sorted([(2, 2), (2, 1, 1), (1, 1, 1, 1)])
+
+
+def _partitions_reference(n, max_part=None):
+    # the recursive definition: each first part, largest first, then the
+    # partitions of the rest with parts bounded by it
+    if max_part is None:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _partitions_reference(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_match_recursive_reference():
+    for n in range(13):
+        for max_part in (None, *range(n + 2)):
+            assert list(partitions(n, max_part)) == list(_partitions_reference(n, max_part))
+
+
+def test_partitions_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 10
+    assert list(partitions(n, 1)) == [(1,) * n]
+    twos = list(partitions(n, 2))
+    assert len(twos) == n // 2 + 1
+    assert twos[0] == (2,) * (n // 2) and twos[-1] == (1,) * n
 
 
 def falling_factorial_binom(a, b):

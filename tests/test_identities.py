@@ -253,6 +253,56 @@ def test_collapsed_equals_double_sum():
         assert a.first_discrepancy(b) is None, p0
 
 
+def _bosonic_sum_per_term(ts, cutoff):
+    # the double sum with one division per in-range (k, m) term, the
+    # exponent (k y_(a+1) + m y_a)(k z_a + m z_(a-1)) + offset written out
+    a = ts.alpha
+    eps = 1 if a % 2 == 0 else -1
+    acc = QSeries.one(cutoff)
+    k = 1
+    while True:
+        exps = [(k * ts.y(a + 1) + m * ts.y(a)) * (k * ts.z(a) + m * ts.z(a - 1))
+                + kernel_offset(a, k, m) for m in range(k + 1)]
+        if min(exps) > cutoff:
+            return acc
+        for m, e in enumerate(exps):
+            if e > cutoff:
+                continue
+            sgn = (-1) ** (k + m) if a % 2 == 0 else (-1) ** m
+            poly = kernel_poly(eps, k, m) * QPolynomial.monomial(e, sgn)
+            acc = acc + poly.truncated(cutoff).div_cyclotomic(*range(1, k + 1))
+        k += 1
+
+
+@pytest.mark.parametrize("p0, cutoff", [
+    (F(2), 30), (F(3), 40), (F(7, 3), 150), (F(5, 2), 100), (F(16, 7), 930),
+    (F(27, 11), 1700), (F(55, 34), 14300)])
+def test_bosonic_sum_equals_per_term_reference(p0, cutoff):
+    # every (k, m) term of k = 1 and 2 lies within the cutoff; both parities
+    # of alpha are covered (odd at 7/3, 5/2 and 55/34)
+    ts = compute_ts(p0)
+    reference = _bosonic_sum_per_term(ts, cutoff)
+    assert len(reference.terms) > 1
+    assert bosonic_sum(ts, cutoff) == reference
+    assert bosonic_sum_collapsed(ts, cutoff) == reference
+
+
+def test_bosonic_sums_divide_once_per_k(monkeypatch):
+    # at p0 = 2, cutoff 200, k runs to 9; with the Gaussian binomials cached,
+    # the only divisions left are the one by (q; q)_k per k
+    ts = compute_ts(2)
+    for fn in (bosonic_sum, bosonic_sum_collapsed):
+        fn(ts, 200)
+    steps = []
+    div = QSeries.div_cyclotomic
+    monkeypatch.setattr(QSeries, "div_cyclotomic",
+                        lambda self, *s: steps.append(s) or div(self, *s))
+    for fn in (bosonic_sum, bosonic_sum_collapsed):
+        steps.clear()
+        fn(ts, 200)
+        assert steps == [tuple(range(1, k + 1)) for k in range(1, 10)], fn.__name__
+
+
 def test_gordon_andrews_sum_matches():
     for p0 in (2, 3):
         ts = compute_ts(p0)

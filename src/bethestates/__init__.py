@@ -4,7 +4,7 @@ XXX and XXZ spin chains with rational anisotropy."""
 from .bijection import PairImage, PairingReport, forget, pair, verify_pairing
 from .configs import (Partition, XXZConfig, count_xxx, count_xxz_general,
                       enumerate_lambda, enumerate_xxx_configs, enumerate_xxx_rigged,
-                      enumerate_xxz_int, xxx_vacancy, xxz_vacancy_int)
+                      enumerate_xxz_int, xxx_vacancies, xxx_vacancy, xxz_vacancy_int)
 from .identities import (IdentityReport, bosonic_sum, bosonic_sum_collapsed,
                          check_identity, fermionic_sum, gordon_andrews_products,
                          gordon_andrews_sum, kernel_poly, kernel_sum, level_series,

@@ -120,9 +120,9 @@ def verify_pairing(ts: TSData, chain: ChainSpec) -> PairingReport:
     for cfg, vac in census.items():
         l = cfg.level
         if 2 * l <= n:
-            nu = cfg.partition()
+            xxx = configs.xxx_vacancies(cfg.partition(), mu)
             for j in range(1, p0):
-                if configs.xxx_vacancy(nu, mu, j) < vac[j - 1]:
+                if xxx[min(j, len(xxx)) - 1] < vac[j - 1]:
                     fail_a.append((l, cfg, j))
         if cfg.clubs > 0 and XXZConfig(cfg.lam, cfg.clubs - 1) not in census:
             fail_b.append((l, cfg))
@@ -131,6 +131,7 @@ def verify_pairing(ts: TSData, chain: ChainSpec) -> PairingReport:
     range_notes = []
     for l0 in range(n // 2 + 1):
         for nu in configs.enumerate_xxx_configs(l0, mu):
+            xxx = configs.xxx_vacancies(nu, mu)
             window = [k for k in range(n - 2 * l0 + 1) if 0 <= n - 2 * l0 - 2 * k < p0]
             for k in window:
                 vac = census.get(XXZConfig.from_parts(nu.parts, p0, k))
@@ -138,7 +139,7 @@ def verify_pairing(ts: TSData, chain: ChainSpec) -> PairingReport:
                     fail_c.append((nu, k, "inadmissible"))
                     continue
                 for j in range(1, p0 - 1):
-                    if vac[j - 1] != configs.xxx_vacancy(nu, mu, j):
+                    if vac[j - 1] != xxx[min(j, len(xxx)) - 1]:
                         fail_c.append((nu, k, f"P_{j} differs"))
                 if vac[p0 - 2] != n - 2 * l0 - k:
                     fail_c.append((nu, k, "tail vacancy p0-1"))

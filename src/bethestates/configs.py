@@ -5,17 +5,23 @@ configurations at integer p0 additionally carry a count of negative-parity
 length-1 strings (rendered as club rows).  The general counting route sums a
 product of binomials over admissible string-multiplicity vectors, with tops
 given by the vacancy linear form; at integer p0 this must agree with the
-direct census route, which is checked in the tests.
+direct census route, which is checked in the tests.  The count and q_count
+share one walk over the vectors that reads the tops from the dual variables
+m = den * Theta~ lam, by back-substitution in the tridiagonal S C S: O(dim)
+per vector, stopping at the first vanishing binomial.  spectral.apply_form
+and _CountContext.tops evaluate the dense form per vector; they are the
+reference the walk is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, repeat
 from math import comb
 from operator import floordiv, mod
 
-from .spectral import ChainSpec, apply_form, linear_form
+from .spectral import ChainSpec, apply_form, linear_form, scaled_form
 from .tsdata import TSData, string_weights
 from .util import PreconditionError
 
@@ -94,18 +100,30 @@ def partitions(n: int, max_part: int | None = None):
 
 # -- XXX model ----------------------------------------------------------------
 
+def xxx_vacancies(nu: Partition, mu) -> tuple:
+    """(P_1, ..., P_top), top = max(nu_1, max mu, 1), in one pass:
+    P_n = sum_{j<=n} (mu'_j - 2 nu'_j), as sum_k min(n, mu_k) = mu'_1 + ...
+    + mu'_n.  Past top both conjugates vanish, so P_n = P_top for n > top."""
+    top = max([nu.max_part, max(mu, default=0), 1])
+    ends = [0] * (top + 1)          # ends[v]: mu entries minus twice nu parts equal to v
+    for m in mu:
+        ends[m] += 1
+    for p in nu.parts:
+        ends[p] -= 2
+    cols = list(accumulate(reversed(ends[1:])))[::-1]     # mu'_j - 2 nu'_j
+    return tuple(accumulate(cols))
+
+
 def xxx_vacancy(nu: Partition, mu, n: int) -> int:
     """P_n = sum_k min(n, mu_k) - 2 * sum_{k<=n} nu'_k."""
     if n < 1:
         raise PreconditionError("row length must be >= 1")
-    conj = nu.conjugate()
-    below = sum(conj[:n])
-    return sum(min(n, m) for m in mu) - 2 * below
+    vac = xxx_vacancies(nu, mu)
+    return vac[min(n, len(vac)) - 1]
 
 
 def _xxx_admissible(nu: Partition, mu) -> bool:
-    top = max([nu.max_part, max(mu, default=0), 1])
-    return all(xxx_vacancy(nu, mu, n) >= 0 for n in range(1, top + 1))
+    return min(xxx_vacancies(nu, mu)) >= 0
 
 
 def enumerate_xxx_configs(l: int, mu) -> list:
@@ -122,9 +140,10 @@ def enumerate_xxx_configs(l: int, mu) -> list:
 
 def xxx_config_count(nu: Partition, mu) -> int:
     """Number of rigging choices for one configuration."""
+    vac = xxx_vacancies(nu, mu)
     total = 1
     for n in sorted(set(nu.parts)):
-        total *= comb(xxx_vacancy(nu, mu, n) + nu.mult(n), nu.mult(n))
+        total *= comb(vac[n - 1] + nu.mult(n), nu.mult(n))
     return total
 
 
@@ -144,10 +163,10 @@ def enumerate_xxx_rigged(l: int, mu) -> list:
     out = []
     for nu in enumerate_xxx_configs(l, mu):
         sizes = sorted(set(nu.parts), reverse=True)
+        vac = xxx_vacancies(nu, mu)
         choices = [[]]
         for n in sizes:
-            p_n = xxx_vacancy(nu, mu, n)
-            rows = list(combinations_with_replacement(range(p_n + 1), nu.mult(n)))
+            rows = list(combinations_with_replacement(range(vac[n - 1] + 1), nu.mult(n)))
             choices = [c + [(n, r)] for c in choices for r in rows]
         out.extend(XXXRiggedConfig(nu, tuple(c)) for c in choices)
     return out
@@ -191,6 +210,14 @@ class XXZConfig:
 _DIRECT = "direct XXZ enumeration"
 
 
+@lru_cache(maxsize=16)
+def _chain_terms(chain: ChainSpec, p0: int) -> tuple:
+    """sum_m N_m min(j, 2s_m) for j = 1..p0-2, the same for every
+    configuration of the chain."""
+    return tuple(sum(n * min(j, two_s) for two_s, n in chain.species)
+                 for j in range(1, p0 - 1))
+
+
 def xxz_vacancies_int(ts: TSData, chain: ChainSpec, cfg: XXZConfig) -> tuple:
     """Vacancy numbers P_1..P_p0 at integer p0, from the closed forms in one
     pass.  With N - 2l = p0 f + r, 0 <= r < p0, and nu' the conjugate of the
@@ -204,8 +231,8 @@ def xxz_vacancies_int(ts: TSData, chain: ChainSpec, cfg: XXZConfig) -> tuple:
             f"expected {p0 - 1} string multiplicities at p0 = {p0}, got {len(cfg.lam)}")
     f, r = divmod(chain.n_total - 2 * cfg.level, p0)
     conj = list(accumulate(reversed(cfg.lam)))[::-1]
-    heads = [sum(n * min(j, two_s) for two_s, n in chain.species) - 2 * below - j * f
-             for j, below in zip(range(1, p0 - 1), accumulate(conj))]
+    heads = [spins - 2 * below - j * f for j, spins, below
+             in zip(range(1, p0 - 1), _chain_terms(chain, p0), accumulate(conj))]
     return (*heads, r + f + cfg.clubs, f + cfg.lam[p0 - 2])
 
 
@@ -306,8 +333,8 @@ def enumerate_lambda(ts: TSData, l: int) -> list:
 
 
 class _CountContext:
-    """The integer-scaled vacancy linear form of spectral.linear_form, kept
-    for fast evaluation of the tops.
+    """The integer-scaled vacancy linear form of spectral.linear_form,
+    evaluated densely per vector: the reference for the counting walk.
 
     tops(lam) returns the integer top vector.  On a chain inside the string
     classification every top of a level-l vector is an integer, so a
@@ -327,6 +354,67 @@ class _CountContext:
         return list(map(floordiv, scaled, den))
 
 
+def _dual_walk(ts: TSData, chain: ChainSpec, l: int):
+    """(factors, quad) for each level-l multiplicity vector lam whose
+    binomial product does not vanish, in the order of enumerate_lambda:
+    factors lists (top, lam_i, i) for the nonzero lam_i, last component
+    first, and quad = lam . m is den times the quadratic form.
+
+    m = den * Theta~ lam solves the tridiagonal (S C S) m = den lam with
+    m_dim = sigma * l; every off-diagonal b is +-1, so m comes by
+    back-substitution from the last row, m_{i-1} = b_{i-1} (den lam_i -
+    a_i m_i - b_i m_{i+1}), and each top is local: den t_i = c_i - 2 s_i m_i
+    + den (lam_i + corner_i), E's corner being -lam_dim at i = dim-1 and
+    +lam_{dim-1} at i = dim.  With m0 the back-substitution at lam = 0,
+    m = m0 + den u for the integer back-substitution u of lam, so den
+    divides c_i - 2 s_i m_i for every vector of the level exactly when it
+    divides c_i - 2 s_i m0_i: the lattice is checked once per level.  A
+    signed or Gaussian binomial with lam_i > 0 vanishes only when
+    0 <= t_i < lam_i, where the vector is dropped.  _CountContext.tops is
+    the dense per-vector reference.
+    """
+    den, _, c = linear_form(ts, chain, l)
+    form = scaled_form(ts)
+    diag, last = form.diag, ts.dim - 1
+    off_hi = (*form.off, 0)         # b_i, coupling i to i+1
+    off_lo = (0, *form.off)         # b_{i-1}, coupling i to i-1
+    coef = [2 * s for s in ts.signs]
+    h, m0 = [0] * ts.dim, [0] * ts.dim
+    m, m_hi = form.sigma * l, 0
+    for i in range(last, -1, -1):
+        m0[i] = m
+        h[i], r = divmod(c[i] - coef[i] * m, den)     # t_i = h_i - 2 s_i u_i + ...
+        if r:
+            raise AssertionError(f"fractional top at level {l}, string type {i + 1}")
+        m, m_hi = -off_lo[i] * (diag[i] * m + off_hi[i] * m_hi), m
+    if last:
+        # the corner at dim-1, -lam_dim = -b_{dim-1} u_{dim-1}, joins its coefficient
+        coef[last - 1] += off_lo[last]
+    rows = [(h[i], coef[i], diag[i], off_lo[i], off_hi[i], m0[i], i)
+            for i in range(last - 1, -1, -1)]
+    h_last, m_last, b_last = h[last], m0[last], off_lo[last]
+    for lam in enumerate_lambda(ts, l):
+        x = lam[last]
+        factors, quad = [], 0
+        if x:
+            t = h_last + x + (lam[last - 1] if last else 0)
+            if 0 <= t < x:
+                continue
+            factors.append((t, x, last))
+            quad = x * m_last
+        u, u_hi = b_last * x, 0
+        for (hi, k, a, b_lo, b_hi, mi, i), x in zip(rows, lam[last - 1::-1]):
+            if x:
+                t = hi - k * u + x
+                if 0 <= t < x:
+                    break
+                factors.append((t, x, i))
+                quad += x * (mi + den * u)
+            u, u_hi = b_lo * (x - a * u - b_hi * u_hi), u
+        else:
+            yield factors, quad
+
+
 @dataclass(frozen=True)
 class GeneralCount:
     total: int
@@ -343,18 +431,13 @@ def count_xxz_general_detailed(ts: TSData, chain: ChainSpec, l: int) -> GeneralC
     half filling every nonzero term is positive and the sum agrees with the
     direct census.
     """
-    ctx = _CountContext(ts, chain, l)
     total = admissible = 0
-    for lam in enumerate_lambda(ts, l):
+    for factors, _ in _dual_walk(ts, chain, l):
         prod = 1
-        for t, x in zip(ctx.tops(lam), lam):
-            if x:
-                prod *= signed_binom(t, x)
-                if not prod:
-                    break
-        if prod:
-            total += prod
-            admissible += 1
+        for t, x, _ in factors:
+            prod *= signed_binom(t, x)
+        total += prod
+        admissible += 1
     return GeneralCount(total, admissible)
 
 
@@ -388,13 +471,14 @@ def render_xxz(record: XXZRecord) -> str:
 
 
 def render_xxx(nu: Partition, mu) -> str:
+    vac = xxx_vacancies(nu, mu)
     lines = []
     seen = set()
     for p in nu.parts:
         row = "#" * p
         if p not in seen:
             seen.add(p)
-            row += f"  {xxx_vacancy(nu, mu, p)}"
+            row += f"  {vac[p - 1]}"
         lines.append(row)
     if not lines:
         lines.append("(empty)")

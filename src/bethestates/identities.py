@@ -17,7 +17,7 @@ from itertools import count
 from math import comb, floor
 from operator import mul
 
-from .configs import _CountContext, enumerate_lambda
+from .configs import _dual_walk, enumerate_lambda
 from .qalg import QPolynomial, QSeries, as_exp, gauss_binomial, product_expand
 from .spectral import ChainSpec, scaled_form
 from .tsdata import TSData, string_weights
@@ -55,21 +55,17 @@ def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
 
     Each admissible multiplicity vector contributes its quadratic-form
     monomial times a product of Gaussian binomials in base q**(parity).
-    Evaluating at q = 1 recovers the plain count.
+    Evaluating at q = 1 recovers the plain count.  The vectors, their tops
+    and den times their quadratic form, lam . m, come from the counting walk
+    of configs, which skips every vector with a vanishing binomial.
     """
-    ctx = _CountContext(ts, chain, l)
-    form = scaled_form(ts)
+    den, signs = scaled_form(ts).den, ts.signs
     out = QPolynomial.zero()
-    for lam in enumerate_lambda(ts, l):
+    for factors, quad in _dual_walk(ts, chain, l):
         term = QPolynomial.one()
-        for t, x, eps in zip(ctx.tops(lam), lam, ts.signs):
-            if x:
-                term = term * gauss_general(t, x, eps)
-                if term.is_zero():
-                    break
-        if not term.is_zero():
-            qf = _scaled_quadratic_form(form.theta, lam)
-            out = out + term.shift(Fraction(qf, form.den))
+        for t, x, i in factors:
+            term = term * gauss_general(t, x, signs[i])
+        out = out + term.shift(Fraction(quad, den))
     return out
 
 

@@ -8,9 +8,12 @@ signed adjugate, so no dense elimination is needed.  The parity matrix E and
 the offset vector b complete the linear form whose j-th component equals
 P_j(lambda) + lambda_j.  scaled_form is the one coding of Theta and E - B on
 the lattice (1/den)Z, den = numerator(p0); the counting routes, the quadratic
-form and vacancy_linear_form all read it.  E - B is kept as parity-signed
-columns, so apply_form evaluates the form in O(dim) per nonzero lambda
-component."""
+form and vacancy_linear_form all read it.  It keeps the signed bands of
+S C S = Theta~^-1 and the sign sigma of (S C S) n = sigma den e_dim, from
+which the counting walk of configs reads every top by back-substitution in
+O(dim) per vector.  E - B is kept as parity-signed columns, so apply_form
+evaluates the dense form in O(dim) per nonzero lambda component: the
+per-vector reference of that walk, and the engine of vacancy_linear_form."""
 
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from itertools import groupby, repeat
 from operator import add, mul
 
 from .tsdata import (TSData, admissible_spin, admissible_spins, phase_shift,
-                     string_length, zone)
+                     string_length, string_weights, zone)
 from .util import PreconditionError, frac_part
 
 # Widest string data (number of string types) whose Theta and linear form are
@@ -197,11 +200,18 @@ class ScaledForm:
     Theta~_ij = s_i s_j Theta_ij with s = ts.signs, is integral as den * Theta
     = sign(det) adj C.  columns[k] = s_k * (column k of den * (E - 2 Theta)),
     so the matrix part of the form at lambda is sum_k lambda_k * columns[k].
+
+    diag and off are the bands of S C S = Theta~^-1, S = diag(s); every off
+    entry is +-1.  With n the string lengths, (S C S) n = sigma den e_dim, so
+    m = theta lam solves (S C S) m = den lam with m_dim = sigma * level.
     """
 
     den: int
     theta: tuple
     columns: tuple
+    diag: tuple
+    off: tuple
+    sigma: int
 
 
 @lru_cache(maxsize=16)
@@ -216,12 +226,21 @@ def scaled_form(ts: TSData) -> ScaledForm:
     den = abs(det)
     if den != ts.p0.numerator:
         raise AssertionError(f"|det C| = {den} is not the numerator of p0 = {ts.p0}")
+    n = string_weights(ts)
+    scs_n = [d * x for d, x in zip(diag, n)]
+    for k, b in enumerate(off):
+        scs_n[k] += b * n[k + 1]
+        scs_n[k + 1] += b * n[k]
+    sigma = scs_n[-1] // den
+    if any(scs_n[:-1]) or sigma not in (1, -1) or scs_n[-1] != sigma * den:
+        raise AssertionError(f"(S C S) n = {scs_n} is not +-{den} e_dim at p0 = {ts.p0}")
     theta = [row if det > 0 else [-x for x in row] for row in adj]
     # theta is symmetric, so its rows are its columns; s_k Theta_ik = s_i Theta~_ik
     columns = [[-2 * si * x for si, x in zip(signs, row)] for row in theta]
     for i, j, e in _parity_entries(ts):
         columns[j][i] += signs[j] * den * e
-    return ScaledForm(den, tuple(map(tuple, theta)), tuple(map(tuple, columns)))
+    return ScaledForm(den, tuple(map(tuple, theta)), tuple(map(tuple, columns)),
+                      tuple(diag), tuple(off), sigma)
 
 
 def coupling_matrix(ts: TSData) -> RationalMatrix:

@@ -153,6 +153,20 @@ def test_verify_pairing_reads_the_census(monkeypatch):
     assert outside == []
 
 
+def test_verify_pairing_reads_each_xxx_vacancy_vector_once(monkeypatch):
+    # checks (a) and (c) take the XXX vacancy numbers of a configuration
+    # from one xxx_vacancies call, not one xxx_vacancy call per index
+    from bethestates import configs
+    calls = []
+    vacancies = configs.xxx_vacancies
+    monkeypatch.setattr(configs, "xxx_vacancy", None)
+    monkeypatch.setattr(configs, "xxx_vacancies",
+                        lambda nu, mu: calls.append(nu) or vacancies(nu, mu))
+    rep = verify_pairing(compute_ts(9), ChainSpec(9, [(1, 4), (2, 3)]))
+    assert rep.all_passed
+    assert calls
+
+
 def test_pairing_rejects_a_chain_at_another_p0():
     ts, chain = compute_ts(6), ChainSpec(7, [(2, 3)])
     with pytest.raises(PreconditionError, match="disagree on p0"):

@@ -1,18 +1,21 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import factorial
 
 import pytest
 
-from bethestates.configs import (Partition, XXZConfig, _CountContext, count_xxx,
-                                 count_xxz_general, count_xxz_general_detailed,
+from bethestates.configs import (GeneralCount, Partition, XXZConfig, _CountContext,
+                                 count_xxx, count_xxz_general, count_xxz_general_detailed,
                                  enumerate_lambda, enumerate_xxx_configs, enumerate_xxx_rigged,
                                  enumerate_xxz_int, partitions, render_xxx,
                                  render_xxz, signed_binom, string_weights,
-                                 xxx_config_count, xxx_vacancy, xxz_vacancy_int)
+                                 xxx_config_count, xxx_vacancies, xxx_vacancy,
+                                 xxz_vacancy_int)
 from bethestates.oracle import sl2_multiplicity
+from bethestates.qalg import QPolynomial
 from bethestates.spectral import ChainSpec, scaled_form, vacancy_linear_form
 from bethestates.tsdata import admissible_spins, compute_ts
 from bethestates.util import PreconditionError
@@ -95,6 +98,24 @@ def test_xxx_vacancy_diagram_labels():
     assert xxx_vacancy(Partition((4, 1)), MU25, 4) == 0
     assert xxx_vacancy(Partition((4, 1)), MU25, 1) == 1
     assert xxx_vacancy(Partition(()), MU25, 3) >= 0
+
+
+def test_xxx_vacancies_match_the_definition():
+    # one pass over the conjugates gives P_1..P_top, top = max(nu_1, max mu,
+    # 1); xxx_vacancy reads it, and past top P_n stays P_top
+    for mu in [MU25, (3, 3, 3), (2, 2, 1, 1), (4, 2), (1,) * 6, (5, 1), ()]:
+        for size in range(9):
+            for parts in partitions(size):
+                nu = Partition(parts)
+                top = max([nu.max_part, max(mu, default=0), 1])
+                conj = nu.conjugate()
+                want = [sum(min(n, m) for m in mu) - 2 * sum(conj[:n])
+                        for n in range(1, top + 4)]
+                assert xxx_vacancies(nu, mu) == tuple(want[:top]), (mu, parts)
+                assert [xxx_vacancy(nu, mu, n) for n in range(1, top + 4)] == want
+    for n in (0, -1):
+        with pytest.raises(PreconditionError, match="row length must be >= 1"):
+            xxx_vacancy(Partition((2, 1)), MU25, n)
 
 
 def test_enumerate_xxx_weight_five():
@@ -188,6 +209,19 @@ def test_census_evaluates_the_closed_form_once_per_configuration(monkeypatch):
     assert len(calls) == len(set(calls)) == candidates
     assert built == []
     assert 0 < len(recs) < candidates
+
+
+def test_census_computes_the_chain_term_once_per_chain():
+    # sum_m N_m min(j, 2s_m) is fixed by the chain, so a census over every
+    # level builds it once
+    from bethestates import configs
+    ts, chain = compute_ts(9), ChainSpec(9, [(1, 4), (2, 3)])
+    configs._chain_terms.cache_clear()
+    for l in range(chain.n_total + 1):
+        enumerate_xxz_int(ts, chain, l)
+    info = configs._chain_terms.cache_info()
+    assert info.misses == 1 and info.hits > 100, info
+    assert configs._chain_terms(chain, 9) == (7, 10, 10, 10, 10, 10, 10)
 
 
 def test_census_rejects_a_chain_at_another_p0():
@@ -312,6 +346,76 @@ def test_tops_match_vacancy_linear_form():
                         ctx.tops(lam)
                     seen["fractional"] += 1
     assert all(n >= 10 for n in seen.values()), seen
+
+
+# Chains whose every level the counting walk is compared on.
+WALK_CASES = [(F(16, 7), ((1, 12), (8, 1))), (F(55, 34), ((2, 2), (7, 1))),
+              (F(201, 2), ((1, 6), (7, 1))), (F(27, 11), ((6, 2), (1, 3))),
+              (F(6), ((3, 5),)), (F(7, 2), ((1, 6), (2, 3))), (F(13, 5), ((1, 8), (4, 2)))]
+
+
+def test_walk_matches_per_vector_reference():
+    # the walk reads each top from m = den Theta~ lam by back-substitution
+    # and drops a vector at its first vanishing binomial; the reference
+    # evaluates the dense form at every vector and multiplies every factor.
+    # q_count's exponents, lam . m in the walk, are checked against the
+    # quadratic form of the dense matrix theta.
+    from bethestates.identities import _scaled_quadratic_form, gauss_general, q_count
+    seen = Counter()
+    for p0, species in WALK_CASES:
+        ts = compute_ts(p0)
+        chain = ChainSpec(p0, species)
+        form = scaled_form(ts)
+        for l in range(chain.n_total + 1):
+            ctx = _CountContext(ts, chain, l)
+            total = admissible = 0
+            q_ref = QPolynomial.zero()
+            for lam in enumerate_lambda(ts, l):
+                tops = ctx.tops(lam)
+                prod, term = 1, QPolynomial.one()
+                for t, x, eps in zip(tops, lam, ts.signs):
+                    if x:
+                        prod *= signed_binom(t, x)
+                        term = term * gauss_general(t, x, eps)
+                        seen["negative top"] += t < 0
+                seen["vector"] += 1
+                assert (prod == 0) == term.is_zero(), (p0, species, l, lam)
+                if prod:
+                    total += prod
+                    admissible += 1
+                    q_ref = q_ref + term.shift(
+                        F(_scaled_quadratic_form(form.theta, lam), form.den))
+            got = count_xxz_general_detailed(ts, chain, l)
+            assert got == GeneralCount(total, admissible), (p0, species, l)
+            assert q_count(ts, chain, l) == q_ref, (p0, species, l)
+            seen["admissible"] += admissible
+    assert seen["negative top"] > 100 and 0 < seen["admissible"] < seen["vector"] / 2, seen
+
+
+def test_walk_checks_the_lattice_once_per_level(monkeypatch):
+    # the walk checks that every top is an integer once per level, from the
+    # walk at lam = 0; an offset vector shifted off the lattice in its first
+    # or its last row raises on both routes at every level
+    from bethestates import configs, identities
+    linear_form = configs.linear_form
+    for row in (0, -1):
+        def shifted(ts_, chain_, l_, row=row):
+            den, columns, c = linear_form(ts_, chain_, l_)
+            c = list(c)
+            c[row] += 1
+            return den, columns, c
+
+        monkeypatch.setattr(configs, "linear_form", shifted)
+        for p0, species in WALK_CASES:
+            ts = compute_ts(p0)
+            chain = ChainSpec(p0, species)
+            for l in range(chain.n_total + 1):
+                for route in (count_xxz_general, identities.q_count):
+                    with pytest.raises(AssertionError, match="fractional top"):
+                        route(ts, chain, l)
+    monkeypatch.undo()
+    ts = compute_ts(F(16, 7))
+    assert count_xxz_general(ts, ChainSpec(ts.p0, [(1, 3)]), 1) == 3
 
 
 def test_inadmissible_chains_raise_before_enumerating(monkeypatch):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -10,8 +11,8 @@ from bethestates.identities import (bosonic_sum, bosonic_sum_collapsed,
                                     kernel_offset, kernel_poly, kernel_sum,
                                     level_series, q_count)
 from bethestates.configs import count_xxz_general, string_weights
-from bethestates.qalg import QPolynomial, QSeries, pochhammer
-from bethestates.spectral import ChainSpec, ScaledForm, coupling_matrix, scaled_form
+from bethestates.qalg import QPolynomial, QSeries, gauss_binomial, pochhammer
+from bethestates.spectral import ChainSpec, coupling_matrix, scaled_form
 from bethestates.tsdata import compute_ts
 from bethestates.util import PreconditionError
 
@@ -78,6 +79,35 @@ def test_q_count_specializes_to_count_all_levels():
     chain = ChainSpec(6, [(3, 5)])
     for l in range(16):
         assert q_count(ts, chain, l).eval_at_one() == count_xxz_general(ts, chain, l)
+
+
+def _equal_up_to_a_monomial(a: QPolynomial, b: QPolynomial) -> bool:
+    if a.is_zero() or b.is_zero():
+        return a == b
+    return a.shift(-min(a.terms)) == b.shift(-min(b.terms))
+
+
+@pytest.mark.parametrize("p0, n", [
+    (F(16, 7), 12), (F(16, 7), 20), (F(7, 3), 10), (F(3), 8), (F(5, 2), 8),
+    (F(12, 5), 10), (F(201, 2), 10), (F(27, 11), 12)])
+def test_q_count_is_a_shifted_gauss_binomial_on_spin_half_chains(p0, n):
+    # an oracle for the q-grading coded apart from the counting walk: on a
+    # 1xN chain, q_count at every level below numerator(p0) is the Gaussian
+    # binomial [N, l] times a monomial
+    ts = compute_ts(p0)
+    chain = ChainSpec(p0, [(1, n)])
+    for l in range(min(n, p0.numerator - 1) + 1):
+        assert _equal_up_to_a_monomial(q_count(ts, chain, l), gauss_binomial(n, l)), l
+
+
+def test_q_count_gauss_oracle_fails_from_the_numerator_on():
+    # negative control: at 16/7 on 1x20 the levels from numerator(p0) = 16 on
+    # are not all shifted Gaussian binomials, so the comparison can fail
+    ts = compute_ts(F(16, 7))
+    chain = ChainSpec(ts.p0, [(1, 20)])
+    fails = [l for l in range(21)
+             if not _equal_up_to_a_monomial(q_count(ts, chain, l), gauss_binomial(20, l))]
+    assert fails == [16, 17, 20]
 
 
 # -- fermionic side -------------------------------------------------------------------
@@ -160,8 +190,7 @@ def test_dead_level_window_raises_on_a_negative_entry(monkeypatch):
     theta = [list(row) for row in form.theta]
     theta[0][1] = theta[1][0] = -ts.p0.denominator - 1     # n_1 = n_2 = 1
     monkeypatch.setattr(identities, "scaled_form",
-                        lambda ts_: ScaledForm(form.den, tuple(map(tuple, theta)),
-                                               form.columns))
+                        lambda ts_: replace(form, theta=tuple(map(tuple, theta))))
     with pytest.raises(AssertionError, match="not monotone at p0 = 16/7, row 1"):
         fermionic_sum(ts, 6)
 

@@ -6,9 +6,9 @@ import pytest
 from bethestates.configs import enumerate_xxz_int
 from bethestates.spectral import (ChainSpec, RationalMatrix, _runs, coupling_bands,
                                   coupling_inverse, coupling_matrix, offset_vector,
-                                  parity_matrix, tridiagonal_adjugate,
+                                  parity_matrix, scaled_form, tridiagonal_adjugate,
                                   vacancy_linear_form)
-from bethestates.tsdata import compute_ts, zone
+from bethestates.tsdata import compute_ts, string_weights, zone
 from bethestates.util import PreconditionError
 
 F = Fraction
@@ -105,6 +105,34 @@ def test_det_law():
         ts = compute_ts(p0)
         det, _ = tridiagonal_adjugate(*coupling_bands(ts))
         assert abs(det) == ts.y(ts.alpha + 1)
+
+
+def test_dual_bands_send_the_string_lengths_to_the_last_row():
+    # (S C S) n = sigma den e_dim is what lets the counting walk start from
+    # m_dim = sigma * level: the last column of theta = den Theta~ is sigma n
+    for p0 in [F(1), F(2), F(6), F(5, 2), F(16, 7), F(27, 11)] + DEEP_P0:
+        ts = compute_ts(p0)
+        form = scaled_form(ts)
+        diag, off = coupling_bands(ts)
+        signs = ts.signs
+        assert form.diag == tuple(diag), p0
+        assert form.off == tuple(b * s * t for b, s, t in zip(off, signs, signs[1:])), p0
+        assert set(form.off) <= {1, -1} and form.sigma in (1, -1), p0
+        assert [row[-1] for row in form.theta] == [form.sigma * x
+                                                   for x in string_weights(ts)], p0
+
+
+def test_dual_band_check_can_fail(monkeypatch):
+    from bethestates import spectral
+    ts = compute_ts(F(16, 7))
+    weights = string_weights(ts)
+    scaled_form.cache_clear()
+    monkeypatch.setattr(spectral, "string_weights", lambda ts_: (weights[0] + 1, *weights[1:]))
+    try:
+        with pytest.raises(AssertionError, match=r"\(S C S\) n = .* is not \+-16 e_dim"):
+            scaled_form(ts)
+    finally:
+        scaled_form.cache_clear()
 
 
 def test_coupling_shape_and_inverse_exact():

@@ -8,20 +8,19 @@ given by the vacancy linear form; at integer p0 this must agree with the
 direct census route, which is checked in the tests.  The count and q_count
 share one walk over the vectors that reads the tops from the dual variables
 m = den * Theta~ lam, by back-substitution in the tridiagonal S C S: O(dim)
-per vector, stopping at the first vanishing binomial.  spectral.apply_form
-and _CountContext.tops evaluate the dense form per vector; they are the
-reference the walk is tested against.
+per vector, stopping at the first vanishing binomial.  _CountContext.tops
+evaluates the form per vector from the dense rows of Theta~ and the entries
+of E; it is the reference the walk is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, repeat
+from itertools import accumulate, combinations_with_replacement
 from math import comb
-from operator import floordiv, mod
 
-from .spectral import ChainSpec, apply_form, linear_form, scaled_form
+from .spectral import ChainSpec, _parity_entries, linear_form, scaled_form
 from .tsdata import TSData, string_weights
 from .util import PreconditionError
 
@@ -333,25 +332,33 @@ def enumerate_lambda(ts: TSData, l: int) -> list:
 
 
 class _CountContext:
-    """The integer-scaled vacancy linear form of spectral.linear_form,
-    evaluated densely per vector: the reference for the counting walk.
+    """The integer-scaled vacancy linear form, evaluated densely per vector
+    from the rows of scaled_form(ts).theta and the entries of E: the
+    reference for the counting walk, sharing no code with it.
 
     tops(lam) returns the integer top vector.  On a chain inside the string
     classification every top of a level-l vector is an integer, so a
     fractional one raises AssertionError rather than being skipped.
     """
 
-    __slots__ = ("columns", "b_scaled", "denom")
+    __slots__ = ("denom", "b_scaled", "theta", "signs", "parity")
 
     def __init__(self, ts: TSData, chain: ChainSpec, l: int):
-        self.denom, self.columns, self.b_scaled = linear_form(ts, chain, l)
+        self.denom, self.b_scaled = linear_form(ts, chain, l)
+        self.theta, self.signs, self.parity = scaled_form(ts).theta, ts.signs, _parity_entries(ts)
 
     def tops(self, lam):
-        scaled = apply_form(self.columns, self.b_scaled, lam)
-        den = repeat(self.denom)
-        if any(map(mod, scaled, den)):
+        den, signs = self.denom, self.signs
+        scaled = list(self.b_scaled)
+        for i, j, e in self.parity:         # den E lam~, lam~_j = s_j lam_j
+            scaled[i] += den * e * signs[j] * lam[j]
+        for k, x in enumerate(lam):
+            if x:   # theta is symmetric, so row k is column k; s_k Theta_ik = s_i Theta~_ik
+                for i, t in enumerate(self.theta[k]):
+                    scaled[i] -= 2 * signs[i] * t * x
+        if any(v % den for v in scaled):
             raise AssertionError(f"fractional top at lambda = {tuple(lam)}")
-        return list(map(floordiv, scaled, den))
+        return [v // den for v in scaled]
 
 
 def _dual_walk(ts: TSData, chain: ChainSpec, l: int):
@@ -360,33 +367,29 @@ def _dual_walk(ts: TSData, chain: ChainSpec, l: int):
     factors lists (top, lam_i, i) for the nonzero lam_i, last component
     first, and quad = lam . m is den times the quadratic form.
 
-    m = den * Theta~ lam solves the tridiagonal (S C S) m = den lam with
-    m_dim = sigma * l; every off-diagonal b is +-1, so m comes by
-    back-substitution from the last row, m_{i-1} = b_{i-1} (den lam_i -
-    a_i m_i - b_i m_{i+1}), and each top is local: den t_i = c_i - 2 s_i m_i
-    + den (lam_i + corner_i), E's corner being -lam_dim at i = dim-1 and
-    +lam_{dim-1} at i = dim.  With m0 the back-substitution at lam = 0,
-    m = m0 + den u for the integer back-substitution u of lam, so den
-    divides c_i - 2 s_i m_i for every vector of the level exactly when it
-    divides c_i - 2 s_i m0_i: the lattice is checked once per level.  A
-    signed or Gaussian binomial with lam_i > 0 vanishes only when
-    0 <= t_i < lam_i, where the vector is dropped.  _CountContext.tops is
-    the dense per-vector reference.
+    m = den * Theta~ lam is ScaledForm.dual, and each top is local in it:
+    den t_i = c_i - 2 s_i m_i + den (lam_i + corner_i), E's corner being
+    -lam_dim at i = dim-1 and +lam_{dim-1} at i = dim.  With m0 the dual at
+    lam = 0 and level l, m = m0 + den u for the integer back-substitution u
+    of lam, u_{i-1} = b_{i-1} (lam_i - a_i u_i - b_i u_{i+1}) from u_dim = 0,
+    which the walk runs per vector, last row first.  So den divides c_i -
+    2 s_i m_i for every vector of the level exactly when it divides c_i -
+    2 s_i m0_i: the lattice is checked once per level.  A signed or Gaussian
+    binomial with lam_i > 0 vanishes only when 0 <= t_i < lam_i, where the
+    vector is dropped.  _CountContext.tops is the dense per-vector reference.
     """
-    den, _, c = linear_form(ts, chain, l)
+    den, c = linear_form(ts, chain, l)
     form = scaled_form(ts)
     diag, last = form.diag, ts.dim - 1
     off_hi = (*form.off, 0)         # b_i, coupling i to i+1
     off_lo = (0, *form.off)         # b_{i-1}, coupling i to i-1
     coef = [2 * s for s in ts.signs]
-    h, m0 = [0] * ts.dim, [0] * ts.dim
-    m, m_hi = form.sigma * l, 0
-    for i in range(last, -1, -1):
-        m0[i] = m
-        h[i], r = divmod(c[i] - coef[i] * m, den)     # t_i = h_i - 2 s_i u_i + ...
-        if r:
-            raise AssertionError(f"fractional top at level {l}, string type {i + 1}")
-        m, m_hi = -off_lo[i] * (diag[i] * m + off_hi[i] * m_hi), m
+    m0 = form.dual([0] * ts.dim, l)
+    # t_i = h_i - 2 s_i u_i + lam_i + corner_i
+    h, rem = zip(*(divmod(ci - k * mi, den) for ci, k, mi in zip(c, coef, m0)))
+    if any(rem):
+        bad = next(i for i, r in enumerate(rem, 1) if r)
+        raise AssertionError(f"fractional top at level {l}, string type {bad}")
     if last:
         # the corner at dim-1, -lam_dim = -b_{dim-1} u_{dim-1}, joins its coefficient
         coef[last - 1] += off_lo[last]

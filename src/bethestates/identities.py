@@ -18,7 +18,7 @@ from math import comb, floor
 from operator import mul
 
 from .configs import _dual_walk, enumerate_lambda
-from .qalg import QPolynomial, QSeries, as_exp, gauss_binomial, product_expand
+from .qalg import QPolynomial, QSeries, as_exp, gauss_binomial, product_expand, qsum
 from .spectral import ChainSpec, scaled_form
 from .tsdata import TSData, string_weights
 from .util import PreconditionError, rat_str, report_header
@@ -32,22 +32,14 @@ def gauss_general(top: int, b: int, base_sign: int = 1) -> QPolynomial:
     For top < 0 the standard negation identity gives a signed Laurent
     polynomial whose value at q = 1 is the generalized binomial.
     """
+    if base_sign not in (1, -1):
+        raise PreconditionError("base_sign must be +1 or -1")
     if b < 0:
         return QPolynomial.zero()
     if top >= 0:
         return gauss_binomial(top, b, base_sign)
     poly = gauss_binomial(b - top - 1, b, 1).shift(top * b - b * (b - 1) // 2) * (-1) ** b
     return poly.subs_inverse() if base_sign == -1 else poly
-
-
-def _scaled_quadratic_form(signed_theta, lam) -> int:
-    """den * (lam~ Theta lam~^t) = (den/2) lam~ B lam~^t for the multiplicity
-    vector, lam~ the parity-signed lam, from the matrix scaled_form(ts).theta."""
-    total = 0
-    for row, x in zip(signed_theta, lam):
-        if x:
-            total += x * sum(map(mul, row, lam))
-    return total
 
 
 def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
@@ -57,16 +49,19 @@ def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
     monomial times a product of Gaussian binomials in base q**(parity).
     Evaluating at q = 1 recovers the plain count.  The vectors, their tops
     and den times their quadratic form, lam . m, come from the counting walk
-    of configs, which skips every vector with a vanishing binomial.
+    of configs, which skips every vector with a vanishing binomial; the
+    terms are added in place by one qsum.
     """
     den, signs = scaled_form(ts).den, ts.signs
-    out = QPolynomial.zero()
-    for factors, quad in _dual_walk(ts, chain, l):
-        term = QPolynomial.one()
-        for t, x, i in factors:
-            term = term * gauss_general(t, x, signs[i])
-        out = out + term.shift(Fraction(quad, den))
-    return out
+
+    def terms():
+        for factors, quad in _dual_walk(ts, chain, l):
+            term = QPolynomial.one()
+            for t, x, i in factors:
+                term = term * gauss_general(t, x, signs[i])
+            yield term.shift(Fraction(quad, den))
+
+    return qsum(terms())
 
 
 # -- fermionic side --------------------------------------------------------------
@@ -89,15 +84,15 @@ def level_series(ts: TSData, l: int, cutoff) -> QSeries:
 def _level_terms(ts: TSData, l: int, lead: int, cutoff: Fraction):
     """(e0, lam) for each level-l multiplicity vector lam whose series
     q**(e0/den) / prod_k (q**s_k; q**s_k)_{lam_k}, e0 = lead + den times its
-    quadratic form, has a term within the cutoff.  The exact minimal exponent
-    is known in closed form, so vectors whose series lies wholly past the
-    cutoff are skipped without any series work."""
+    quadratic form lam . m, m = ScaledForm.dual(lam, l), has a term within
+    the cutoff.  The exact minimal exponent is known in closed form, so
+    vectors whose series lies wholly past the cutoff are skipped without any
+    series work."""
     form = scaled_form(ts)
-    den, signed_theta = form.den, form.theta
-    signs = ts.signs
+    den, signs = form.den, ts.signs
     limit = floor(cutoff * den)
     for lam in enumerate_lambda(ts, l):
-        e0 = lead + _scaled_quadratic_form(signed_theta, lam)
+        e0 = lead + sum(map(mul, lam, form.dual(lam, l)))
         min_exp = e0 + den * sum(x * (x + 1) for x, s in zip(lam, signs) if s < 0) // 2
         if min_exp <= limit:
             yield e0, lam
@@ -323,6 +318,8 @@ def gordon_andrews_products(ts: TSData, cutoff) -> tuple:
 
 def divide_by_euler(series: QSeries) -> QSeries:
     """Divide by the Euler product, i.e. multiply by the partition series."""
+    if series.cutoff is None:
+        raise PreconditionError("dividing by the Euler product needs a cutoff")
     span = floor(series.cutoff - (series.min_exp() or 0))
     return series.div_cyclotomic(*range(1, span + 1))
 

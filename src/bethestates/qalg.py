@@ -77,6 +77,36 @@ def _new(den: int, lo: int, coeffs: list, cut) -> "QSeries":
     return v
 
 
+def qsum(values) -> "QSeries":
+    """The sum of the values, added in place into one coefficient list: the
+    one addition routine, which QSeries.__add__ calls on two values.
+
+    The list is rescaled when a value on a finer lattice arrives and padded
+    at whichever end a value reaches past; otherwise a value costs its own
+    length, not that of the sum so far.  A sum involving a series is valid
+    up to the smallest cutoff; the sum of no values is the zero polynomial.
+    """
+    den, lo, acc, cut = 1, 0, [], None
+    for v in values:
+        if den % v.den:
+            f = lcm(den, v.den) // den
+            den, lo, acc = den * f, lo * f, _spread(acc, f)
+            cut = None if cut is None else cut * f
+        v_lo, coeffs, v_cut = _on_lattice(v, den)
+        cut = _min_cut(cut, v_cut)
+        if not coeffs:
+            continue
+        if not acc:
+            lo, acc = v_lo, list(coeffs)
+            continue
+        acc[:0] = [0] * (lo - v_lo)
+        lo = min(lo, v_lo)
+        i, end = v_lo - lo, v_lo - lo + len(coeffs)
+        acc += [0] * (end - len(acc))
+        acc[i:end] = map(add, acc[i:end], coeffs)
+    return _new(den, lo, acc, cut)
+
+
 class QSeries:
     """Truncated formal series: terms known exactly for exponents <= cutoff."""
 
@@ -176,18 +206,7 @@ class QSeries:
             other = QPolynomial.monomial(0, other)
         elif not isinstance(other, QSeries):
             return NotImplemented
-        den, (lo_a, a, cut_a), (lo_b, b, cut_b) = _aligned(self, other)
-        if not a:
-            lo_a = lo_b
-        if not b:
-            lo_b = lo_a
-        lo = min(lo_a, lo_b)
-        out = [0] * (max(lo_a + len(a), lo_b + len(b)) - lo)
-        i = lo_a - lo
-        out[i:i + len(a)] = a
-        j = lo_b - lo
-        out[j:j + len(b)] = map(add, out[j:j + len(b)], b)
-        return _new(den, lo, out, _min_cut(cut_a, cut_b))
+        return qsum((self, other))
 
     __radd__ = __add__
 

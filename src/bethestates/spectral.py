@@ -6,22 +6,22 @@ B = 2*Theta.  Theta comes from the continuant recurrences for the leading and
 trailing minors of C, in integers: |det C| = den and den * Theta is the
 signed adjugate, so no dense elimination is needed.  The parity matrix E and
 the offset vector b complete the linear form whose j-th component equals
-P_j(lambda) + lambda_j.  scaled_form is the one coding of Theta and E - B on
-the lattice (1/den)Z, den = numerator(p0); the counting routes, the quadratic
-form and vacancy_linear_form all read it.  It keeps the signed bands of
-S C S = Theta~^-1 and the sign sigma of (S C S) n = sigma den e_dim, from
-which the counting walk of configs reads every top by back-substitution in
-O(dim) per vector.  E - B is kept as parity-signed columns, so apply_form
-evaluates the dense form in O(dim) per nonzero lambda component: the
-per-vector reference of that walk, and the engine of vacancy_linear_form."""
+P_j(lambda) + lambda_j.  scaled_form is the one coding of Theta on the
+lattice (1/den)Z, den = numerator(p0).  Its signed bands of S C S =
+Theta~^-1 are the one production coding of the vacancy form: ScaledForm.dual
+gives m = den Theta~ lam by back-substitution in O(dim), and every top is
+local in m, so vacancy_linear_form, the quadratic form of the fermionic sum
+and the counting walk of configs all read the bands.  The dense rows theta
+are kept for coupling_matrix (display), the positivity check of the
+fermionic sum and the per-vector reference of the counting walk."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, repeat
-from operator import add, mul
+from itertools import groupby
+from operator import mul
 
 from .tsdata import (TSData, admissible_spin, admissible_spins, phase_shift,
                      string_length, string_weights, zone)
@@ -194,30 +194,42 @@ def parity_matrix(ts: TSData) -> RationalMatrix:
 
 @dataclass(frozen=True)
 class ScaledForm:
-    """Theta and the vacancy matrix E - 2 Theta on the lattice (1/den)Z.
+    """Theta on the lattice (1/den)Z, as dense rows and as the bands of its
+    inverse.
 
     den = |det C| = numerator(p0); theta = den * Theta~ (a tuple of rows),
     Theta~_ij = s_i s_j Theta_ij with s = ts.signs, is integral as den * Theta
-    = sign(det) adj C.  columns[k] = s_k * (column k of den * (E - 2 Theta)),
-    so the matrix part of the form at lambda is sum_k lambda_k * columns[k].
+    = sign(det) adj C.
 
     diag and off are the bands of S C S = Theta~^-1, S = diag(s); every off
     entry is +-1.  With n the string lengths, (S C S) n = sigma den e_dim, so
-    m = theta lam solves (S C S) m = den lam with m_dim = sigma * level.
+    m = theta lam solves (S C S) m = den lam with m_dim = sigma * (n . lam).
     """
 
     den: int
     theta: tuple
-    columns: tuple
     diag: tuple
     off: tuple
     sigma: int
 
+    def dual(self, lam, level: int) -> list:
+        """m with m_dim = sigma * level and rows 2..dim of (S C S) m = den lam,
+        last row first: m_{i-1} = b_{i-1} (den lam_i - a_i m_i - b_i m_{i+1}).
+        At level = n . lam this is m = theta lam, in O(dim)."""
+        den, diag, off = self.den, self.diag, self.off
+        m = [0] * len(diag)
+        m[-1] = self.sigma * level
+        below = 0                   # b_i m_{i+1}; the last row has none
+        for i in range(len(m) - 1, 0, -1):
+            m[i - 1] = off[i - 1] * (den * lam[i] - diag[i] * m[i] - below)
+            below = off[i - 1] * m[i]
+        return m
+
 
 @lru_cache(maxsize=16)
 def scaled_form(ts: TSData) -> ScaledForm:
-    """The one exact coding of Theta and of the matrix part of the vacancy
-    linear form; every consumer reads its integers from here."""
+    """The one exact coding of Theta; every consumer reads its integers from
+    here."""
     diag, off = coupling_bands(ts)
     signs = ts.signs
     # S C S, S = diag(signs), has the same determinant and the inverse Theta~
@@ -235,12 +247,7 @@ def scaled_form(ts: TSData) -> ScaledForm:
     if any(scs_n[:-1]) or sigma not in (1, -1) or scs_n[-1] != sigma * den:
         raise AssertionError(f"(S C S) n = {scs_n} is not +-{den} e_dim at p0 = {ts.p0}")
     theta = [row if det > 0 else [-x for x in row] for row in adj]
-    # theta is symmetric, so its rows are its columns; s_k Theta_ik = s_i Theta~_ik
-    columns = [[-2 * si * x for si, x in zip(signs, row)] for row in theta]
-    for i, j, e in _parity_entries(ts):
-        columns[j][i] += signs[j] * den * e
-    return ScaledForm(den, tuple(map(tuple, theta)), tuple(map(tuple, columns)),
-                      tuple(diag), tuple(off), sigma)
+    return ScaledForm(den, tuple(map(tuple, theta)), tuple(diag), tuple(off), sigma)
 
 
 def coupling_matrix(ts: TSData) -> RationalMatrix:
@@ -280,12 +287,12 @@ def _runs(values) -> str:
 
 
 def linear_form(ts: TSData, chain: ChainSpec, l: int) -> tuple:
-    """(den, columns, c) with ((E - B) lam~ + b) = apply_form(columns, c, lam) / den.
+    """(den, c) with c = den * b, b the offset vector at level l.
 
     The entry of the counting routes: a chain with a spin outside the string
     classification has no Bethe states and is rejected here, before any
-    lambda is enumerated.  For the others b lies on the lattice (1/den)Z, so
-    c is an integer vector and every level shares the columns of scaled_form.
+    lambda is enumerated.  For the others b lies on the lattice (1/den)Z of
+    scaled_form, so c is an integer vector.
     """
     form = scaled_form(ts)
     bad = sorted({two_s for two_s, _ in chain.species if not admissible_spin(ts, two_s)})
@@ -297,32 +304,26 @@ def linear_form(ts: TSData, chain: ChainSpec, l: int) -> tuple:
     c = [x * form.den for x in offset_vector(ts, chain, l)]
     if any(x.denominator != 1 for x in c):
         raise AssertionError(f"offset vector off the lattice (1/{form.den})Z at level {l}")
-    return form.den, form.columns, [int(x) for x in c]
-
-
-def apply_form(columns, c, lam) -> list:
-    """c + sum of lam_k * columns[k] over the nonzero lam_k, as a list.
-
-    The terms form one chain of lazy maps, summed row by row by the list.
-    """
-    out = c
-    for col, x in zip(columns, lam):
-        if x:
-            out = map(add, out, col if x == 1 else map(mul, col, repeat(x)))
-    return list(out)
+    return form.den, [int(x) for x in c]
 
 
 def vacancy_linear_form(ts: TSData, chain: ChainSpec, l: int, lam):
     """((E - B) lam~ + b) componentwise; subtract lambda_j to get P_j.
 
-    lam~ flips the sign of odd-zone components.  Any spin is accepted, also
-    one outside the string classification that the counting routes reject;
-    components may then be non-integral rationals.
+    lam~ flips the sign of odd-zone components; component i is b_i -
+    2 s_i m_i / den + (E lam~)_i, m = ScaledForm.dual(lam, n . lam) = den
+    Theta~ lam.  Any spin is accepted, also one outside the string
+    classification that the counting routes reject; components may then be
+    non-integral rationals.
     """
     if len(lam) != ts.dim:
         raise PreconditionError("lambda vector has wrong length")
     if any(x < 0 for x in lam):
         raise PreconditionError("lambda entries must be nonnegative")
     form = scaled_form(ts)
-    return [Fraction(v, form.den) + x for v, x in
-            zip(apply_form(form.columns, [0] * ts.dim, lam), offset_vector(ts, chain, l))]
+    m = form.dual(lam, sum(map(mul, string_weights(ts), lam)))
+    out = [b - Fraction(2 * s * x, form.den)
+           for s, x, b in zip(ts.signs, m, offset_vector(ts, chain, l))]
+    for i, j, e in _parity_entries(ts):
+        out[i] += e * ts.signs[j] * lam[j]
+    return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .util import PreconditionError
 
@@ -108,8 +108,9 @@ def string_length(ts: TSData, j) -> Fraction:
     return _zone_length(ts, j, i)
 
 
+@lru_cache(maxsize=16)
 def string_weights(ts: TSData) -> tuple:
-    """Integer string lengths n_k for k = 1..dim."""
+    """Integer string lengths n_k for k = 1..dim, once per string data."""
     return tuple(int(string_length(ts, Fraction(k))) for k in range(1, ts.dim + 1))
 
 

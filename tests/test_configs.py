@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 from collections import Counter
@@ -16,7 +17,8 @@ from bethestates.configs import (GeneralCount, Partition, XXZConfig, _CountConte
                                  xxz_vacancy_int)
 from bethestates.oracle import sl2_multiplicity
 from bethestates.qalg import QPolynomial
-from bethestates.spectral import ChainSpec, scaled_form, vacancy_linear_form
+from bethestates.spectral import (ChainSpec, coupling_matrix, offset_vector, scaled_form,
+                                  vacancy_linear_form)
 from bethestates.tsdata import admissible_spins, compute_ts
 from bethestates.util import PreconditionError
 
@@ -302,20 +304,23 @@ def test_enumerate_lambda_matches_brute_force():
             assert lams == brute_force_lambda(weights, l), (p0, l)
 
 
-def test_context_shares_scaled_columns():
-    # inside the string classification every level reads the cached columns
+def test_context_shares_scaled_theta():
+    # inside the string classification every level reads the cached rows of
+    # theta and the offset vector scaled to the lattice (1/den)Z
     ts = compute_ts(F(201, 2))
     chain = ChainSpec(ts.p0, [(1, 4)])
     form = scaled_form(ts)
     for l in range(chain.n_total + 1):
         ctx = _CountContext(ts, chain, l)
         assert ctx.denom == form.den == 201, l
-        assert ctx.columns is form.columns, l
+        assert ctx.theta is form.theta, l
+        assert ctx.b_scaled == [201 * x for x in offset_vector(ts, chain, l)], l
 
 
 def test_tops_match_vacancy_linear_form():
-    # tops is the linear form when every component is an integer and raises
-    # as soon as one is not; seeded lam on admissible chains.  There a
+    # tops, the dense rows of theta, is the linear form read from the bands
+    # when every component is an integer and raises as soon as one is not;
+    # seeded lam on admissible chains.  There a
     # fractional lam gives fractional rows only, so a one-row shift of the
     # offset checks that a single fractional row raises too.
     rng = random.Random(20261018)
@@ -334,8 +339,7 @@ def test_tops_match_vacancy_linear_form():
                     assert ctx.tops(lam) == [int(x) for x in exact], (p0, species, l, lam)
                     seen["integer"] += 1
                     for row, key in ((-1, "first row integer"), (0, "last row integer")):
-                        shifted = _CountContext.__new__(_CountContext)
-                        shifted.denom, shifted.columns = ctx.denom, ctx.columns
+                        shifted = copy.copy(ctx)
                         shifted.b_scaled = list(ctx.b_scaled)
                         shifted.b_scaled[row] += 1
                         with pytest.raises(AssertionError, match="fractional top"):
@@ -359,13 +363,14 @@ def test_walk_matches_per_vector_reference():
     # and drops a vector at its first vanishing binomial; the reference
     # evaluates the dense form at every vector and multiplies every factor.
     # q_count's exponents, lam . m in the walk, are checked against the
-    # quadratic form of the dense matrix theta.
-    from bethestates.identities import _scaled_quadratic_form, gauss_general, q_count
+    # quadratic form lam~ Theta lam~ of the Fractions of coupling_matrix,
+    # over the nonzero entries of lam~ only.
+    from bethestates.identities import gauss_general, q_count
     seen = Counter()
     for p0, species in WALK_CASES:
         ts = compute_ts(p0)
         chain = ChainSpec(p0, species)
-        form = scaled_form(ts)
+        theta = coupling_matrix(ts).rows
         for l in range(chain.n_total + 1):
             ctx = _CountContext(ts, chain, l)
             total = admissible = 0
@@ -383,8 +388,9 @@ def test_walk_matches_per_vector_reference():
                 if prod:
                     total += prod
                     admissible += 1
+                    signed = [(k, s * x) for k, (x, s) in enumerate(zip(lam, ts.signs)) if x]
                     q_ref = q_ref + term.shift(
-                        F(_scaled_quadratic_form(form.theta, lam), form.den))
+                        sum(a * theta[k][j] * b for k, a in signed for j, b in signed))
             got = count_xxz_general_detailed(ts, chain, l)
             assert got == GeneralCount(total, admissible), (p0, species, l)
             assert q_count(ts, chain, l) == q_ref, (p0, species, l)
@@ -400,10 +406,10 @@ def test_walk_checks_the_lattice_once_per_level(monkeypatch):
     linear_form = configs.linear_form
     for row in (0, -1):
         def shifted(ts_, chain_, l_, row=row):
-            den, columns, c = linear_form(ts_, chain_, l_)
+            den, c = linear_form(ts_, chain_, l_)
             c = list(c)
             c[row] += 1
-            return den, columns, c
+            return den, c
 
         monkeypatch.setattr(configs, "linear_form", shifted)
         for p0, species in WALK_CASES:

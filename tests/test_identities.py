@@ -59,6 +59,13 @@ def test_gauss_general_negative_top():
             assert gauss_general(t, b).eval_at_one() == signed_binom(t, b)
 
 
+def test_gauss_general_rejects_a_base_sign_other_than_plus_minus_one():
+    # negative and nonnegative tops alike, also where the result would be 0
+    for top, b in ((-1, 1), (1, 1), (-3, 0), (2, -1)):
+        with pytest.raises(PreconditionError, match="base_sign"):
+            gauss_general(top, b, 2)
+
+
 # -- q-analog of the count -----------------------------------------------------------
 
 def test_q_count_example3():
@@ -87,17 +94,37 @@ def _equal_up_to_a_monomial(a: QPolynomial, b: QPolynomial) -> bool:
     return a.shift(-min(a.terms)) == b.shift(-min(b.terms))
 
 
+# The monomial q**c in q_count(1xN, l) = q**c [N, l] for l = 0, 1, ...:
+# frozen values, so that a wrong exponent cannot pass as another shift.
+GAUSS_SHIFTS = {
+    (F(16, 7), 12): "0 -71/16 -31/4 -159/16 -11 -175/16 -63/4 -231/16 -12 -135/16 -15/4 "
+                    "33/16 9",
+    (F(16, 7), 20): "0 -119/16 -63/4 -351/16 -27 -495/16 -135/4 -567/16 -36 -567/16 -175/4 "
+                    "-671/16 -39 -559/16 -119/4 -375/16",
+    (F(7, 3), 10): "0 -24/7 -40/7 -48/7 -48/7 -75/7 -66/7",
+    (F(3), 8): "0 -7/3 -10/3",
+    (F(5, 2), 8): "0 -12/5 -18/5 -18/5 -32/5",
+    (F(12, 5), 10): "0 -41/12 -17/3 -27/4 -20/3 -125/12 -9 -77/12 -8/3 9/4 25/3",
+    (F(201, 2), 10): "0 -2/201 -8/201 -6/67 -32/201 -50/201 378/67 1309/201 1480/201 549/67 "
+                     "1810/201",
+    (F(27, 11), 12): "0 -119/27 -206/27 -29/3 -284/27 -275/27 -44/3 -350/27 -272/27 -6 -20/27 "
+                     "154/27 4/3",
+}
+
+
 @pytest.mark.parametrize("p0, n", [
     (F(16, 7), 12), (F(16, 7), 20), (F(7, 3), 10), (F(3), 8), (F(5, 2), 8),
     (F(12, 5), 10), (F(201, 2), 10), (F(27, 11), 12)])
 def test_q_count_is_a_shifted_gauss_binomial_on_spin_half_chains(p0, n):
     # an oracle for the q-grading coded apart from the counting walk: on a
     # 1xN chain, q_count at every level below numerator(p0) is the Gaussian
-    # binomial [N, l] times a monomial
+    # binomial [N, l] times a frozen monomial, so a wrong m0 fails it
     ts = compute_ts(p0)
     chain = ChainSpec(p0, [(1, n)])
-    for l in range(min(n, p0.numerator - 1) + 1):
-        assert _equal_up_to_a_monomial(q_count(ts, chain, l), gauss_binomial(n, l)), l
+    shifts = [F(c) for c in GAUSS_SHIFTS[p0, n].split()]
+    assert len(shifts) == min(n, p0.numerator - 1) + 1
+    for l, c in enumerate(shifts):
+        assert q_count(ts, chain, l) == gauss_binomial(n, l).shift(c), l
 
 
 def test_q_count_gauss_oracle_fails_from_the_numerator_on():
@@ -344,6 +371,11 @@ def test_residue_product_form():
     lhs = fermionic_sum(ts, 12)
     _, residue = gordon_andrews_products(ts, 12)
     assert divide_by_euler(lhs).first_discrepancy(residue) is None
+
+
+def test_divide_by_euler_needs_a_cutoff():
+    with pytest.raises(PreconditionError, match="cutoff"):
+        divide_by_euler(QPolynomial.one())
 
 
 def test_gordon_andrews_needs_integer():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bethestates.qalg import (QPolynomial, QSeries, gauss_binomial, pochhammer,
-                              product_expand)
+                              product_expand, qsum)
 from bethestates.util import PreconditionError
 
 
@@ -70,6 +70,34 @@ def test_add_takes_min_cutoff():
     a = QSeries({0: 1}, 20)
     b = QSeries({0: 1}, 10)
     assert (a + b).cutoff == 10
+
+
+def test_qsum_adds_in_place_across_lattices():
+    # qsum against a Fraction-keyed tally of the terms: seeded values on the
+    # lattices Z, Z/2 and Z/3, added in an order that grows the list at both
+    # ends and refines its lattice midway; the inputs stay unchanged, and a
+    # series among them cuts the sum at the smallest cutoff
+    rng = random.Random(12)
+    values = []
+    for den in (1, 1, 2, 1, 3, 2):
+        lo = rng.randint(-6, 6)
+        values.append(QPolynomial({Fraction(lo + i, den): rng.randint(-2, 2)
+                                   for i in range(rng.randint(0, 9))}))
+    values.append(-values[0])
+    before = [v.coeffs[:] for v in values]
+    tally = {}
+    for v in values:
+        for e, c in v.terms.items():
+            tally[e] = tally.get(e, 0) + c
+    total = qsum(iter(values))
+    assert type(total) is QPolynomial
+    assert total.terms == {e: c for e, c in sorted(tally.items()) if c}
+    assert [v.coeffs for v in values] == before
+    series = qsum([*values, QSeries.zero(Fraction(5, 2)), QSeries.one(4)])
+    tally[Fraction(0)] = tally.get(Fraction(0), 0) + 1
+    assert series.cutoff == Fraction(5, 2)
+    assert series.terms == {e: c for e, c in sorted(tally.items()) if c and e <= Fraction(5, 2)}
+    assert qsum([]) == QPolynomial.zero()
 
 
 def test_mul_geometric_inverse():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -133,6 +134,26 @@ def test_dual_band_check_can_fail(monkeypatch):
             scaled_form(ts)
     finally:
         scaled_form.cache_clear()
+
+
+def test_dual_is_theta_times_lambda():
+    # the back-substitution of ScaledForm.dual against the row products of
+    # the dense theta on seeded vectors at the level n . lam, at dim 1000
+    # too; another level gives another m, and at lam = 0 the level alone
+    # sets the last entry
+    rng = random.Random(20261018)
+    for p0 in DEEP_P0 + [F(1997, 2)]:
+        ts = compute_ts(p0)
+        form = scaled_form(ts)
+        weights = string_weights(ts)
+        for _ in range(4):
+            lam = [rng.choice((0, 0, 0, 1, 2, 5)) for _ in range(ts.dim)]
+            level = sum(map(mul, weights, lam))
+            m = [sum(map(mul, row, lam)) for row in form.theta]
+            assert form.dual(lam, level) == m, p0
+            assert form.dual(lam, level + 1) != m, p0
+        for l in (0, 1, 7):
+            assert form.dual([0] * ts.dim, l)[-1] == form.sigma * l, (p0, l)
 
 
 def test_coupling_shape_and_inverse_exact():

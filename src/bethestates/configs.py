@@ -6,11 +6,11 @@ length-1 strings (rendered as club rows).  The general counting route sums a
 product of binomials over admissible string-multiplicity vectors, with tops
 given by the vacancy linear form; at integer p0 this must agree with the
 direct census route, which is checked in the tests.  The count and q_count
-share one walk over the vectors that reads the tops from the dual variables
-m = den * Theta~ lam, by back-substitution in the tridiagonal S C S: O(dim)
-per vector, stopping at the first vanishing binomial.  _CountContext.tops
-evaluates the form per vector from the dense rows of Theta~ and the entries
-of E; it is the reference the walk is tested against.
+share one walk over the vectors that reads the tops from g = G lam, G =
+Theta~ + n n^t/p0 an integer matrix, by back-substitution in the tridiagonal
+S C S: O(dim) per vector, stopping at the first vanishing binomial.
+_CountContext.tops evaluates the form per vector from the dense rows of
+Theta~ and the entries of E; it is the reference the walk is tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 from math import comb
 
-from .spectral import ChainSpec, _parity_entries, linear_form, scaled_form
+from .spectral import ChainSpec, _parity_entries, linear_form, offset_vector, scaled_form
 from .tsdata import TSData, string_weights
 from .util import PreconditionError
 
@@ -43,11 +43,11 @@ class Partition:
     parts: tuple
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts if p)
+        parts = tuple(int(p) for p in parts)
         if any(p < 0 for p in parts) or any(
                 parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise PreconditionError(f"not a partition: {parts}")
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "parts", tuple(p for p in parts if p))     # trailing zeros
 
     @property
     def size(self) -> int:
@@ -103,6 +103,8 @@ def xxx_vacancies(nu: Partition, mu) -> tuple:
     """(P_1, ..., P_top), top = max(nu_1, max mu, 1), in one pass:
     P_n = sum_{j<=n} (mu'_j - 2 nu'_j), as sum_k min(n, mu_k) = mu'_1 + ...
     + mu'_n.  Past top both conjugates vanish, so P_n = P_top for n > top."""
+    if min(mu, default=1) < 1:
+        raise PreconditionError(f"composition entries must be >= 1: {tuple(mu)}")
     top = max([nu.max_part, max(mu, default=0), 1])
     ends = [0] * (top + 1)          # ends[v]: mu entries minus twice nu parts equal to v
     for m in mu:
@@ -344,7 +346,9 @@ class _CountContext:
     __slots__ = ("denom", "b_scaled", "theta", "signs", "parity")
 
     def __init__(self, ts: TSData, chain: ChainSpec, l: int):
-        self.denom, self.b_scaled = linear_form(ts, chain, l)
+        linear_form(ts, chain, l)           # a spin outside the classification raises
+        self.denom = den = scaled_form(ts).den
+        self.b_scaled = [int(x * den) for x in offset_vector(ts, chain, l)]
         self.theta, self.signs, self.parity = scaled_form(ts).theta, ts.signs, _parity_entries(ts)
 
     def tops(self, lam):
@@ -362,60 +366,57 @@ class _CountContext:
 
 
 def _dual_walk(ts: TSData, chain: ChainSpec, l: int):
-    """(factors, quad) for each level-l multiplicity vector lam whose
-    binomial product does not vanish, in the order of enumerate_lambda:
-    factors lists (top, lam_i, i) for the nonzero lam_i, last component
-    first, and quad = lam . m is den times the quadratic form.
+    """(factors, e) for each level-l multiplicity vector lam whose binomial
+    product does not vanish, in the order of enumerate_lambda: factors lists
+    (top, lam_i, i) for the nonzero lam_i, last component first, and the
+    integer e = lam . g is the quadratic form lam G lam.
 
-    m = den * Theta~ lam is ScaledForm.dual, and each top is local in it:
-    den t_i = c_i - 2 s_i m_i + den (lam_i + corner_i), E's corner being
-    -lam_dim at i = dim-1 and +lam_{dim-1} at i = dim.  With m0 the dual at
-    lam = 0 and level l, m = m0 + den u for the integer back-substitution u
-    of lam, u_{i-1} = b_{i-1} (lam_i - a_i u_i - b_i u_{i+1}) from u_dim = 0,
-    which the walk runs per vector, last row first.  So den divides c_i -
-    2 s_i m_i for every vector of the level exactly when it divides c_i -
-    2 s_i m0_i: the lattice is checked once per level.  A signed or Gaussian
-    binomial with lam_i > 0 vanishes only when 0 <= t_i < lam_i, where the
-    vector is dropped.  _CountContext.tops is the dense per-vector reference.
+    g = G lam is ScaledForm.dual(lam, l), and each top is local in it:
+    t_i = h_i - 2 s_i g_i + lam_i + corner_i, h = linear_form(ts, chain, l)
+    and E's corner being -lam_dim at i = dim-1 and +lam_{dim-1} at i = dim.
+    With g0 the dual at lam = 0 and level l, g = g0 + u for the integer
+    back-substitution u of lam, u_{i-1} = b_{i-1} (lam_i - a_i u_i - b_i
+    u_{i+1}) from u_dim = 0, which the walk runs per vector, last row first.
+    g is integral, so linear_form's check of h is the level's one lattice
+    check.  A signed or Gaussian binomial with lam_i > 0 vanishes only when
+    0 <= t_i < lam_i, where the vector is dropped.  _CountContext.tops is the
+    dense per-vector reference.
     """
-    den, c = linear_form(ts, chain, l)
+    h = linear_form(ts, chain, l)
     form = scaled_form(ts)
     diag, last = form.diag, ts.dim - 1
     off_hi = (*form.off, 0)         # b_i, coupling i to i+1
     off_lo = (0, *form.off)         # b_{i-1}, coupling i to i-1
     coef = [2 * s for s in ts.signs]
-    m0 = form.dual([0] * ts.dim, l)
-    # t_i = h_i - 2 s_i u_i + lam_i + corner_i
-    h, rem = zip(*(divmod(ci - k * mi, den) for ci, k, mi in zip(c, coef, m0)))
-    if any(rem):
-        bad = next(i for i, r in enumerate(rem, 1) if r)
-        raise AssertionError(f"fractional top at level {l}, string type {bad}")
+    g0 = form.dual([0] * ts.dim, l)
+    # t_i = h_i - 2 s_i u_i + lam_i + corner_i, g0 folded into h
+    h = [hi - k * gi for hi, k, gi in zip(h, coef, g0)]
     if last:
         # the corner at dim-1, -lam_dim = -b_{dim-1} u_{dim-1}, joins its coefficient
         coef[last - 1] += off_lo[last]
-    rows = [(h[i], coef[i], diag[i], off_lo[i], off_hi[i], m0[i], i)
+    rows = [(h[i], coef[i], diag[i], off_lo[i], off_hi[i], g0[i], i)
             for i in range(last - 1, -1, -1)]
-    h_last, m_last, b_last = h[last], m0[last], off_lo[last]
+    h_last, g_last, b_last = h[last], g0[last], off_lo[last]
     for lam in enumerate_lambda(ts, l):
         x = lam[last]
-        factors, quad = [], 0
+        factors, e = [], 0
         if x:
             t = h_last + x + (lam[last - 1] if last else 0)
             if 0 <= t < x:
                 continue
             factors.append((t, x, last))
-            quad = x * m_last
+            e = x * g_last
         u, u_hi = b_last * x, 0
-        for (hi, k, a, b_lo, b_hi, mi, i), x in zip(rows, lam[last - 1::-1]):
+        for (hi, k, a, b_lo, b_hi, gi, i), x in zip(rows, lam[last - 1::-1]):
             if x:
                 t = hi - k * u + x
                 if 0 <= t < x:
                     break
                 factors.append((t, x, i))
-                quad += x * (mi + den * u)
+                e += x * (gi + u)
             u, u_hi = b_lo * (x - a * u - b_hi * u_hi), u
         else:
-            yield factors, quad
+            yield factors, e
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """q-series identities: fermionic level sums against bosonic alternating sums.
 
 The fermionic side sums q**(l^2/p0) * V_l over all levels, where V_l is the
-generating series of states at level l.  The bosonic side is an alternating
-double sum whose kernel polynomials are the same for every rational p0.  For
-integer p0 the bosonic side collapses further to the classical
+generating series of states at level l: a level-l vector lam adds q**(lam G
+lam) / prod_k (q**s_k; q**s_k)_{lam_k} to the sum, G = Theta~ + n n^t/p0 an
+integer matrix.  The bosonic side is an alternating double sum whose kernel
+polynomials are the same for every rational p0.  For integer p0 the bosonic
+side collapses further to the classical
 Gordon-Andrews alternating sum and, via the Jacobi triple product, to
 modulus-(2 p0 + 1) products.  All comparisons are exact and term-by-term up
 to a truncation cutoff.
@@ -46,22 +48,20 @@ def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
     """q-analog of the state count at level l (a Laurent polynomial).
 
     Each admissible multiplicity vector contributes its quadratic-form
-    monomial times a product of Gaussian binomials in base q**(parity).
-    Evaluating at q = 1 recovers the plain count.  The vectors, their tops
-    and den times their quadratic form, lam . m, come from the counting walk
-    of configs, which skips every vector with a vanishing binomial; the
-    terms are added in place by one qsum.
+    monomial q**(lam Theta~ lam) times a product of Gaussian binomials in base
+    q**(parity).  Evaluating at q = 1 recovers the plain count.  The vectors,
+    their tops and lam G lam = lam Theta~ lam + l^2/p0 come from the counting
+    walk of configs, which skips every vector with a vanishing binomial; the
+    terms are added in place on Z by one qsum, shifted once by -l^2/p0.
     """
-    den, signs = scaled_form(ts).den, ts.signs
-
     def terms():
-        for factors, quad in _dual_walk(ts, chain, l):
+        for factors, e in _dual_walk(ts, chain, l):
             term = QPolynomial.one()
             for t, x, i in factors:
-                term = term * gauss_general(t, x, signs[i])
-            yield term.shift(Fraction(quad, den))
+                term = term * gauss_general(t, x, ts.signs[i])
+            yield term.shift(e)
 
-    return qsum(terms())
+    return qsum(terms()).shift(-l * l / ts.p0)
 
 
 # -- fermionic side --------------------------------------------------------------
@@ -71,37 +71,34 @@ def level_series(ts: TSData, l: int, cutoff) -> QSeries:
     monomial divided by finite q-factorials in base q**(parity).
 
     Each vector is divided on its own: the reference for fermionic_sum,
-    which divides each q-factorial once for all vectors that share it."""
-    cutoff = as_exp(cutoff)
-    form = scaled_form(ts)
+    which divides each q-factorial once for all vectors that share it.  It
+    sums on Z up to the cutoff + l^2/p0 and shifts back by -l^2/p0."""
+    lead = l * l / ts.p0
+    cutoff = as_exp(cutoff) + lead
     acc = QSeries.zero(cutoff)
-    for e0, lam in _level_terms(ts, l, 0, cutoff):
-        acc = acc + QSeries.monomial(Fraction(e0, form.den), 1, cutoff).div_cyclotomic(
+    for e, lam in _level_terms(ts, l, cutoff):
+        acc = acc + QSeries.monomial(e, 1, cutoff).div_cyclotomic(
             *(eps * i for x, eps in zip(lam, ts.signs) for i in range(1, x + 1)))
-    return acc
+    return acc.shift(-lead)
 
 
-def _level_terms(ts: TSData, l: int, lead: int, cutoff: Fraction):
-    """(e0, lam) for each level-l multiplicity vector lam whose series
-    q**(e0/den) / prod_k (q**s_k; q**s_k)_{lam_k}, e0 = lead + den times its
-    quadratic form lam . m, m = ScaledForm.dual(lam, l), has a term within
-    the cutoff.  The exact minimal exponent is known in closed form, so
-    vectors whose series lies wholly past the cutoff are skipped without any
-    series work."""
-    form = scaled_form(ts)
-    den, signs = form.den, ts.signs
-    limit = floor(cutoff * den)
+def _level_terms(ts: TSData, l: int, cutoff: Fraction):
+    """(e, lam) for each level-l multiplicity vector lam whose series
+    q**e / prod_k (q**s_k; q**s_k)_{lam_k}, e = lam . g = lam G lam,
+    g = ScaledForm.dual(lam, l), has a term within the cutoff.  Its least
+    exponent is e + sum_{s_k < 0} lam_k (lam_k + 1)/2, an integer, so vectors
+    whose series lies wholly past the cutoff are skipped without any series
+    work."""
+    dual, signs, limit = scaled_form(ts).dual, ts.signs, floor(cutoff)
     for lam in enumerate_lambda(ts, l):
-        e0 = lead + sum(map(mul, lam, form.dual(lam, l)))
-        min_exp = e0 + den * sum(x * (x + 1) for x, s in zip(lam, signs) if s < 0) // 2
-        if min_exp <= limit:
-            yield e0, lam
+        e = sum(map(mul, lam, dual(lam, l)))
+        if e + sum(x * (x + 1) for x, s in zip(lam, signs) if s < 0) // 2 <= limit:
+            yield e, lam
 
 
-def _trie_sum(groups: dict, den: int, cutoff: Fraction) -> QSeries:
-    """Sum over groups {path: [e0, ...]} of q**(e0/den) divided by the
-    q-factorials on the path, each (q**s; q**s)_x written as the signed
-    length s * x.
+def _trie_sum(groups: dict, cutoff: Fraction) -> QSeries:
+    """Sum over groups {path: [e, ...]} of q**e divided by the q-factorials
+    on the path, each (q**s; q**s)_x written as the signed length s * x.
 
     The paths are the leaves of a trie whose nodes are their prefixes; in
     sorted order, paths that share a prefix are adjacent.  Bottom-up, a
@@ -127,8 +124,7 @@ def _trie_sum(groups: dict, den: int, cutoff: Fraction) -> QSeries:
         for factor in key[common:]:
             path.append(factor)
             sums.append(QSeries.zero(cutoff))
-        monomials = QSeries([(Fraction(e, den), 1) for e in groups.pop(key)], cutoff)
-        sums[-1] = sums[-1] + monomials
+        sums[-1] = sums[-1] + QSeries([(e, 1) for e in groups.pop(key)], cutoff)
     while path:
         close()
     return sums[0]
@@ -138,23 +134,21 @@ def dead_level_window(ts: TSData) -> int:
     """W = max n_k: fermionic_sum stops after W consecutive dead levels,
     levels with no vector that has a term within the cutoff.
 
-    den = numerator(p0) times the least exponent of the series of lam is
-    e(lam) = lam M lam^t + den * sum_{s_k < 0} lam_k (lam_k + 1)/2, where
-    M = den Theta~ + denominator(p0) n n^t includes l^2/p0, l = n . lam.
-    Checked here (AssertionError otherwise): M >= 0 entrywise, and M_kk = 0
-    only where s_k < 0.  So raising lam_k by one adds 2 (M lam)_k + M_kk,
-    plus den (lam_k + 1) if s_k < 0: e grows by >= 1 in every component.
+    The least exponent of the series of lam is e(lam) = lam G lam +
+    sum_{s_k < 0} lam_k (lam_k + 1)/2, an integer, with G = Theta~ + n n^t/p0
+    (l^2/p0 included, l = n . lam), whose column k is ScaledForm.dual(e_k,
+    n_k).  Checked here (AssertionError otherwise): G >= 0 entrywise, and
+    G_kk = 0 only where s_k < 0.  So raising lam_k by one adds 2 (G lam)_k +
+    G_kk, plus lam_k + 1 if s_k < 0: e grows by >= 1 in every component.
     Proof: if levels l0 .. l0 + W - 1 are dead, lower a vector at a level
     >= l0 + W one unit at a time.  Each step drops the level by n_k <= W, so
     it meets a vector it dominates in that window, which is past the cutoff,
     and so is it.  The loop ends, as e(lam) >= sum lam_k >= l / W.
     """
-    form = scaled_form(ts)
-    weights = string_weights(ts)
-    q = ts.p0.denominator
-    for k, (row, n_k, s_k) in enumerate(zip(form.theta, weights, ts.signs)):
-        m = [x + q * n_k * n_j for x, n_j in zip(row, weights)]
-        if min(m) < 0 or (m[k] == 0 and s_k > 0):
+    form, weights = scaled_form(ts), string_weights(ts)
+    for k, (n_k, s_k) in enumerate(zip(weights, ts.signs)):
+        column = form.dual([int(j == k) for j in range(ts.dim)], n_k)
+        if min(column) < 0 or (column[k] == 0 and s_k > 0):
             raise AssertionError(
                 f"fermionic exponent not monotone at p0 = {ts.p0}, row {k + 1}")
     return max(weights)
@@ -171,21 +165,19 @@ def fermionic_sum(ts: TSData, cutoff) -> QSeries:
     cutoff = as_exp(cutoff)
     window = dead_level_window(ts)
     # signed lengths s_k * lam_k of the nonzero lam_k, largest |.| first (so
-    # the longest divisions sit nearest the root) -> e0 of each such vector
+    # the longest divisions sit nearest the root) -> e of each such vector
     groups = {}
-    dead = 0
-    l = 0
+    dead = l = 0
     while dead < window:
-        lead = l * l * ts.p0.denominator   # den * l^2/p0, den = numerator(p0)
         live = False
-        for e0, lam in _level_terms(ts, l, lead, cutoff):
+        for e, lam in _level_terms(ts, l, cutoff):
             live = True
             path = tuple(sorted((s * x for x, s in zip(lam, ts.signs) if x),
                                 key=lambda f: (abs(f), f), reverse=True))
-            groups.setdefault(path, []).append(e0)
+            groups.setdefault(path, []).append(e)
         dead = 0 if live else dead + 1
         l += 1
-    return _trie_sum(groups, scaled_form(ts).den, cutoff)
+    return _trie_sum(groups, cutoff)
 
 
 # -- bosonic side ----------------------------------------------------------------

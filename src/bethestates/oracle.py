@@ -16,7 +16,9 @@ from .util import PreconditionError, report_header
 
 def _weight_counts(mu) -> list:
     """counts[w] = number of integer tuples with 0 <= a_i <= mu_i and
-    sum a_i = w, for w = 0 .. sum(mu)."""
+    sum a_i = w, for w = 0 .. sum(mu); every mu_i must be >= 1."""
+    if min(mu, default=1) < 1:
+        raise PreconditionError(f"composition entries must be >= 1: {tuple(mu)}")
     counts = [1]
     for m in mu:
         nxt = [0] * (len(counts) + m)

@@ -54,11 +54,6 @@ def _on_lattice(v: "QSeries", den: int):
     return v.lo * f, _spread(v.coeffs, f), None if v.cut is None else v.cut * f
 
 
-def _aligned(a: "QSeries", b: "QSeries"):
-    den = lcm(a.den, b.den)
-    return den, _on_lattice(a, den), _on_lattice(b, den)
-
-
 def _scaled(e: Fraction, den: int) -> int:
     """e * den for an exponent on the lattice (1/den)Z."""
     return e.numerator * (den // e.denominator)
@@ -221,7 +216,8 @@ class QSeries:
         a, b = (other, self) if self.cut is None else (self, other)
         if a.cut is not None and b.cut is None:
             b = b.truncated(a.cutoff - min(b.min_exp() or 0, 0))
-        den, (lo_a, ca, cut_a), (lo_b, cb, cut_b) = _aligned(a, b)
+        den = lcm(a.den, b.den)
+        (lo_a, ca, cut_a), (lo_b, cb, cut_b) = _on_lattice(a, den), _on_lattice(b, den)
         cut = None
         if cut_a is not None:
             cut = min(cut_a + min(lo_b, 0), cut_b + min(lo_a, 0))

@@ -6,14 +6,14 @@ B = 2*Theta.  Theta comes from the continuant recurrences for the leading and
 trailing minors of C, in integers: |det C| = den and den * Theta is the
 signed adjugate, so no dense elimination is needed.  The parity matrix E and
 the offset vector b complete the linear form whose j-th component equals
-P_j(lambda) + lambda_j.  scaled_form is the one coding of Theta on the
-lattice (1/den)Z, den = numerator(p0).  Its signed bands of S C S =
-Theta~^-1 are the one production coding of the vacancy form: ScaledForm.dual
-gives m = den Theta~ lam by back-substitution in O(dim), and every top is
-local in m, so vacancy_linear_form, the quadratic form of the fermionic sum
-and the counting walk of configs all read the bands.  The dense rows theta
-are kept for coupling_matrix (display), the positivity check of the
-fermionic sum and the per-vector reference of the counting walk."""
+P_j(lambda) + lambda_j.  scaled_form is the one coding of Theta and of the
+integer matrix G = Theta~ + n n^t/p0, n the string lengths.  Its signed bands
+of S C S = Theta~^-1 are the one production coding of the vacancy form:
+ScaledForm.dual gives g = G lam by back-substitution in O(dim), and every
+top is local in g, so vacancy_linear_form, the quadratic form of the
+fermionic sum and the counting walk of configs all read the bands.  The
+dense rows theta are kept for coupling_matrix (display) and the per-vector
+reference of the counting walk."""
 
 from __future__ import annotations
 
@@ -195,7 +195,7 @@ def parity_matrix(ts: TSData) -> RationalMatrix:
 @dataclass(frozen=True)
 class ScaledForm:
     """Theta on the lattice (1/den)Z, as dense rows and as the bands of its
-    inverse.
+    inverse, which also give the integer matrix G = Theta~ + n n^t/p0.
 
     den = |det C| = numerator(p0); theta = den * Theta~ (a tuple of rows),
     Theta~_ij = s_i s_j Theta_ij with s = ts.signs, is integral as den * Theta
@@ -203,7 +203,8 @@ class ScaledForm:
 
     diag and off are the bands of S C S = Theta~^-1, S = diag(s); every off
     entry is +-1.  With n the string lengths, (S C S) n = sigma den e_dim, so
-    m = theta lam solves (S C S) m = den lam with m_dim = sigma * (n . lam).
+    g = G lam solves (S C S) g = lam + lift (n . lam) e_dim, lift = sigma q,
+    q = denominator(p0), and g_dim = last (n . lam), last = (sigma + q n_dim)/den.
     """
 
     den: int
@@ -211,25 +212,27 @@ class ScaledForm:
     diag: tuple
     off: tuple
     sigma: int
+    lift: int
+    last: int
 
     def dual(self, lam, level: int) -> list:
-        """m with m_dim = sigma * level and rows 2..dim of (S C S) m = den lam,
-        last row first: m_{i-1} = b_{i-1} (den lam_i - a_i m_i - b_i m_{i+1}).
-        At level = n . lam this is m = theta lam, in O(dim)."""
-        den, diag, off = self.den, self.diag, self.off
-        m = [0] * len(diag)
-        m[-1] = self.sigma * level
-        below = 0                   # b_i m_{i+1}; the last row has none
-        for i in range(len(m) - 1, 0, -1):
-            m[i - 1] = off[i - 1] * (den * lam[i] - diag[i] * m[i] - below)
-            below = off[i - 1] * m[i]
-        return m
+        """g with g_dim = last * level and rows 2..dim of (S C S) g = lam +
+        lift * level * e_dim, last row first: g_{i-1} = b_{i-1} (lam_i - a_i g_i
+        - b_i g_{i+1}).  At level = n . lam this is g = G lam, in O(dim)."""
+        diag, off = self.diag, self.off
+        g = [0] * len(diag)
+        g[-1] = self.last * level
+        below = -self.lift * level      # b_i g_{i+1}, or the last row's raise
+        for i in range(len(g) - 1, 0, -1):
+            g[i - 1] = off[i - 1] * (lam[i] - diag[i] * g[i] - below)
+            below = off[i - 1] * g[i]
+        return g
 
 
 @lru_cache(maxsize=16)
 def scaled_form(ts: TSData) -> ScaledForm:
-    """The one exact coding of Theta; every consumer reads its integers from
-    here."""
+    """The one exact coding of Theta and G; every consumer reads its integers
+    from here."""
     diag, off = coupling_bands(ts)
     signs = ts.signs
     # S C S, S = diag(signs), has the same determinant and the inverse Theta~
@@ -246,8 +249,12 @@ def scaled_form(ts: TSData) -> ScaledForm:
     sigma = scs_n[-1] // den
     if any(scs_n[:-1]) or sigma not in (1, -1) or scs_n[-1] != sigma * den:
         raise AssertionError(f"(S C S) n = {scs_n} is not +-{den} e_dim at p0 = {ts.p0}")
-    theta = [row if det > 0 else [-x for x in row] for row in adj]
-    return ScaledForm(den, tuple(map(tuple, theta)), tuple(diag), tuple(off), sigma)
+    q = ts.p0.denominator
+    last, rest = divmod(sigma + q * n[-1], den)
+    if rest:
+        raise AssertionError(f"G = Theta~ + n n^t/p0 is not integral at p0 = {ts.p0}")
+    theta = tuple(tuple(row) if det > 0 else tuple(-x for x in row) for row in adj)
+    return ScaledForm(den, theta, tuple(diag), tuple(off), sigma, sigma * q, last)
 
 
 def coupling_matrix(ts: TSData) -> RationalMatrix:
@@ -286,33 +293,34 @@ def _runs(values) -> str:
     return ", ".join(parts)
 
 
-def linear_form(ts: TSData, chain: ChainSpec, l: int) -> tuple:
-    """(den, c) with c = den * b, b the offset vector at level l.
+def linear_form(ts: TSData, chain: ChainSpec, l: int) -> list:
+    """h = b + 2 l S n/p0, b the offset vector at level l, as integers.
 
     The entry of the counting routes: a chain with a spin outside the string
     classification has no Bethe states and is rejected here, before any
-    lambda is enumerated.  For the others b lies on the lattice (1/den)Z of
-    scaled_form, so c is an integer vector.
+    lambda is enumerated.  A top is h_i - 2 s_i g_i + lam_i + E's corner with
+    g = ScaledForm.dual(lam, l) integral, so a fractional h raises AssertionError.
     """
-    form = scaled_form(ts)
+    scaled_form(ts)             # string data wider than MAX_DIM is rejected first
     bad = sorted({two_s for two_s, _ in chain.species if not admissible_spin(ts, two_s)})
     if bad:
         ok = _runs(admissible_spins(ts)) or "none"
         raise PreconditionError(
             f"chain has 2s = {', '.join(map(str, bad))} outside the string classification "
             f"at p0 = {ts.p0}; admissible 2s: {ok}")
-    c = [x * form.den for x in offset_vector(ts, chain, l)]
-    if any(x.denominator != 1 for x in c):
-        raise AssertionError(f"offset vector off the lattice (1/{form.den})Z at level {l}")
-    return form.den, [int(x) for x in c]
+    h = [b + 2 * l * s * n / ts.p0
+         for b, s, n in zip(offset_vector(ts, chain, l), ts.signs, string_weights(ts))]
+    if any(x.denominator != 1 for x in h):
+        raise AssertionError(f"fractional top at level {l}")
+    return [int(x) for x in h]
 
 
 def vacancy_linear_form(ts: TSData, chain: ChainSpec, l: int, lam):
     """((E - B) lam~ + b) componentwise; subtract lambda_j to get P_j.
 
     lam~ flips the sign of odd-zone components; component i is b_i -
-    2 s_i m_i / den + (E lam~)_i, m = ScaledForm.dual(lam, n . lam) = den
-    Theta~ lam.  Any spin is accepted, also one outside the string
+    2 s_i (g_i - n_i L/p0) + (E lam~)_i, g = ScaledForm.dual(lam, L) = G lam
+    at L = n . lam.  Any spin is accepted, also one outside the string
     classification that the counting routes reject; components may then be
     non-integral rationals.
     """
@@ -320,10 +328,11 @@ def vacancy_linear_form(ts: TSData, chain: ChainSpec, l: int, lam):
         raise PreconditionError("lambda vector has wrong length")
     if any(x < 0 for x in lam):
         raise PreconditionError("lambda entries must be nonnegative")
-    form = scaled_form(ts)
-    m = form.dual(lam, sum(map(mul, string_weights(ts), lam)))
-    out = [b - Fraction(2 * s * x, form.den)
-           for s, x, b in zip(ts.signs, m, offset_vector(ts, chain, l))]
+    form, weights = scaled_form(ts), string_weights(ts)
+    level = sum(map(mul, weights, lam))
+    out = [b - 2 * s * (x - n * level / ts.p0)
+           for s, x, n, b in zip(ts.signs, form.dual(lam, level), weights,
+                                 offset_vector(ts, chain, l))]
     for i, j, e in _parity_entries(ts):
         out[i] += e * ts.signs[j] * lam[j]
     return out

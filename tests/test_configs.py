@@ -34,6 +34,14 @@ def test_partition_basics():
         Partition((1, 2))
 
 
+def test_partition_strips_only_trailing_zeros():
+    assert Partition((3, 2, 0)) == Partition((3, 2))
+    assert Partition((0, 0)) == Partition(())
+    for parts in ((3, 0, 2), (0, 1), (2, -1)):
+        with pytest.raises(PreconditionError, match="not a partition"):
+            Partition(parts)
+
+
 def test_partitions_generator():
     assert sorted(partitions(4)) == sorted(
         [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)])
@@ -118,6 +126,16 @@ def test_xxx_vacancies_match_the_definition():
     for n in (0, -1):
         with pytest.raises(PreconditionError, match="row length must be >= 1"):
             xxx_vacancy(Partition((2, 1)), MU25, n)
+
+
+def test_xxx_vacancies_reject_a_nonpositive_entry():
+    # a negative entry once wrapped around the end of the column counts:
+    # xxx_vacancies(Partition((1,)), (2, -1)) gave (0, 2), count_xxx 1
+    for mu in ((2, -1), (2, 0), (0,)):
+        with pytest.raises(PreconditionError, match="entries must be >= 1"):
+            xxx_vacancies(Partition((1,)), mu)
+        with pytest.raises(PreconditionError, match="entries must be >= 1"):
+            count_xxx(1, mu)
 
 
 def test_enumerate_xxx_weight_five():
@@ -398,20 +416,35 @@ def test_walk_matches_per_vector_reference():
     assert seen["negative top"] > 100 and 0 < seen["admissible"] < seen["vector"] / 2, seen
 
 
+def test_q_count_exponents_lie_on_the_level_coset():
+    # every exponent of q_count at level l lies in -l^2/p0 + Z, and some
+    # level of each chain has a fractional one, so the check is not vacuous
+    from bethestates.identities import q_count
+    for p0, species in WALK_CASES:
+        ts = compute_ts(p0)
+        chain = ChainSpec(p0, species)
+        fractional = False
+        for l in range(chain.n_total + 1):
+            lead = F(l * l) / p0
+            exps = q_count(ts, chain, l).terms
+            assert all((e + lead).denominator == 1 for e in exps), (p0, species, l)
+            fractional |= any(e.denominator != 1 for e in exps)
+        assert fractional, (p0, species)
+
+
 def test_walk_checks_the_lattice_once_per_level(monkeypatch):
-    # the walk checks that every top is an integer once per level, from the
-    # walk at lam = 0; an offset vector shifted off the lattice in its first
-    # or its last row raises on both routes at every level
-    from bethestates import configs, identities
-    linear_form = configs.linear_form
+    # the walk checks that every top is an integer once per level, in
+    # linear_form; an offset vector shifted off the lattice by 1/den in its
+    # first or its last row raises on both routes at every level
+    from bethestates import configs, identities, spectral
+    offset_vector = spectral.offset_vector
     for row in (0, -1):
         def shifted(ts_, chain_, l_, row=row):
-            den, c = linear_form(ts_, chain_, l_)
-            c = list(c)
-            c[row] += 1
-            return den, c
+            b = list(offset_vector(ts_, chain_, l_))
+            b[row] += F(1, ts_.p0.numerator)
+            return b
 
-        monkeypatch.setattr(configs, "linear_form", shifted)
+        monkeypatch.setattr(spectral, "offset_vector", shifted)
         for p0, species in WALK_CASES:
             ts = compute_ts(p0)
             chain = ChainSpec(p0, species)
@@ -421,7 +454,16 @@ def test_walk_checks_the_lattice_once_per_level(monkeypatch):
                         route(ts, chain, l)
     monkeypatch.undo()
     ts = compute_ts(F(16, 7))
-    assert count_xxz_general(ts, ChainSpec(ts.p0, [(1, 3)]), 1) == 3
+    chain = ChainSpec(ts.p0, [(1, 3)])
+    assert count_xxz_general(ts, chain, 1) == 3
+    calls = []
+    linear_form = configs.linear_form
+    monkeypatch.setattr(configs, "linear_form",
+                        lambda *args: calls.append(args[2]) or linear_form(*args))
+    for l in range(chain.n_total + 1):
+        count_xxz_general(ts, chain, l)
+        identities.q_count(ts, chain, l)
+    assert calls == [l for l in range(chain.n_total + 1) for _ in range(2)]
 
 
 def test_inadmissible_chains_raise_before_enumerating(monkeypatch):

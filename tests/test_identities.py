@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -12,7 +11,7 @@ from bethestates.identities import (bosonic_sum, bosonic_sum_collapsed,
                                     level_series, q_count)
 from bethestates.configs import count_xxz_general, string_weights
 from bethestates.qalg import QPolynomial, QSeries, gauss_binomial, pochhammer
-from bethestates.spectral import ChainSpec, coupling_matrix, scaled_form
+from bethestates.spectral import ChainSpec, ScaledForm, coupling_matrix, scaled_form
 from bethestates.tsdata import compute_ts
 from bethestates.util import PreconditionError
 
@@ -127,6 +126,14 @@ def test_q_count_is_a_shifted_gauss_binomial_on_spin_half_chains(p0, n):
         assert q_count(ts, chain, l) == gauss_binomial(n, l).shift(c), l
 
 
+def test_gauss_shifts_lie_on_the_level_coset():
+    # every frozen shift has the fractional part of -l^2/p0: q_count is a
+    # polynomial on Z shifted once by -l^2/p0
+    for (p0, n), text in GAUSS_SHIFTS.items():
+        for l, c in enumerate(text.split()):
+            assert (F(c) + F(l * l) / p0).denominator == 1, (p0, n, l)
+
+
 def test_q_count_gauss_oracle_fails_from_the_numerator_on():
     # negative control: at 16/7 on 1x20 the levels from numerator(p0) = 16 on
     # are not all shifted Gaussian binomials, so the comparison can fail
@@ -209,15 +216,22 @@ def test_fermionic_exponent_grows_in_every_component():
 
 
 def test_dead_level_window_raises_on_a_negative_entry(monkeypatch):
-    # the check can fail: a form with one entry lowered below -n_i n_j q is
-    # rejected before any level is summed
-    from bethestates import identities
+    # the check can fail: the form it reads, G column by column from
+    # ScaledForm.dual, with one entry lowered below zero is rejected before
+    # any level is summed
     ts = compute_ts(F(16, 7))
-    form = scaled_form(ts)
-    theta = [list(row) for row in form.theta]
-    theta[0][1] = theta[1][0] = -ts.p0.denominator - 1     # n_1 = n_2 = 1
-    monkeypatch.setattr(identities, "scaled_form",
-                        lambda ts_: replace(form, theta=tuple(map(tuple, theta))))
+    first = (1,) + (0,) * (ts.dim - 1)
+    n_1 = string_weights(ts)[0]
+    assert scaled_form(ts).dual(first, n_1)[1] >= 0
+    dual = ScaledForm.dual
+
+    def lowered(form, lam, level):
+        g = dual(form, lam, level)
+        if tuple(lam) == first and level == n_1:     # column 1 of G
+            g[1] = -1
+        return g
+
+    monkeypatch.setattr(ScaledForm, "dual", lowered)
     with pytest.raises(AssertionError, match="not monotone at p0 = 16/7, row 1"):
         fermionic_sum(ts, 6)
 

@@ -23,6 +23,15 @@ def test_weight_count_basics():
     assert all(weight_count(mu, w) == weight_count(mu, 10 - w) for w in range(11))
 
 
+def test_weight_counts_reject_a_nonpositive_entry():
+    # a nonpositive entry gave a silent count: weight_count((2, -1), 1) was 0
+    for mu in ((2, -1), (2, 0), (0,)):
+        with pytest.raises(PreconditionError, match="entries must be >= 1"):
+            weight_count(mu, 1)
+        with pytest.raises(PreconditionError, match="entries must be >= 1"):
+            sl2_multiplicity(mu, 0)
+
+
 def test_weight_count_mixed():
     mu = (3, 1, 2)
     assert sum(weight_count(mu, w) for w in range(sum(mu) + 1)) == 4 * 2 * 3

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
@@ -139,21 +140,35 @@ def test_dual_band_check_can_fail(monkeypatch):
 def test_dual_is_theta_times_lambda():
     # the back-substitution of ScaledForm.dual against the row products of
     # the dense theta on seeded vectors at the level n . lam, at dim 1000
-    # too; another level gives another m, and at lam = 0 the level alone
-    # sets the last entry
+    # too: it is G lam = (theta lam + q (n . lam) n)/den, q = denominator(p0),
+    # an integer vector; another level gives another g, and at lam = 0 the
+    # level alone sets the last entry
     rng = random.Random(20261018)
     for p0 in DEEP_P0 + [F(1997, 2)]:
         ts = compute_ts(p0)
         form = scaled_form(ts)
         weights = string_weights(ts)
+        q = p0.denominator
         for _ in range(4):
             lam = [rng.choice((0, 0, 0, 1, 2, 5)) for _ in range(ts.dim)]
             level = sum(map(mul, weights, lam))
-            m = [sum(map(mul, row, lam)) for row in form.theta]
-            assert form.dual(lam, level) == m, p0
-            assert form.dual(lam, level + 1) != m, p0
+            g = [F(sum(map(mul, row, lam)) + q * level * n, form.den)
+                 for row, n in zip(form.theta, weights)]
+            assert all(x.denominator == 1 for x in g), p0
+            assert form.dual(lam, level) == g, p0
+            assert form.dual(lam, level + 1) != g, p0
         for l in (0, 1, 7):
-            assert form.dual([0] * ts.dim, l)[-1] == form.sigma * l, (p0, l)
+            assert form.dual([0] * ts.dim, l)[-1] == F(l * (form.sigma + q * weights[-1]),
+                                                       form.den), (p0, l)
+
+
+def test_integral_form_check_can_fail():
+    # the string data of 16/7 with p0 relabelled 16/5: |det C| and the bands
+    # still pass, but 16 does not divide sigma + 5 n_dim = -1 + 35
+    ts = replace(compute_ts(F(16, 7)), p0=F(16, 5))
+    with pytest.raises(AssertionError,
+                       match=r"G = Theta~ \+ n n\^t/p0 is not integral at p0 = 16/5$"):
+        scaled_form(ts)
 
 
 def test_coupling_shape_and_inverse_exact():

@@ -9,8 +9,8 @@ direct census route, which is checked in the tests.  The count and q_count
 share one walk over the vectors that reads the tops from g = G lam, G =
 Theta~ + n n^t/p0 an integer matrix, by back-substitution in the tridiagonal
 S C S: O(dim) per vector, stopping at the first vanishing binomial.
-_CountContext.tops evaluates the form per vector from the dense rows of
-Theta~ and the entries of E; it is the reference the walk is tested against.
+_CountContext.tops evaluates the form per vector from the dense adjugate of
+S C S, built on demand, and E; it is the reference the walk is tested against.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 from math import comb
 
-from .spectral import ChainSpec, _parity_entries, linear_form, offset_vector, scaled_form
+from .spectral import (ChainSpec, _parity_entries, linear_form, offset_vector, scaled_form,
+                       tridiagonal_adjugate)
 from .tsdata import TSData, string_weights
-from .util import PreconditionError
+from .util import PreconditionError, check_level, integral
 
 
 def signed_binom(a: int, b: int) -> int:
@@ -43,7 +44,7 @@ class Partition:
     parts: tuple
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
+        parts = integral(parts, "partition parts")
         if any(p < 0 for p in parts) or any(
                 parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise PreconditionError(f"not a partition: {parts}")
@@ -184,9 +185,12 @@ class XXZConfig:
     clubs: int
 
     def __post_init__(self):
-        if self.clubs < 0 or any(m < 0 for m in self.lam):
+        *lam, clubs = integral((*self.lam, self.clubs), "configuration entries")
+        if clubs < 0 or any(m < 0 for m in lam):
             raise PreconditionError(
                 f"negative multiplicity in configuration {self.lam}, {self.clubs} clubs")
+        object.__setattr__(self, "lam", tuple(lam))
+        object.__setattr__(self, "clubs", clubs)
 
     @classmethod
     def from_parts(cls, parts, p0: int, clubs: int) -> XXZConfig:
@@ -260,8 +264,7 @@ def enumerate_xxz_int(ts: TSData, chain: ChainSpec, l: int) -> list:
     partition in ascending lexicographic order.
     """
     p0 = ts.integer_p0(_DIRECT, 2)
-    if l < 0:
-        raise PreconditionError("level must be nonnegative")
+    check_level(l)
     out = []
     for clubs in range(l, -1, -1):
         for parts in sorted(partitions(l - clubs, p0 - 1)):
@@ -288,8 +291,7 @@ def enumerate_lambda(ts: TSData, l: int) -> list:
     the remainder take 0 without a branch, and the last component is the
     quotient of the remainder.
     """
-    if l < 0:
-        raise PreconditionError("level must be nonnegative")
+    check_level(l)
     weights = string_weights(ts)
     dim = len(weights)
     last = dim - 1
@@ -334,9 +336,9 @@ def enumerate_lambda(ts: TSData, l: int) -> list:
 
 
 class _CountContext:
-    """The integer-scaled vacancy linear form, evaluated densely per vector
-    from the rows of scaled_form(ts).theta and the entries of E: the
-    reference for the counting walk, sharing no code with it.
+    """The vacancy linear form scaled by denom = det C, evaluated densely per
+    vector from det C * Theta~ = adj(S C S) and the entries of E: the
+    reference for the counting walk, sharing no back-substitution with it.
 
     tops(lam) returns the integer top vector.  On a chain inside the string
     classification every top of a level-l vector is an integer, so a
@@ -347,9 +349,9 @@ class _CountContext:
 
     def __init__(self, ts: TSData, chain: ChainSpec, l: int):
         linear_form(ts, chain, l)           # a spin outside the classification raises
-        self.denom = den = scaled_form(ts).den
-        self.b_scaled = [int(x * den) for x in offset_vector(ts, chain, l)]
-        self.theta, self.signs, self.parity = scaled_form(ts).theta, ts.signs, _parity_entries(ts)
+        self.denom, self.theta = tridiagonal_adjugate(scaled_form(ts).diag, scaled_form(ts).off)
+        self.b_scaled = [int(x * self.denom) for x in offset_vector(ts, chain, l)]
+        self.signs, self.parity = ts.signs, _parity_entries(ts)
 
     def tops(self, lam):
         den, signs = self.denom, self.signs

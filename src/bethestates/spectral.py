@@ -2,18 +2,17 @@
 
 The symmetric tridiagonal integer matrix C (the inverse coupling matrix) is
 built zone by zone; its exact inverse Theta defines the quadratic form
-B = 2*Theta.  Theta comes from the continuant recurrences for the leading and
-trailing minors of C, in integers: |det C| = den and den * Theta is the
-signed adjugate, so no dense elimination is needed.  The parity matrix E and
+B = 2*Theta.  The continuant recurrence for the leading minors of C gives
+|det C| = den in integers, and with the trailing minors the signed adjugate
+den * Theta, so no dense elimination is needed.  The parity matrix E and
 the offset vector b complete the linear form whose j-th component equals
-P_j(lambda) + lambda_j.  scaled_form is the one coding of Theta and of the
-integer matrix G = Theta~ + n n^t/p0, n the string lengths.  Its signed bands
-of S C S = Theta~^-1 are the one production coding of the vacancy form:
-ScaledForm.dual gives g = G lam by back-substitution in O(dim), and every
-top is local in g, so vacancy_linear_form, the quadratic form of the
-fermionic sum and the counting walk of configs all read the bands.  The
-dense rows theta are kept for coupling_matrix (display) and the per-vector
-reference of the counting walk."""
+P_j(lambda) + lambda_j.  scaled_form is the one coding of the integer
+matrix G = Theta~ + n n^t/p0, n the string lengths, kept as the signed bands
+of S C S = Theta~^-1 in O(dim): ScaledForm.dual gives g = G lam by
+back-substitution, and every top is local in g, so vacancy_linear_form, the
+quadratic form of the fermionic sum and the counting walk of configs all
+read the bands.  The dense rows of Theta are built on demand only, for
+coupling_matrix (display) and the per-vector reference of configs."""
 
 from __future__ import annotations
 
@@ -25,10 +24,11 @@ from operator import mul
 
 from .tsdata import (TSData, admissible_spin, admissible_spins, phase_shift,
                      string_length, string_weights, zone)
-from .util import PreconditionError, frac_part
+from .util import PreconditionError, check_level, frac_part, integral
 
-# Widest string data (number of string types) whose Theta and linear form are
-# built; wider data is rejected before any O(dim^2) work.  201/2 has dim 102.
+# Widest string data (number of string types) accepted.  scaled_form is O(dim);
+# the ceiling guards the dim^2 theta display, dead_level_window's O(dim^2)
+# column scan and the level loops over dim-long vectors.  201/2 has dim 102.
 MAX_DIM = 1000
 
 
@@ -60,23 +60,28 @@ class RationalMatrix:
         return f"RationalMatrix[{body}]"
 
 
+def leading_minors(diag, off) -> list:
+    """[1, theta_1, ..., theta_n], the leading minors of the symmetric tridiagonal
+    matrix with diagonal diag and off-diagonal off, by the continuant recurrence
+    theta_k = a_k theta_{k-1} - b_{k-1}^2 theta_{k-2}; theta_n is the determinant."""
+    theta = [1, diag[0]]
+    for k in range(1, len(diag)):
+        theta.append(diag[k] * theta[k] - off[k - 1] ** 2 * theta[k - 1])
+    return theta
+
+
 def tridiagonal_adjugate(diag, off) -> tuple:
     """(det, adj) of the symmetric tridiagonal integer matrix with diagonal
     diag and off-diagonal off, from the continuant recurrences.
 
-    theta_k (leading k x k minor) and phi_k (trailing minor from row k) obey
-    theta_k = a_k theta_{k-1} - b_{k-1}^2 theta_{k-2}, and the adjugate is
+    theta_k are the leading minors, and phi_k, the trailing minor from row k,
+    the leading minors of the reversed bands; the adjugate is
     adj_ij = (-1)^(i+j) b_i ... b_{j-1} theta_{i-1} phi_{j+1} for i <= j.
     No minor is divided by, so a vanishing leading minor needs no pivoting.
     """
     n = len(diag)
-    theta = [1, diag[0]]
-    for k in range(1, n):
-        theta.append(diag[k] * theta[k] - off[k - 1] ** 2 * theta[k - 1])
-    phi = [1, diag[-1]]
-    for k in range(n - 2, -1, -1):
-        phi.append(diag[k] * phi[-1] - off[k] ** 2 * phi[-2])
-    phi.reverse()
+    theta = leading_minors(diag, off)
+    phi = leading_minors(diag[::-1], off[::-1])[::-1]
     det = theta[n]
     if det == 0:
         raise PreconditionError("tridiagonal matrix is singular")
@@ -99,7 +104,8 @@ class ChainSpec:
 
     def __init__(self, p0, species):
         object.__setattr__(self, "p0", Fraction(p0))
-        object.__setattr__(self, "species", tuple((int(s), int(n)) for s, n in species))
+        object.__setattr__(self, "species",
+                           tuple(integral((s, n), "species entries") for s, n in species))
         for two_s, count in self.species:
             if two_s < 1 or count < 1:
                 raise PreconditionError("species need two_s >= 1 and multiplicity >= 1")
@@ -194,12 +200,11 @@ def parity_matrix(ts: TSData) -> RationalMatrix:
 
 @dataclass(frozen=True)
 class ScaledForm:
-    """Theta on the lattice (1/den)Z, as dense rows and as the bands of its
-    inverse, which also give the integer matrix G = Theta~ + n n^t/p0.
+    """Theta~ as the bands of its inverse, which also give the integer matrix
+    G = Theta~ + n n^t/p0, in O(dim) integers; no dense row is kept.
 
-    den = |det C| = numerator(p0); theta = den * Theta~ (a tuple of rows),
-    Theta~_ij = s_i s_j Theta_ij with s = ts.signs, is integral as den * Theta
-    = sign(det) adj C.
+    den = |det C| = numerator(p0), Theta~_ij = s_i s_j Theta_ij with
+    s = ts.signs, and den * Theta~ is integral, as den * Theta = sign(det) adj C.
 
     diag and off are the bands of S C S = Theta~^-1, S = diag(s); every off
     entry is +-1.  With n the string lengths, (S C S) n = sigma den e_dim, so
@@ -208,7 +213,6 @@ class ScaledForm:
     """
 
     den: int
-    theta: tuple
     diag: tuple
     off: tuple
     sigma: int
@@ -231,14 +235,13 @@ class ScaledForm:
 
 @lru_cache(maxsize=16)
 def scaled_form(ts: TSData) -> ScaledForm:
-    """The one exact coding of Theta and G; every consumer reads its integers
-    from here."""
+    """The one exact coding of G; every production consumer reads its
+    integers from here.  O(dim): |det C| is the last leading minor."""
     diag, off = coupling_bands(ts)
     signs = ts.signs
     # S C S, S = diag(signs), has the same determinant and the inverse Theta~
     off = [b * s * t for b, s, t in zip(off, signs, signs[1:])]
-    det, adj = tridiagonal_adjugate(diag, off)
-    den = abs(det)
+    den = abs(leading_minors(diag, off)[-1])
     if den != ts.p0.numerator:
         raise AssertionError(f"|det C| = {den} is not the numerator of p0 = {ts.p0}")
     n = string_weights(ts)
@@ -253,15 +256,13 @@ def scaled_form(ts: TSData) -> ScaledForm:
     last, rest = divmod(sigma + q * n[-1], den)
     if rest:
         raise AssertionError(f"G = Theta~ + n n^t/p0 is not integral at p0 = {ts.p0}")
-    theta = tuple(tuple(row) if det > 0 else tuple(-x for x in row) for row in adj)
-    return ScaledForm(den, theta, tuple(diag), tuple(off), sigma, sigma * q, last)
+    return ScaledForm(den, tuple(diag), tuple(off), sigma, sigma * q, last)
 
 
 def coupling_matrix(ts: TSData) -> RationalMatrix:
-    """Theta, the exact inverse of the tridiagonal coupling matrix."""
-    form = scaled_form(ts)
-    return RationalMatrix([[Fraction(si * sj * x, form.den) for sj, x in zip(ts.signs, row)]
-                           for si, row in zip(ts.signs, form.theta)])
+    """Theta = adj C / det C, the exact inverse, as dense rows built on demand."""
+    det, adj = tridiagonal_adjugate(*coupling_bands(ts))
+    return RationalMatrix([[Fraction(x, det) for x in row] for row in adj])
 
 
 @lru_cache(maxsize=16)
@@ -277,8 +278,7 @@ def _phase_vector(ts: TSData, chain: ChainSpec) -> tuple:
 def offset_vector(ts: TSData, chain: ChainSpec, l: int):
     """The inhomogeneous vector b of the vacancy linear form at level l."""
     chain.require_p0(ts.p0)
-    if l < 0:
-        raise PreconditionError("level must be nonnegative")
+    check_level(l)
     f = frac_part(Fraction(chain.n_total - 2 * l) / ts.p0)
     return [n * f - phases for n, phases in _phase_vector(ts, chain)]
 
@@ -322,8 +322,9 @@ def vacancy_linear_form(ts: TSData, chain: ChainSpec, l: int, lam):
     2 s_i (g_i - n_i L/p0) + (E lam~)_i, g = ScaledForm.dual(lam, L) = G lam
     at L = n . lam.  Any spin is accepted, also one outside the string
     classification that the counting routes reject; components may then be
-    non-integral rationals.
+    non-integral rationals, but never floats: lam must be integral.
     """
+    lam = integral(lam, "lambda entries")
     if len(lam) != ts.dim:
         raise PreconditionError("lambda vector has wrong length")
     if any(x < 0 for x in lam):

@@ -1,4 +1,5 @@
-"""Small shared helpers: exact parsing, fractional parts, report headers."""
+"""Small shared helpers: exact parsing, integer and level checks, fractional
+parts, report headers."""
 
 from __future__ import annotations
 
@@ -29,6 +30,24 @@ def parse_rational(text: str) -> Fraction:
             raise ParseError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+def integral(values, what: str) -> tuple:
+    """values as a tuple of ints; PreconditionError unless each one is
+    integral, so 2.5 is rejected rather than truncated to 2."""
+    values = tuple(values)
+    out = tuple(int(x) for x in values)
+    if out != values:
+        raise PreconditionError(f"{what} must be integers: {values}")
+    return out
+
+
+def check_level(l) -> None:
+    """PreconditionError unless the level l is a nonnegative int."""
+    if not isinstance(l, int):
+        raise PreconditionError(f"level must be an integer: {l!r}")
+    if l < 0:
+        raise PreconditionError("level must be nonnegative")
 
 
 def frac_part(x: Fraction) -> Fraction:

@@ -167,12 +167,13 @@ def test_identity_negative_cutoff_rejected(capsys, monkeypatch):
 
 def test_too_wide_string_data_rejected(capsys, monkeypatch):
     # 1000001/1000000 has a million string types; compute_ts is cheap there,
-    # but building Theta or the linear form would not be
+    # but the continuants of the bands, Theta or the linear form would not be
     from bethestates import spectral
 
     def no_theta(*args):
         raise AssertionError("Theta construction started")
 
+    monkeypatch.setattr(spectral, "leading_minors", no_theta)
     monkeypatch.setattr(spectral, "tridiagonal_adjugate", no_theta)
     monkeypatch.setattr(spectral, "offset_vector", no_theta)
     wide = "1000001/1000000"

@@ -323,16 +323,39 @@ def test_enumerate_lambda_matches_brute_force():
 
 
 def test_context_shares_scaled_theta():
-    # inside the string classification every level reads the cached rows of
-    # theta and the offset vector scaled to the lattice (1/den)Z
-    ts = compute_ts(F(201, 2))
-    chain = ChainSpec(ts.p0, [(1, 4)])
-    form = scaled_form(ts)
-    for l in range(chain.n_total + 1):
-        ctx = _CountContext(ts, chain, l)
-        assert ctx.denom == form.den == 201, l
-        assert ctx.theta is form.theta, l
-        assert ctx.b_scaled == [201 * x for x in offset_vector(ts, chain, l)], l
+    # inside the string classification every level reads the lattice (1/den)Z
+    # of scaled_form, scaled by det C = +-den: the offset vector times det C,
+    # and the rows of det C * Theta~, the adjugate of the bands S C S, against
+    # the Theta of coupling_matrix, the adjugate of C itself
+    for p0, species, sign in [(F(201, 2), ((1, 4),), 1), (F(55, 34), ((2, 2),), -1),
+                              (F(6), ((3, 2),), -1)]:
+        ts = compute_ts(p0)
+        chain = ChainSpec(p0, species)
+        form = scaled_form(ts)
+        det = sign * form.den
+        theta = [[det * si * sj * x for sj, x in zip(ts.signs, row)]
+                 for si, row in zip(ts.signs, coupling_matrix(ts).rows)]
+        for l in range(chain.n_total + 1):
+            ctx = _CountContext(ts, chain, l)
+            assert ctx.denom == det and form.den == p0.numerator, (p0, l)
+            assert ctx.theta == theta, (p0, l)
+            assert ctx.b_scaled == [det * x for x in offset_vector(ts, chain, l)], (p0, l)
+
+
+def test_fractional_entries_are_rejected_not_truncated():
+    # int() would take 1.5 as 1 and 2.5 as 2; integral values of another
+    # type are still taken, as ints
+    for build in (lambda: ChainSpec(F(16, 7), [(1.5, 2)]),
+                  lambda: ChainSpec(F(16, 7), [(1, F(3, 2))]),
+                  lambda: Partition((2.5, 1)),
+                  lambda: XXZConfig((0.5,), 0),
+                  lambda: XXZConfig((1,), 0.5)):
+        with pytest.raises(PreconditionError, match="must be integers"):
+            build()
+    assert ChainSpec(F(16, 7), [(1.0, F(2))]).species == ((1, 2),)
+    assert Partition((2.0, 1)).parts == (2, 1)
+    cfg = XXZConfig((1.0,), F(0))
+    assert cfg == XXZConfig((1,), 0) and all(type(x) is int for x in (*cfg.lam, cfg.clubs))
 
 
 def test_tops_match_vacancy_linear_form():

@@ -11,7 +11,8 @@ from bethestates.identities import (bosonic_sum, bosonic_sum_collapsed,
                                     level_series, q_count)
 from bethestates.configs import count_xxz_general, string_weights
 from bethestates.qalg import QPolynomial, QSeries, gauss_binomial, pochhammer
-from bethestates.spectral import ChainSpec, ScaledForm, coupling_matrix, scaled_form
+from bethestates.spectral import (ChainSpec, ScaledForm, coupling_matrix, scaled_form,
+                                  tridiagonal_adjugate)
 from bethestates.tsdata import compute_ts
 from bethestates.util import PreconditionError
 
@@ -192,14 +193,17 @@ def reduced_p0(top):
 
 def test_lattice_denominator_is_numerator_of_p0():
     # |det C| = y_{alpha+1} = numerator(p0), so Theta = C^-1 and 1/p0 share
-    # that denominator; scaled_form asserts it and stores den * Theta~
+    # that denominator; scaled_form asserts it, and the adjugate of its
+    # bands S C S is det C * Theta~
     for p0 in (1, 2, 3, 6, F(5, 2), F(7, 3), F(16, 7), F(9, 4), F(13, 5), F(55, 34),
                F(201, 2)):
         ts = compute_ts(p0)
         form = scaled_form(ts)
         assert form.den == F(p0).numerator, p0
-        assert [[F(si * sj * x, form.den) for sj, x in zip(ts.signs, row)]
-                for si, row in zip(ts.signs, form.theta)] == \
+        det, adj = tridiagonal_adjugate(form.diag, form.off)
+        assert abs(det) == form.den, p0
+        assert [[F(si * sj * x, det) for sj, x in zip(ts.signs, row)]
+                for si, row in zip(ts.signs, adj)] == \
             [list(row) for row in coupling_matrix(ts).rows]
     sweep = reduced_p0(60)
     assert len(sweep) == 1102

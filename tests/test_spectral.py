@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from operator import mul
@@ -6,6 +7,7 @@ from operator import mul
 import pytest
 
 from bethestates.configs import enumerate_xxz_int
+from bethestates.qalg import QSeries
 from bethestates.spectral import (ChainSpec, RationalMatrix, _runs, coupling_bands,
                                   coupling_inverse, coupling_matrix, offset_vector,
                                   parity_matrix, scaled_form, tridiagonal_adjugate,
@@ -111,7 +113,8 @@ def test_det_law():
 
 def test_dual_bands_send_the_string_lengths_to_the_last_row():
     # (S C S) n = sigma den e_dim is what lets the counting walk start from
-    # m_dim = sigma * level: the last column of theta = den Theta~ is sigma n
+    # m_dim = sigma * level: the last column of den Theta~, taken from the
+    # dense Theta of coupling_matrix, is sigma n
     for p0 in [F(1), F(2), F(6), F(5, 2), F(16, 7), F(27, 11)] + DEEP_P0:
         ts = compute_ts(p0)
         form = scaled_form(ts)
@@ -120,8 +123,9 @@ def test_dual_bands_send_the_string_lengths_to_the_last_row():
         assert form.diag == tuple(diag), p0
         assert form.off == tuple(b * s * t for b, s, t in zip(off, signs, signs[1:])), p0
         assert set(form.off) <= {1, -1} and form.sigma in (1, -1), p0
-        assert [row[-1] for row in form.theta] == [form.sigma * x
-                                                   for x in string_weights(ts)], p0
+        assert [form.den * s * signs[-1] * row[-1]
+                for s, row in zip(signs, coupling_matrix(ts).rows)] == \
+            [form.sigma * x for x in string_weights(ts)], p0
 
 
 def test_dual_band_check_can_fail(monkeypatch):
@@ -139,27 +143,111 @@ def test_dual_band_check_can_fail(monkeypatch):
 
 def test_dual_is_theta_times_lambda():
     # the back-substitution of ScaledForm.dual against the row products of
-    # the dense theta on seeded vectors at the level n . lam, at dim 1000
-    # too: it is G lam = (theta lam + q (n . lam) n)/den, q = denominator(p0),
-    # an integer vector; another level gives another g, and at lam = 0 the
-    # level alone sets the last entry
+    # the dense adjugate of its bands S C S, adj = det Theta~, on seeded
+    # vectors at the level n . lam, at dim 1000 too: it is G lam = adj lam/det
+    # + q (n . lam) n/den, q = denominator(p0), an integer vector; another
+    # level gives another g, and at lam = 0 the level alone sets the last entry
     rng = random.Random(20261018)
     for p0 in DEEP_P0 + [F(1997, 2)]:
         ts = compute_ts(p0)
         form = scaled_form(ts)
+        det, adj = tridiagonal_adjugate(form.diag, form.off)
+        assert abs(det) == form.den, p0
         weights = string_weights(ts)
         q = p0.denominator
         for _ in range(4):
             lam = [rng.choice((0, 0, 0, 1, 2, 5)) for _ in range(ts.dim)]
             level = sum(map(mul, weights, lam))
-            g = [F(sum(map(mul, row, lam)) + q * level * n, form.den)
-                 for row, n in zip(form.theta, weights)]
+            g = [F(sum(map(mul, row, lam)), det) + F(q * level * n, form.den)
+                 for row, n in zip(adj, weights)]
             assert all(x.denominator == 1 for x in g), p0
             assert form.dual(lam, level) == g, p0
             assert form.dual(lam, level + 1) != g, p0
         for l in (0, 1, 7):
             assert form.dual([0] * ts.dim, l)[-1] == F(l * (form.sigma + q * weights[-1]),
                                                        form.den), (p0, l)
+
+
+def test_production_paths_build_no_dense_form(monkeypatch, capsys):
+    # counts, q-counts, identities and the vacancy form read the O(dim) bands
+    # of scaled_form only; the dense adjugate serves coupling_matrix and the
+    # per-vector reference.  scaled_form's cache is cleared, so it runs under
+    # the patch.  fermionic_sum cannot finish at 201/2, so there the identity
+    # is checked through its parts: the column scan and the first levels.
+    from bethestates import configs, spectral
+    from bethestates.cli import main
+    from bethestates.configs import count_xxz_general
+    from bethestates.identities import check_identity, dead_level_window, level_series, q_count
+    from bethestates.oracle import check_completeness_xxz
+
+    def no_dense(*args):
+        raise AssertionError("dense adjugate built")
+
+    for module in (spectral, configs):
+        monkeypatch.setattr(module, "tridiagonal_adjugate", no_dense)
+    scaled_form.cache_clear()
+    try:
+        for p0, sites in ((F(16, 7), 6), (F(201, 2), 4)):
+            ts = compute_ts(p0)
+            chain = ChainSpec(p0, [(1, sites)])
+            assert check_completeness_xxz(ts, chain).matched, p0
+            for l in range(sites + 1):
+                assert q_count(ts, chain, l).eval_at_one() == \
+                    count_xxz_general(ts, chain, l), (p0, l)
+            lam = [1] + [0] * (ts.dim - 2) + [1]
+            level = sum(map(mul, string_weights(ts), lam))
+            assert all(x.denominator == 1
+                       for x in vacancy_linear_form(ts, chain, level, lam)), p0
+        assert check_identity(compute_ts(F(16, 7)), 40).agree
+        ts = compute_ts(F(201, 2))
+        assert dead_level_window(ts) == 101
+        assert level_series(ts, 0, 3) == QSeries.one(3)
+        assert all(level_series(ts, l, 3).is_zero() for l in range(1, 4))
+        assert main(["count", "--p0", "1997/2", "--chain", "1x2", "--l", "1"]) == 0
+        assert "Z(l=1) = 2 with 2 summands" in capsys.readouterr().out
+    finally:
+        scaled_form.cache_clear()
+
+
+def test_scaled_form_memory_is_linear_in_dim():
+    # dim 1000: the bands are O(dim) small integers, under 1 MiB; the dense
+    # adjugate of dim^2 integers peaked at about 30 MiB
+    ts = compute_ts(F(1997, 2))
+    scaled_form.cache_clear()
+    tracemalloc.start()
+    try:
+        form = scaled_form(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(form.diag) == 1000
+    assert peak < 2 ** 20, peak
+
+
+def test_levels_and_lambda_entries_must_be_integers():
+    # a float level or lambda entry would compute in floats or fail deep in
+    # the walk; each is refused at the level check or on entry, and a
+    # negative level keeps its message.  Integral values of another type
+    # give the exact form.
+    from bethestates.configs import count_xxz_general, enumerate_lambda
+    from bethestates.identities import q_count
+    ts = compute_ts(F(16, 7))
+    chain = ChainSpec(ts.p0, [(1, 6)])
+    zero = [0] * ts.dim
+    for call in (lambda: vacancy_linear_form(ts, chain, 1, [0.5] + zero[1:]),
+                 lambda: vacancy_linear_form(ts, chain, 0.5, zero),
+                 lambda: count_xxz_general(ts, chain, 1.0),
+                 lambda: q_count(ts, chain, 1.0),
+                 lambda: enumerate_lambda(ts, 2.0),
+                 lambda: offset_vector(ts, chain, 0.5)):
+        with pytest.raises(PreconditionError, match="must be (an )?integers?: "):
+            call()
+    for call in (lambda: offset_vector(ts, chain, -1), lambda: enumerate_lambda(ts, -1)):
+        with pytest.raises(PreconditionError, match="^level must be nonnegative$"):
+            call()
+    exact = vacancy_linear_form(ts, chain, 1, [1] + zero[1:])
+    assert vacancy_linear_form(ts, chain, 1, [1.0, F(0)] + zero[2:]) == exact
+    assert all(type(x) is Fraction for x in exact)
 
 
 def test_integral_form_check_can_fail():

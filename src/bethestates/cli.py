@@ -3,6 +3,9 @@
 Subcommands mirror the pipeline stages: ts, theta, count, enumerate,
 identity, completeness, bijection.  Output is deterministic; --json emits
 versioned machine-readable reports with rationals as "num/den" strings.
+Each cmd_* only computes: given the string data, the chain (or None) and the
+parsed arguments, it returns (JSON payload, text lines, verdict); main alone
+parses, builds both inputs, prints, and maps the verdict to the exit code.
 Exit codes: 0 ok, 1 identity/completeness/pairing mismatch, 2 parse error,
 3 precondition violation.
 """
@@ -50,8 +53,7 @@ def _matrix_rows(m: spectral.RationalMatrix):
     return [[rat_str(x) for x in row] for row in m.rows]
 
 
-def cmd_ts(args) -> int:
-    ts = tsdata.compute_ts(args.p0)
+def cmd_ts(ts, chain, args):
     table = tsdata.length_table(ts)
     payload = {
         **report_header(ts.p0),
@@ -81,12 +83,10 @@ def cmd_ts(args) -> int:
         lines.append(f"  [{lo}, {upper}): n_j = {v} + {s}*(j - {lo})")
     lines.append("string lengths n_1..n_dim: "
                  + " ".join(str(x) for x in payload["string_lengths"]))
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+    return payload, lines, True
 
 
-def cmd_theta(args) -> int:
-    ts = tsdata.compute_ts(args.p0)
+def cmd_theta(ts, chain, args):
     cinv = spectral.coupling_inverse(ts)
     theta = spectral.coupling_matrix(ts)
     det_abs = spectral.scaled_form(ts).den
@@ -101,17 +101,10 @@ def cmd_theta(args) -> int:
     lines += ["  " + " ".join(f"{rat_str(x):>4}" for x in row) for row in cinv.rows]
     lines.append("theta:")
     lines += ["  " + " ".join(f"{rat_str(x):>8}" for x in row) for row in theta.rows]
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+    return payload, lines, True
 
 
-def _chain_for(ts, args) -> ChainSpec:
-    return ChainSpec(ts.p0, _parse_chain(args.chain))
-
-
-def cmd_count(args) -> int:
-    ts = tsdata.compute_ts(args.p0)
-    chain = _chain_for(ts, args)
+def cmd_count(ts, chain, args):
     detail = configs.count_xxz_general_detailed(ts, chain, args.l)
     payload = {
         **report_header(ts.p0, chain),
@@ -121,13 +114,10 @@ def cmd_count(args) -> int:
         "skipped_fractional": detail.skipped_fractional,
     }
     lines = [f"Z(l={args.l}) = {detail.total} with {detail.admissible} summands"]
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+    return payload, lines, True
 
 
-def cmd_enumerate(args) -> int:
-    ts = tsdata.compute_ts(args.p0)
-    chain = _chain_for(ts, args)
+def cmd_enumerate(ts, chain, args):
     records = configs.enumerate_xxz_int(ts, chain, args.l)
     payload = {
         **report_header(ts.p0, chain),
@@ -144,12 +134,10 @@ def cmd_enumerate(args) -> int:
                      f"P={list(r.vacancies)} count={r.count}")
         if args.diagrams:
             lines.extend("    " + row for row in configs.render_xxz(r).splitlines())
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+    return payload, lines, True
 
 
-def cmd_identity(args) -> int:
-    ts = tsdata.compute_ts(args.p0)
+def cmd_identity(ts, chain, args):
     report = identities.check_identity(ts, args.cutoff)
     collapsed = identities.bosonic_sum_collapsed(ts, args.cutoff)
     collapsed_ok = report.lhs.first_discrepancy(collapsed) is None
@@ -160,32 +148,25 @@ def cmd_identity(args) -> int:
     if report.first_discrepancy:
         e, a, b = report.first_discrepancy
         lines.append(f"first discrepancy at q^{rat_str(e)}: lhs={a} rhs={b}")
-    _emit(payload, args.json, lines)
-    return EXIT_OK if (report.agree and collapsed_ok) else EXIT_MISMATCH
+    return payload, lines, report.agree and collapsed_ok
 
 
-def cmd_completeness(args) -> int:
-    ts = tsdata.compute_ts(args.p0)
-    chain = _chain_for(ts, args)
+def cmd_completeness(ts, chain, args):
     report = oracle.check_completeness_xxz(ts, chain)
     payload = report.to_json_dict()
     lines = [f"dimension {report.lhs_total} vs level sum {report.rhs_total}: "
              f"matched={report.matched}"]
     lines += [f"  l={l}: {c}" for l, c, _ in report.per_l]
-    _emit(payload, args.json, lines)
-    return EXIT_OK if report.matched else EXIT_MISMATCH
+    return payload, lines, report.matched
 
 
-def cmd_bijection(args) -> int:
-    ts = tsdata.compute_ts(args.p0)
-    chain = _chain_for(ts, args)
+def cmd_bijection(ts, chain, args):
     report = bijection.verify_pairing(ts, chain)
     payload = report.to_json_dict()
     lines = [f"all_passed={report.all_passed}"]
     lines += [f"  {c.name}: {'pass' if c.passed else 'FAIL'}" for c in report.checks]
     lines += [f"  note: {note}" for note in report.range_notes]
-    _emit(payload, args.json, lines)
-    return EXIT_OK if report.all_passed else EXIT_MISMATCH
+    return payload, lines, report.all_passed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,59 +175,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Bethe-state counting and q-series identity checks "
                     "for generalized XXX/XXZ spin chains.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text, *, chain=False, level=False, cutoff=False,
-            diagrams=False):
+    chain = ("--chain", {"required": True, "help": "species list 2sxN[,2sxN...], e.g. 3x5"})
+    level = ("--l", {"type": int, "required": True, "help": "level (weight)"})
+    cutoff = ("--cutoff", {"required": True, "help": "nonnegative truncation order, A or A/B"})
+    diagrams = ("--diagrams", {"action": "store_true", "help": "render configurations as diagrams"})
+    # command -> (function, help, options between --p0 and --json); built per
+    # call, so a cmd_* rebound in this module is the one dispatched
+    table = {
+        "ts": (cmd_ts, "continued-fraction string data", ()),
+        "theta": (cmd_theta, "coupling matrix and its exact inverse", ()),
+        "count": (cmd_count, "state count at one level", (chain, level)),
+        "enumerate": (cmd_enumerate, "configurations at one level (integer p0)",
+                      (chain, level, diagrams)),
+        "identity": (cmd_identity, "fermionic vs bosonic series check", (cutoff,)),
+        "completeness": (cmd_completeness,
+                         "level counts against the weight-space dimensions", (chain,)),
+        "bijection": (cmd_bijection, "pairing checks (integer p0 > sum of spins)", (chain,)),
+    }
+    for name, (fn, help_text, options) in table.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--p0", required=True, help="rational anisotropy, A or A/B")
-        if chain:
-            p.add_argument("--chain", required=True,
-                           help="species list 2sxN[,2sxN...], e.g. 3x5")
-        if level:
-            p.add_argument("--l", type=int, required=True, help="level (weight)")
-        if cutoff:
-            p.add_argument("--cutoff", required=True,
-                           help="nonnegative truncation order, A or A/B")
-        if diagrams:
-            p.add_argument("--diagrams", action="store_true",
-                           help="render configurations as diagrams")
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.set_defaults(fn=fn)
-        return p
-
-    add("ts", cmd_ts, "continued-fraction string data")
-    add("theta", cmd_theta, "coupling matrix and its exact inverse")
-    add("count", cmd_count, "state count at one level", chain=True, level=True)
-    add("enumerate", cmd_enumerate, "configurations at one level (integer p0)",
-        chain=True, level=True, diagrams=True)
-    add("identity", cmd_identity, "fermionic vs bosonic series check", cutoff=True)
-    add("completeness", cmd_completeness,
-        "level counts against the weight-space dimensions", chain=True)
-    add("bijection", cmd_bijection, "pairing checks (integer p0 > sum of spins)",
-        chain=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        if hasattr(args, "p0"):
-            args.p0 = parse_rational(args.p0)
+        p0 = parse_rational(args.p0)
         if hasattr(args, "cutoff"):
             args.cutoff = parse_rational(args.cutoff)
         if hasattr(args, "l") and args.l < 0:
             raise PreconditionError("level must be nonnegative")
-        return args.fn(args)
+        ts = tsdata.compute_ts(p0)
+        chain = ChainSpec(ts.p0, _parse_chain(args.chain)) if hasattr(args, "chain") else None
+        payload, lines, verdict = args.fn(ts, chain, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    _emit(payload, args.json, lines)
+    return EXIT_OK if verdict else EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from math import comb
 from .spectral import (ChainSpec, _parity_entries, linear_form, offset_vector, scaled_form,
                        tridiagonal_adjugate)
 from .tsdata import TSData, string_weights
-from .util import PreconditionError, check_level, integral
+from .util import PreconditionError, check_int, check_level, integral
 
 
 def signed_binom(a: int, b: int) -> int:
@@ -118,6 +118,7 @@ def xxx_vacancies(nu: Partition, mu) -> tuple:
 
 def xxx_vacancy(nu: Partition, mu, n: int) -> int:
     """P_n = sum_k min(n, mu_k) - 2 * sum_{k<=n} nu'_k."""
+    check_int(n, "row length")
     if n < 1:
         raise PreconditionError("row length must be >= 1")
     vac = xxx_vacancies(nu, mu)
@@ -130,8 +131,7 @@ def _xxx_admissible(nu: Partition, mu) -> bool:
 
 def enumerate_xxx_configs(l: int, mu) -> list:
     """Partitions of l whose vacancy numbers are all nonnegative."""
-    if l < 0:
-        raise PreconditionError("weight must be nonnegative")
+    check_level(l, "weight")
     out = []
     for parts in partitions(l):
         nu = Partition(parts)

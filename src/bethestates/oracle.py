@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from . import configs
 from .spectral import ChainSpec
 from .tsdata import TSData
-from .util import PreconditionError, report_header
+from .util import PreconditionError, check_int, report_header
 
 
 def _weight_counts(mu) -> list:
@@ -31,12 +31,14 @@ def _weight_counts(mu) -> list:
 
 def weight_count(mu, w: int) -> int:
     """Number of integer tuples with 0 <= a_i <= mu_i and sum a_i = w."""
+    check_int(w, "weight")
     counts = _weight_counts(mu)
     return counts[w] if 0 <= w < len(counts) else 0
 
 
 def sl2_multiplicity(mu, l: int) -> int:
     """Multiplicity of the spin-(N/2 - l) irreducible in the tensor product."""
+    check_int(l, "l")
     n = sum(mu)
     if l < 0 or 2 * l > n:
         raise PreconditionError(f"l out of range: {l}")

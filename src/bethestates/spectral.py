@@ -24,7 +24,7 @@ from operator import mul
 
 from .tsdata import (TSData, admissible_spin, admissible_spins, phase_shift,
                      string_length, string_weights, zone)
-from .util import PreconditionError, check_level, frac_part, integral
+from .util import PreconditionError, check_level, exact_p0, frac_part, integral
 
 # Widest string data (number of string types) accepted.  scaled_form is O(dim);
 # the ceiling guards the dim^2 theta display, dead_level_window's O(dim^2)
@@ -103,7 +103,7 @@ class ChainSpec:
     species: tuple
 
     def __init__(self, p0, species):
-        object.__setattr__(self, "p0", Fraction(p0))
+        object.__setattr__(self, "p0", exact_p0(p0))
         object.__setattr__(self, "species",
                            tuple(integral((s, n), "species entries") for s, n in species))
         for two_s, count in self.species:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .util import PreconditionError
+from .util import PreconditionError, exact_p0
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class TSData:
 
 def compute_ts(p0) -> TSData:
     """Run the continued-fraction recurrences for rational p0 >= 1."""
-    p0 = Fraction(p0)
+    p0 = exact_p0(p0)
     if p0 < 1:
         raise PreconditionError(f"p0 must be >= 1, got {p0}")
     rem = [p0, Fraction(1)]

@@ -32,6 +32,14 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
+def exact_p0(p0) -> Fraction:
+    """p0 as a Fraction; PreconditionError for a float, whose binary value
+    (2.2 is 2476979795053773/1125899906842624) is not the rational meant."""
+    if isinstance(p0, float):
+        raise PreconditionError(f"p0 must be an int, a Fraction or a string, not a float: {p0!r}")
+    return Fraction(p0)
+
+
 def integral(values, what: str) -> tuple:
     """values as a tuple of ints; PreconditionError unless each one is
     integral, so 2.5 is rejected rather than truncated to 2."""
@@ -42,12 +50,17 @@ def integral(values, what: str) -> tuple:
     return out
 
 
-def check_level(l) -> None:
-    """PreconditionError unless the level l is a nonnegative int."""
-    if not isinstance(l, int):
-        raise PreconditionError(f"level must be an integer: {l!r}")
+def check_int(x, what: str) -> None:
+    """PreconditionError unless x is an int; a float such as 2.0 is rejected."""
+    if not isinstance(x, int):
+        raise PreconditionError(f"{what} must be an integer: {x!r}")
+
+
+def check_level(l, what: str = "level") -> None:
+    """PreconditionError unless the level (or weight) l is a nonnegative int."""
+    check_int(l, what)
     if l < 0:
-        raise PreconditionError("level must be nonnegative")
+        raise PreconditionError(f"{what} must be nonnegative")
 
 
 def frac_part(x: Fraction) -> Fraction:

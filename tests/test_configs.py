@@ -128,6 +128,23 @@ def test_xxx_vacancies_match_the_definition():
             xxx_vacancy(Partition((2, 1)), MU25, n)
 
 
+def test_xxx_routes_reject_a_noninteger_weight():
+    # a float weight raised TypeError inside the partition or vacancy code;
+    # integer weights keep their behaviour and messages
+    for call in (lambda: count_xxx(2.0, (1, 1, 1)), lambda: count_xxx(1.5, (1, 1, 1)),
+                 lambda: enumerate_xxx_configs(F(1), MU25),
+                 lambda: enumerate_xxx_rigged(1.0, MU25)):
+        with pytest.raises(PreconditionError, match="^weight must be an integer: "):
+            call()
+    for n in (1.0, 1.5):
+        with pytest.raises(PreconditionError, match="^row length must be an integer: "):
+            xxx_vacancy(Partition((2, 1)), MU25, n)
+    with pytest.raises(PreconditionError, match="^weight must be nonnegative$"):
+        count_xxx(-1, (1, 1, 1))
+    assert count_xxx(1, (1, 1, 1)) == 2
+    assert xxx_vacancy(Partition((2, 1)), MU25, 1) == xxx_vacancies(Partition((2, 1)), MU25)[0]
+
+
 def test_xxx_vacancies_reject_a_nonpositive_entry():
     # a negative entry once wrapped around the end of the column counts:
     # xxx_vacancies(Partition((1,)), (2, -1)) gave (0, 2), count_xxx 1

@@ -49,6 +49,21 @@ def test_sl2_multiplicity_edges():
         sl2_multiplicity((2, 2), 3)
 
 
+def test_oracle_rejects_a_noninteger_weight():
+    # a float weight or level raised TypeError on the list index; integer
+    # ones out of range keep their behaviour
+    for w in (1.5, 1.0, Fraction(1)):
+        with pytest.raises(PreconditionError, match="^weight must be an integer: "):
+            weight_count((1, 1, 1), w)
+    for l in (0.5, 0.0):
+        with pytest.raises(PreconditionError, match="^l must be an integer: "):
+            sl2_multiplicity((1, 1, 1), l)
+    assert weight_count((1, 1, 1), -1) == 0 and weight_count((1, 1, 1), 4) == 0
+    for l in (-1, 2):
+        with pytest.raises(PreconditionError, match="^l out of range: "):
+            sl2_multiplicity((1, 1, 1), l)
+
+
 def test_completeness_xxx_spin_one_chain():
     rep = check_completeness_xxx(ChainSpec(6, [(2, 5)]))
     assert rep.lhs_total == 3 ** 5 == 243

@@ -483,6 +483,10 @@ def test_runs_of_three_or_more_become_ranges():
 
 
 def test_chain_spec_validation():
+    for p0 in (2.2, 3.0):
+        with pytest.raises(PreconditionError, match="not a float: "):
+            ChainSpec(p0, [(1, 2)])
+    assert ChainSpec("16/7", [(1, 2)]).p0 == ChainSpec(F(16, 7), [(1, 2)]).p0 == F(16, 7)
     with pytest.raises(PreconditionError):
         ChainSpec(3, [(0, 1)])
     with pytest.raises(PreconditionError):

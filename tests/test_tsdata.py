@@ -69,6 +69,21 @@ def test_rejects_below_one():
         compute_ts(F(1, 2))
 
 
+def test_float_p0_is_rejected():
+    # the float 2.2 is 2476979795053773/1125899906842624, whose string data
+    # has quotients (2, 4, 1, 225179981368524); an integral float is refused
+    # too, while ints, Fractions and strings are taken as before
+    for p0 in (2.2, 2.0, 16 / 7):
+        with pytest.raises(PreconditionError, match="not a float: "):
+            compute_ts(p0)
+    ts = compute_ts(F(11, 5))
+    assert (ts.p0, ts.alpha, ts.quotients, ts.remainders) == \
+        (F(11, 5), 1, (2, 5), (F(11, 5), 1, F(1, 5), 0))
+    assert (ts.ys, ts.zs, ts.bounds, ts.p0_bar) == ((0, 1, 2, 11), (0, 1, 5), (0, 2, 7), 2)
+    assert compute_ts("11/5") == ts
+    assert compute_ts(6) == compute_ts(F(6)) == compute_ts("6")
+
+
 def test_convergent_determinant_law():
     for p0 in [F(16, 7), F(5, 2), F(7, 3), F(9, 4), F(27, 11), F(6)]:
         ts = compute_ts(p0)

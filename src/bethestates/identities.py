@@ -329,7 +329,7 @@ class IdentityReport:
 
     def to_json_dict(self) -> dict:
         def series_terms(s: QSeries):
-            return [[rat_str(e), s.terms[e]] for e in sorted(s.terms)]
+            return [[rat_str(e), c] for e, c in s.terms.items()]
         disc = None
         if self.first_discrepancy is not None:
             e, a, b = self.first_discrepancy

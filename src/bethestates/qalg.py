@@ -17,7 +17,10 @@ tighten the region of validity: a sum is valid up to the smaller cutoff; a
 product a*b up to min(cut_a + min(m_b, 0), cut_b + min(m_a, 0)), m the
 minimal exponent (0 for zero), where the unknown tail of one factor,
 shifted by the other's lowest term, begins; and an exact polynomial p times
-a series s is first truncated at s.cutoff - min(p.min_exp(), 0).
+a series s is first truncated at s.cutoff - min(p.min_exp(), 0).  Dividing
+by 1 - q**s needs a cutoff: it is a prefix sum with stride s over the
+coefficients, run per residue class mod s when s is short against the
+window and per s-long block otherwise.
 
 QPolynomial is the same type without a cutoff (``cut`` is None): an exact
 finite Laurent-style polynomial.  An operation between polynomials returns
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import lcm
 from operator import add, mul
 
@@ -247,8 +250,10 @@ class QSeries:
         1/(1 - q**step) = -q**(-step)/(1 - q**(-step)), so together they give
         one shift and one sign.  Dividing by 1 - q**s, s > 0, multiplies by
         the geometric series 1 + q**s + q**(2 s) + ... up to the cutoff: the
-        prefix sum c[k] += c[k - s] in increasing k, done one s-long block at
-        a time, for every step on the same coefficient list.
+        prefix sum c[k] += c[k - s] in increasing k, for every step on the
+        same coefficient list of n entries.  A step with s*s <= n runs it as
+        s running sums, one per residue mod s, each in C; a longer step, as
+        the fewer than s passes that add each s-long block to the next.
         """
         steps = [as_exp(s) for s in steps]
         if 0 in steps:
@@ -264,8 +269,12 @@ class QSeries:
         c = coeffs + [0] * (n - len(coeffs))
         for s in steps:
             s = abs(_scaled(s, den))
-            for k in range(s, n, s):
-                c[k:k + s] = map(add, c[k:k + s], c[k - s:k])
+            if s * s <= n:
+                for r in range(s):
+                    c[r::s] = accumulate(c[r::s])
+            else:
+                for k in range(s, n, s):
+                    c[k:k + s] = map(add, c[k:k + s], c[k - s:k])
         if sum(s < 0 for s in steps) % 2:
             c = [-x for x in c]
         return _new(den, lo + shift, c, cut + shift)

@@ -391,6 +391,25 @@ def test_residue_product_form():
     assert divide_by_euler(lhs).first_discrepancy(residue) is None
 
 
+def test_divide_by_euler_is_the_partition_series_to_2000():
+    """Every step up to the cutoff divides a 2001-long window, so steps past
+    its square root are summed block-wise and the rest strided."""
+    p = [1]
+    for m in range(1, 2001):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * p[m - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+    out = divide_by_euler(QSeries.one(2000))
+    assert out.cutoff == 2000
+    assert [out.coeff(m) for m in range(2001)] == p
+    assert p[2000] == 4720819175619413888601432406799959512200344166
+
+
 def test_divide_by_euler_needs_a_cutoff():
     with pytest.raises(PreconditionError, match="cutoff"):
         divide_by_euler(QPolynomial.one())

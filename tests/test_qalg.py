@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -384,3 +385,23 @@ def test_lattice_series_matches_dict_reference():
         assert s.first_discrepancy(a, upto) == ref_first_discrepancy(rs, ra, upto)
         nudged, rn = s + QPolynomial.monomial(d, 1), ref_add(rs, ({d: 1}, None))
         assert s.first_discrepancy(nudged) == ref_first_discrepancy(rs, rn)
+    # long windows, up to about 200 lattice points, with large signed
+    # coefficients, divided by 1-20 steps in one call: steps up to the square
+    # root of the window, past it and past the window itself, of either sign,
+    # some of them finer than the lattice; both ways of running the prefix
+    # sums meet the reference
+    wide = random.Random(20261019)
+    for _ in range(40):
+        den, n, lo = wide.choice([1, 2, 3]), wide.randint(2, 200), wide.randint(-20, 20)
+        cutoff = Fraction(lo + n - 1, den)
+        terms = {Fraction(wide.randint(lo, lo + n - 1), den): wide.randint(-10**30, 10**30)
+                 for _ in range(wide.randint(1, 12))}
+        s, ref = QSeries(terms, cutoff), (ref_clean(terms, cutoff), cutoff)
+        many = []
+        for _ in range(wide.randint(1, 20)):
+            k = wide.choice([wide.randint(1, isqrt(n)), wide.randint(isqrt(n) + 1, n),
+                             wide.randint(n + 1, 2 * n)])
+            many.append(Fraction(k * wide.choice([1, -1]), den * wide.choice([1, 1, 1, 2])))
+        for one in many:
+            ref = ref_div_cyclotomic(ref, one)
+        check(s.div_cyclotomic(*many), ref)

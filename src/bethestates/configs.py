@@ -5,7 +5,10 @@ configurations at integer p0 additionally carry a count of negative-parity
 length-1 strings (rendered as club rows).  The general counting route sums a
 product of binomials over admissible string-multiplicity vectors, with tops
 given by the vacancy linear form; at integer p0 this must agree with the
-direct census route, which is checked in the tests.  The count and q_count
+direct census route, which is checked in the tests.  enumerate_lambda lists
+the vectors of a level: a depth-first search over the head components, pruned
+by the counts N_k(r) of the tails that complete it, joins each prefix to a
+table of the lex-sorted tails of the last components.  The count and q_count
 share one walk over the vectors that reads the tops from g = G lam, G =
 Theta~ + n n^t/p0 an integer matrix, by back-substitution in the tridiagonal
 S C S: O(dim) per vector, stopping at the first vanishing binomial.
@@ -284,53 +287,66 @@ def enumerate_xxz_int(ts: TSData, chain: ChainSpec, l: int) -> list:
 def enumerate_lambda(ts: TSData, l: int) -> list:
     """All multiplicity vectors with sum n_k lam_k = l, lexicographically.
 
-    A depth-first search on an explicit stack.  Bit r of reach[k] is set when
-    r is a sum of the weights from component k on, so only prefixes that
-    complete are pushed and no branch ends without a vector.  A zero
-    remainder closes the vector with zeros at once, components heavier than
-    the remainder take 0 without a branch, and the last component is the
-    quotient of the remainder.
+    counts[k][r] = N_k(r) counts the tails over components k.. that sum to r:
+    N_k(r) = N_{k+1}(r) + N_k(r - n_k), and N_0(l) is the size of the output.
+    The lex-sorted tails of the last components, for every remainder r <= l,
+    form a table built bottom-up.  It takes the last component, then each one
+    before it while it holds at most a 32nd of the output's entries, so its
+    time and memory stay small against the output's; components heavier
+    than l join it as one run of zeros.  A depth-first search on an explicit
+    stack runs over the head components, pushes only prefixes whose
+    remainder the later components reach (N_{k+1}(r) > 0), and joins each
+    prefix to its table row with one tuple concatenation per vector.  A zero
+    remainder closes the vector with zeros at once, and head components
+    heavier than the remainder take 0 without a branch.
     """
     check_level(l)
     weights = string_weights(ts)
     dim = len(weights)
-    last = dim - 1
-    wl = weights[last]
-    low = (2 << l) - 1          # bits 0..l
-    reach = [1] * (dim + 1)
-    for k in range(last, -1, -1):
-        w, below = weights[k], reach[k + 1]
-        for shift in range(w, l + 1, w):
-            below |= reach[k + 1] << shift
-        reach[k] = below & low
+    counts = [[1] + [0] * l]           # N_dim: the empty tail, at r = 0 only
+    for w in reversed(weights):
+        row = counts[-1][:]
+        for r in range(w, l + 1):
+            row[r] += row[r - w]
+        counts.append(row)
+    counts.reverse()
+    split, entries = dim - 1, dim * counts[0][l]
+    while split and 32 * (dim - split + 1) * sum(counts[split - 1]) <= entries:
+        split -= 1
+    table, pad = [[()]] + [[] for _ in range(l)], ()
+    for w in reversed(weights[split:]):
+        if w > l:
+            pad = (0,) + pad
+            continue
+        rows = []
+        for r in range(l + 1):
+            row = []
+            for c in range(r // w + 1):
+                row += map(((c,) + pad).__add__, table[r - c * w])
+            rows.append(row)
+        table, pad = rows, ()
+    if pad:
+        table = [list(map(pad.__add__, row)) for row in table]
     out = []
-    if not reach[0] >> l & 1:
-        return out
     stack = [(0, l, ())]
-    pop, push, emit = stack.pop, stack.append, out.append
+    pop, push, emit, join = stack.pop, stack.append, out.append, out.extend
     while stack:
         k, rem, acc = pop()
         if not rem:
             emit(acc + (0,) * (dim - k))
             continue
         start = k
-        while weights[k] > rem:
+        while k < split and weights[k] > rem:
             k += 1
         acc += (0,) * (k - start)
+        if k == split:
+            join(map(acc.__add__, table[rem]))
+            continue
         w = weights[k]
-        if k == last:
-            emit(acc + (rem // w,))
-            continue
-        if k + 1 == last:
-            for c in range(rem // w + 1):
-                q, r = divmod(rem - c * w, wl)
-                if not r:
-                    emit(acc + (c, q))
-            continue
-        below = reach[k + 1]
+        below = counts[k + 1]
         for c in range(rem // w, -1, -1):
             r = rem - c * w
-            if below >> r & 1:
+            if below[r]:
                 push((k + 1, r, acc + (c,)))
     return out
 

@@ -1,10 +1,12 @@
 import copy
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from operator import mul
 
 import pytest
 
@@ -16,7 +18,7 @@ from bethestates.configs import (GeneralCount, Partition, XXZConfig, _CountConte
                                  xxx_config_count, xxx_vacancies, xxx_vacancy,
                                  xxz_vacancy_int)
 from bethestates.oracle import sl2_multiplicity
-from bethestates.qalg import QPolynomial
+from bethestates.qalg import QPolynomial, QSeries
 from bethestates.spectral import (ChainSpec, coupling_matrix, offset_vector, scaled_form,
                                   vacancy_linear_form)
 from bethestates.tsdata import admissible_spins, compute_ts
@@ -328,15 +330,86 @@ def brute_force_lambda(weights, l):
                   if sum(w * x for w, x in zip(weights, lam)) == l)
 
 
+def lambda_counts(weights, l):
+    """Coefficients of q^0..q^l in prod_k 1/(1 - q^{n_k})."""
+    series = QSeries.one(l).div_cyclotomic(*weights)
+    return [series.coeff(r) for r in range(l + 1)]
+
+
+def table_start(weights, l):
+    """The first component of enumerate_lambda's tail table at level l: the
+    table grows from the last component while it holds at most a 32nd of
+    the output's entries, its size read from the generating function."""
+    dim = len(weights)
+    entries = dim * lambda_counts(weights, l)[l]
+    split = dim - 1
+    while split and 32 * (dim - split + 1) * sum(lambda_counts(weights[split - 1:], l)) <= entries:
+        split -= 1
+    return split
+
+
 def test_enumerate_lambda_matches_brute_force():
-    for p0, top in [(F(1), 10), (F(3), 10), (F(16, 7), 10), (F(55, 34), 10), (F(201, 2), 7)]:
+    regimes = set()
+    for p0, top in [(F(1), 10), (F(3), 10), (F(16, 7), 10), (F(55, 34), 10), (F(201, 2), 7),
+                    (F(27, 11), 12), (F(6), 8)]:
         ts = compute_ts(p0)
         weights = string_weights(ts)
+        last = len(weights) - 1
         assert enumerate_lambda(ts, 0) == [(0,) * ts.dim]
         for l in range(top + 1):
             lams = enumerate_lambda(ts, l)
             assert type(lams) is list
             assert lams == brute_force_lambda(weights, l), (p0, l)
+            split = table_start(weights, l)
+            regimes.add("whole table" if not split else "last only" if split == last
+                        else "middle split")
+            if any(w > l for w in weights[:split]) and any(w > l for w in weights[split:]):
+                regimes.add("heavy in head and table")
+            if max(lambda_counts(weights[split:], l)) > 1:
+                regimes.add("several tails in a row")
+            # the search closes a head prefix at remainder 0 before its last component
+            if any(max(k for k, x in enumerate(lam) if x) < split - 1 for lam in lams if any(lam)):
+                regimes.add("early zero")
+    assert regimes == {"whole table", "last only", "middle split", "heavy in head and table",
+                       "several tails in a row", "early zero"}
+
+
+def test_enumerate_lambda_sizes_match_the_generating_function():
+    # an oracle that shares no code with the search: the number of vectors
+    # at level l is the q^l coefficient of prod_k 1/(1 - q^{n_k}); with every
+    # vector of weight l and the list strictly increasing, that many vectors
+    # are all of them, in lexicographic order
+    for p0, top, total in [(F(16, 7), 50, 453164), (F(201, 2), 16, 3370),
+                           (F(55, 34), 30, 25861), (F(27, 11), 30, None), (F(6), 30, None),
+                           (F(1), 30, 31)]:
+        ts = compute_ts(p0)
+        weights = string_weights(ts)
+        sizes = []
+        for l in range(top + 1):
+            lams = enumerate_lambda(ts, l)
+            assert all(map(tuple.__lt__, lams, lams[1:])), (p0, l)
+            assert {(len(lam), sum(map(mul, weights, lam))) for lam in lams} == {(ts.dim, l)}, \
+                (p0, l)
+            sizes.append(len(lams))
+        assert sizes == lambda_counts(weights, top), p0
+        assert total is None or sum(sizes) == total, p0
+
+
+def test_enumerate_lambda_set_up_memory_is_a_fraction_of_the_output():
+    # the counts and the tail table stay within a tenth of the result's own
+    # size at 16/7, level 50 (47,910 vectors); a table of every component
+    # would hold as many vectors again as the result
+    ts = compute_ts(F(16, 7))
+    enumerate_lambda(ts, 1)
+    tracemalloc.start()
+    try:
+        lams = enumerate_lambda(ts, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(lams) + sum(map(sys.getsizeof, lams))
+    assert len(lams) == 47910
+    assert peak - size <= size // 10, (peak, size)
 
 
 def test_context_shares_scaled_theta():

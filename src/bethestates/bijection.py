@@ -15,7 +15,7 @@ from math import floor
 
 from . import configs, oracle
 from .configs import Partition, XXZConfig
-from .spectral import ChainSpec
+from .spectral import ChainSpec, require_classified_spins
 from .tsdata import TSData
 from .util import PreconditionError, rat_str, report_header
 
@@ -26,6 +26,7 @@ def _require_treated_case(ts: TSData, chain: ChainSpec) -> int:
     if not p0 > chain.s_sum:
         raise PreconditionError(
             f"outside treated case: need p0 > sum of spins ({rat_str(chain.s_sum)})")
+    require_classified_spins(ts, chain)
     return p0
 
 
@@ -59,6 +60,7 @@ def pair(ts: TSData, chain: ChainSpec, nu: Partition) -> PairImage:
 def forget(ts: TSData, chain: ChainSpec, cfg: XXZConfig) -> Partition:
     """Strip the club column.  Below half filling the result is asserted to
     be a valid XXX configuration; a failure would be a counterexample."""
+    require_classified_spins(ts, chain)
     if not _admissible(ts, chain, cfg):
         raise PreconditionError("not an admissible XXZ configuration")
     nu = cfg.partition()

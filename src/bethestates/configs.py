@@ -23,8 +23,8 @@ from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 from math import comb
 
-from .spectral import (ChainSpec, _parity_entries, linear_form, offset_vector, scaled_form,
-                       tridiagonal_adjugate)
+from .spectral import (ChainSpec, _parity_entries, linear_form, offset_vector,
+                       require_classified_spins, scaled_form, tridiagonal_adjugate)
 from .tsdata import TSData, string_weights
 from .util import PreconditionError, check_int, check_level, integral
 
@@ -264,10 +264,12 @@ def enumerate_xxz_int(ts: TSData, chain: ChainSpec, l: int) -> list:
 
     Admissibility requires every vacancy number nonnegative, including the
     ones of unoccupied string types.  Order: club count descending, then the
-    partition in ascending lexicographic order.
+    partition in ascending lexicographic order.  A chain with a spin outside
+    the string classification raises, as in the linear-form route.
     """
     p0 = ts.integer_p0(_DIRECT, 2)
     check_level(l)
+    require_classified_spins(ts, chain)
     out = []
     for clubs in range(l, -1, -1):
         for parts in sorted(partitions(l - clubs, p0 - 1)):

@@ -96,40 +96,6 @@ def _level_terms(ts: TSData, l: int, cutoff: Fraction):
             yield e, lam
 
 
-def _trie_sum(groups: dict, cutoff: Fraction) -> QSeries:
-    """Sum over groups {path: [e, ...]} of q**e divided by the q-factorials
-    on the path, each (q**s; q**s)_x written as the signed length s * x.
-
-    The paths are the leaves of a trie whose nodes are their prefixes; in
-    sorted order, paths that share a prefix are adjacent.  Bottom-up, a
-    node's value is its own monomials plus its children's values, each
-    divided by that child's q-factorial in one div_cyclotomic call.  The walk
-    is iterative, as a path can be dim deep; only the sums along the current
-    path are held, and each group is dropped once read.
-    """
-    path, sums = [], [QSeries.zero(cutoff)]
-
-    def close():
-        f = path.pop()
-        s = 1 if f > 0 else -1
-        top = sums.pop()
-        sums[-1] = sums[-1] + top.div_cyclotomic(*range(s, f + s, s))
-
-    for key in sorted(groups):
-        common = 0
-        while common < min(len(path), len(key)) and path[common] == key[common]:
-            common += 1
-        while len(path) > common:
-            close()
-        for factor in key[common:]:
-            path.append(factor)
-            sums.append(QSeries.zero(cutoff))
-        sums[-1] = sums[-1] + QSeries([(e, 1) for e in groups.pop(key)], cutoff)
-    while path:
-        close()
-    return sums[0]
-
-
 def dead_level_window(ts: TSData) -> int:
     """W = max n_k: fermionic_sum stops after W consecutive dead levels,
     levels with no vector that has a term within the cutoff.
@@ -159,8 +125,14 @@ def fermionic_sum(ts: TSData, cutoff) -> QSeries:
 
     The level loop stops after dead_level_window(ts) consecutive dead levels;
     that function proves that no later level has a term within the cutoff.
-    The surviving vectors of all levels are grouped by their q-factorials
-    and summed in one _trie_sum, so each q-factorial divides once.
+    The surviving vectors of all levels are grouped by their path, the
+    q-factorials (q**s; q**s)_x written as signed lengths s * x.  The nodes
+    of a tree are every prefix of every path, the root () included; a node's
+    value is its own monomials plus its children's values, divided once by
+    its last q-factorial, so each shared q-factorial divides once.  The nodes
+    are folded in reverse sorted order: a child sorts after its parent and
+    each subtree is contiguous, so every node comes after all of its
+    descendants, and only the ancestors of the node at hand hold partial sums.
     """
     cutoff = as_exp(cutoff)
     window = dead_level_window(ts)
@@ -177,7 +149,15 @@ def fermionic_sum(ts: TSData, cutoff) -> QSeries:
             groups.setdefault(path, []).append(e)
         dead = 0 if live else dead + 1
         l += 1
-    return _trie_sum(groups, cutoff)
+    zero, sums = QSeries.zero(cutoff), {}
+    for node in sorted({path[:i] for path in groups for i in range(len(path) + 1)} | {()},
+                       reverse=True):
+        value = sums.pop(node, zero) + QSeries([(e, 1) for e in groups.pop(node, ())], cutoff)
+        if not node:
+            return value
+        parent, f = node[:-1], node[-1]
+        s = 1 if f > 0 else -1
+        sums[parent] = sums.get(parent, zero) + value.div_cyclotomic(*range(s, f + s, s))
 
 
 # -- bosonic side ----------------------------------------------------------------

@@ -35,11 +35,16 @@ from itertools import accumulate, repeat
 from math import lcm
 from operator import add, mul
 
-from .util import PreconditionError
+from .util import PreconditionError, exact_rational
 
 
 def as_exp(e) -> Fraction:
-    return e if isinstance(e, Fraction) else Fraction(e)
+    """An exponent, shift or cutoff as a Fraction; a float raises, as its
+    binary value would put the series on a lattice of denominator 2**k.
+    Fractions and ints, the values of the hot paths, need no check."""
+    if isinstance(e, Fraction):
+        return e
+    return Fraction(e) if isinstance(e, int) else exact_rational(e, "q exponent")
 
 
 def _spread(coeffs: list, f: int) -> list:

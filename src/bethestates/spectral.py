@@ -24,7 +24,7 @@ from operator import mul
 
 from .tsdata import (TSData, admissible_spin, admissible_spins, phase_shift,
                      string_length, string_weights, zone)
-from .util import PreconditionError, check_level, exact_p0, frac_part, integral
+from .util import PreconditionError, check_level, exact_rational, frac_part, integral
 
 # Widest string data (number of string types) accepted.  scaled_form is O(dim);
 # the ceiling guards the dim^2 theta display, dead_level_window's O(dim^2)
@@ -103,7 +103,7 @@ class ChainSpec:
     species: tuple
 
     def __init__(self, p0, species):
-        object.__setattr__(self, "p0", exact_p0(p0))
+        object.__setattr__(self, "p0", exact_rational(p0, "p0"))
         object.__setattr__(self, "species",
                            tuple(integral((s, n), "species entries") for s, n in species))
         for two_s, count in self.species:
@@ -293,21 +293,29 @@ def _runs(values) -> str:
     return ", ".join(parts)
 
 
-def linear_form(ts: TSData, chain: ChainSpec, l: int) -> list:
-    """h = b + 2 l S n/p0, b the offset vector at level l, as integers.
-
-    The entry of the counting routes: a chain with a spin outside the string
-    classification has no Bethe states and is rejected here, before any
-    lambda is enumerated.  A top is h_i - 2 s_i g_i + lam_i + E's corner with
-    g = ScaledForm.dual(lam, l) integral, so a fractional h raises AssertionError.
-    """
-    scaled_form(ts)             # string data wider than MAX_DIM is rejected first
+def require_classified_spins(ts: TSData, chain: ChainSpec) -> None:
+    """PreconditionError, naming the offending 2s and the admissible ones,
+    unless every spin of the chain lies inside the string classification:
+    a chain with another spin has no Bethe states.  Checked once per chain
+    by each counting route, never per configuration."""
     bad = sorted({two_s for two_s, _ in chain.species if not admissible_spin(ts, two_s)})
     if bad:
         ok = _runs(admissible_spins(ts)) or "none"
         raise PreconditionError(
             f"chain has 2s = {', '.join(map(str, bad))} outside the string classification "
             f"at p0 = {ts.p0}; admissible 2s: {ok}")
+
+
+def linear_form(ts: TSData, chain: ChainSpec, l: int) -> list:
+    """h = b + 2 l S n/p0, b the offset vector at level l, as integers.
+
+    The entry of the linear-form counting routes: a chain with a spin outside
+    the string classification is rejected here, before any lambda is
+    enumerated.  A top is h_i - 2 s_i g_i + lam_i + E's corner with
+    g = ScaledForm.dual(lam, l) integral, so a fractional h raises AssertionError.
+    """
+    scaled_form(ts)             # string data wider than MAX_DIM is rejected first
+    require_classified_spins(ts, chain)
     h = [b + 2 * l * s * n / ts.p0
          for b, s, n in zip(offset_vector(ts, chain, l), ts.signs, string_weights(ts))]
     if any(x.denominator != 1 for x in h):

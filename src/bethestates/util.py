@@ -32,12 +32,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-def exact_p0(p0) -> Fraction:
-    """p0 as a Fraction; PreconditionError for a float, whose binary value
+def exact_rational(x, what: str) -> Fraction:
+    """x as a Fraction; PreconditionError for a float, whose binary value
     (2.2 is 2476979795053773/1125899906842624) is not the rational meant."""
-    if isinstance(p0, float):
-        raise PreconditionError(f"p0 must be an int, a Fraction or a string, not a float: {p0!r}")
-    return Fraction(p0)
+    if isinstance(x, float):
+        raise PreconditionError(
+            f"{what} must be an int, a Fraction or a string, not a float: {x!r}")
+    return Fraction(x)
 
 
 def integral(values, what: str) -> tuple:

@@ -177,6 +177,35 @@ def test_pairing_rejects_a_chain_at_another_p0():
         verify_pairing(ts, chain)
 
 
+def test_census_route_rejects_inadmissible_spins_once_per_chain(monkeypatch):
+    # 2s = 5 lies outside the string classification at p0 = 4 (admissible
+    # 2s: 1..3); every entry of the census route raises before a vacancy
+    # number is computed, and enumerate_xxz_int checks the chain once
+    from bethestates import configs
+    ts, chain = compute_ts(4), ChainSpec(4, [(5, 1)])
+
+    def no_vacancies(*args):
+        raise AssertionError("census started")
+
+    monkeypatch.setattr(configs, "xxz_vacancies_int", no_vacancies)
+    for call in (lambda: pair(ts, chain, Partition(())),
+                 lambda: forget(ts, chain, XXZConfig((0, 0, 0), 1)),
+                 lambda: configs.enumerate_xxz_int(ts, chain, 1),
+                 lambda: verify_pairing(ts, chain)):
+        with pytest.raises(PreconditionError,
+                           match="2s = 5 outside the string classification at p0 = 4; "
+                                 "admissible 2s: 1..3$"):
+            call()
+    monkeypatch.undo()
+    calls = []
+    check = configs.require_classified_spins
+    monkeypatch.setattr(configs, "require_classified_spins",
+                        lambda *args: calls.append(args) or check(*args))
+    chain = ChainSpec(4, [(3, 4)])
+    assert len(configs.enumerate_xxz_int(ts, chain, 6)) > 1
+    assert calls == [(ts, chain)]
+
+
 def test_verify_pairing_guard():
     ts = compute_ts(6)
     with pytest.raises(PreconditionError):

@@ -97,6 +97,21 @@ def test_inadmissible_spin_exits_3(capsys):
         assert captured.err.endswith(msg), captured.err
 
 
+def test_census_commands_reject_inadmissible_spins(capsys):
+    # the census route of enumerate and bijection refuses such a chain as
+    # count does, with its message, before any configuration is listed
+    for argv in (["enumerate", "--p0", "3", "--chain", "5x2", "--l", "1"],
+                 ["bijection", "--p0", "4", "--chain", "5x1"]):
+        assert main(["count", "--p0", argv[2], "--chain", argv[4], "--l", "1"]) == 3
+        count_err = capsys.readouterr().err
+        assert "2s = 5 outside the string classification" in count_err
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3, argv
+        assert captured.out == ""
+        assert captured.err == count_err
+
+
 def test_inadmissible_spin_message_names_runs(capsys):
     # 997 admissible 2s at 1997/2 are one run, printed as a range
     rc = main(["count", "--p0", "1997/2", "--chain", "1000x1", "--l", "1"])

@@ -245,9 +245,10 @@ def test_dead_level_window_raises_on_a_negative_entry(monkeypatch):
     (F(55, 34), 10, None), (F(201, 2), 16, 6)])
 def test_fermionic_sum_equals_per_vector_reference(monkeypatch, p0, cutoff, window):
     # fermionic_sum divides each q-factorial once, for the sum of all vectors
-    # below it in a trie; level_series divides vector by vector.  At 201/2
-    # the proved window, 101 dead levels, is out of reach, so a shorter one
-    # stops the loop early; the sides are compared on the visited levels.
+    # whose paths share that prefix; level_series divides vector by vector.
+    # At 201/2 the proved window, 101 dead levels, is out of reach, so a
+    # shorter one stops the loop early; the sides are compared on the visited
+    # levels.
     from bethestates import identities
     ts = compute_ts(p0)
     if window is not None:
@@ -264,6 +265,34 @@ def test_fermionic_sum_equals_per_vector_reference(monkeypatch, p0, cutoff, wind
         lead = F(l * l) / p0
         reference = reference + level_series(ts, l, cutoff - lead).shift(lead)
     assert lhs == reference
+
+
+@pytest.mark.parametrize("p0, cutoff, divisions", [(F(16, 7), 120, 719), (F(55, 34), 60, 112)])
+def test_fermionic_sum_divides_once_per_shared_prefix(monkeypatch, p0, cutoff, divisions):
+    # a live vector's path is its signed lengths s_k lam_k, largest |.| first;
+    # every distinct nonempty prefix of the paths divides once, for all the
+    # vectors below it, so a division per path would divide shared prefixes
+    # again
+    from bethestates import identities
+    ts = compute_ts(p0)
+    prefixes, steps = set(), []
+    level_terms = identities._level_terms
+
+    def recorded(ts_, l, cut):
+        for e, lam in level_terms(ts_, l, cut):
+            path = sorted((s * x for x, s in zip(lam, ts.signs) if x),
+                          key=lambda f: (abs(f), f), reverse=True)
+            prefixes.update(tuple(path[:i]) for i in range(1, len(path) + 1))
+            yield e, lam
+
+    div = QSeries.div_cyclotomic
+    monkeypatch.setattr(identities, "_level_terms", recorded)
+    monkeypatch.setattr(QSeries, "div_cyclotomic",
+                        lambda self, *s: steps.append(s) or div(self, *s))
+    fermionic_sum(ts, cutoff)
+    assert len(steps) == len(prefixes) == divisions
+    # (q**s; q**s)_x divides by 1 - q**(s i) for i = 1..x, s * x last
+    assert sorted(s[-1] for s in steps) == sorted(prefix[-1] for prefix in prefixes)
 
 
 # -- identity checks -------------------------------------------------------------------
@@ -317,6 +346,20 @@ def test_identity_report():
     assert rep.agree and rep.first_discrepancy is None
     d = rep.to_json_dict()
     assert d["schema"] == "v1" and d["agree"] is True and d["p0"] == "7/3"
+
+
+def test_float_cutoffs_raise():
+    # a float cutoff of 2.1 would put the fermionic sum on a lattice of
+    # denominator 2**51, where it runs out of memory; ints, Fractions and
+    # strings agree
+    ts = compute_ts(2)
+    for call in (lambda: check_identity(ts, 2.1), lambda: check_identity(ts, 3.0),
+                 lambda: level_series(ts, 1, 0.5)):
+        with pytest.raises(PreconditionError, match="not a float: "):
+            call()
+    reports = [check_identity(ts, c) for c in (10, F(10), "10")]
+    assert all(r.agree and r.cutoff == 10 and r.lhs == reports[0].lhs for r in reports)
+    assert level_series(ts, 1, 8) == level_series(ts, 1, F(8)) == level_series(ts, 1, "8")
 
 
 def test_collapsed_equals_double_sum():

@@ -7,8 +7,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bethestates"
 
 MATH_FLOAT = {"sqrt", "log", "log2", "log10", "log1p", "exp", "expm1", "pow", "fsum"}
 
-# the one use of the name: the guard that turns a float p0 away
-GUARD = ("util.py", "exact_p0", "isinstance(p0, float)")
+# the one use of the name: the guard that turns a float p0 or q exponent away
+GUARD = ("util.py", "exact_rational", "isinstance(x, float)")
 
 
 def float_uses(source: str, filename: str) -> list:

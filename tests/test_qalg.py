@@ -167,6 +167,27 @@ def test_div_step_zero_rejected():
 
 # -- polynomials -----------------------------------------------------------------
 
+def test_float_exponents_raise():
+    # the float 0.1 is 3602879701896397/2**55: as an exponent, shift or
+    # cutoff it would put the series on that lattice, where dividing runs
+    # out of memory; ints, Fractions and strings are taken as before
+    s = QSeries({0: 1, 1: 2}, 6)
+    for call in (lambda: QPolynomial({0.5: 1}), lambda: QSeries({0: 1}, 0.1),
+                 lambda: QSeries.one(0.1), lambda: s.shift(0.5), lambda: s.truncated(2.0),
+                 lambda: s.div_cyclotomic(1.0), lambda: s.div_cyclotomic(1, -0.5),
+                 lambda: s.coeff(1.0)):
+        with pytest.raises(PreconditionError, match="q exponent must be .*not a float: "):
+            call()
+    for x in (1, Fraction(1), "1"):
+        assert QPolynomial({x: 3}).terms == {Fraction(1): 3}
+        assert QSeries.one(x).cutoff == Fraction(1)
+        assert s.shift(x) == QSeries({1: 1, 2: 2}, 7)
+        assert s.truncated(x) == QSeries({0: 1, 1: 2}, 1)
+        assert s.div_cyclotomic(x) == QSeries({0: 1, 1: 3, 2: 3, 3: 3, 4: 3, 5: 3, 6: 3}, 6)
+        assert s.coeff(x) == 2
+    assert s.shift("1/2").coeff("3/2") == 2
+
+
 def test_pochhammer_empty():
     assert pochhammer(1, 0) == QPolynomial.one()
 

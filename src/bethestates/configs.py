@@ -8,12 +8,15 @@ given by the vacancy linear form; at integer p0 this must agree with the
 direct census route, which is checked in the tests.  enumerate_lambda lists
 the vectors of a level: a depth-first search over the head components, pruned
 by the counts N_k(r) of the tails that complete it, joins each prefix to a
-table of the lex-sorted tails of the last components.  The count and q_count
-share one walk over the vectors that reads the tops from g = G lam, G =
-Theta~ + n n^t/p0 an integer matrix, by back-substitution in the tridiagonal
-S C S: O(dim) per vector, stopping at the first vanishing binomial.
-_CountContext.tops evaluates the form per vector from the dense adjugate of
-S C S, built on demand, and E; it is the reference the walk is tested against.
+table of the lex-sorted tails of the last components.  One walk over a
+level's vectors serves the count, q_count and the fermionic level terms of
+identities: it reads g = G lam, G = Theta~ + n n^t/p0 an integer matrix, by
+back-substitution in the tridiagonal S C S, last component first, walks the
+last half of the components once per distinct tail and the rest per vector,
+and lets a step of each route multiply in its factor or drop the vector at
+the first component that rules it out.  _CountContext.tops evaluates the
+form per vector from the dense adjugate of S C S, built on demand, and E; it
+is the reference the walk's tops are tested against.
 """
 
 from __future__ import annotations
@@ -291,6 +294,8 @@ def enumerate_lambda(ts: TSData, l: int) -> list:
 
     counts[k][r] = N_k(r) counts the tails over components k.. that sum to r:
     N_k(r) = N_{k+1}(r) + N_k(r - n_k), and N_0(l) is the size of the output.
+    A component heavier than l shares the row after it, N_k = N_{k+1}: no
+    row is changed once built.
     The lex-sorted tails of the last components, for every remainder r <= l,
     form a table built bottom-up.  It takes the last component, then each one
     before it while it holds at most a 32nd of the output's entries, so its
@@ -307,7 +312,7 @@ def enumerate_lambda(ts: TSData, l: int) -> list:
     dim = len(weights)
     counts = [[1] + [0] * l]           # N_dim: the empty tail, at r = 0 only
     for w in reversed(weights):
-        row = counts[-1][:]
+        row = counts[-1] if w > l else counts[-1][:]
         for r in range(w, l + 1):
             row[r] += row[r - w]
         counts.append(row)
@@ -385,24 +390,26 @@ class _CountContext:
         return [v // den for v in scaled]
 
 
-def _dual_walk(ts: TSData, chain: ChainSpec, l: int):
-    """(factors, e) for each level-l multiplicity vector lam whose binomial
-    product does not vanish, in the order of enumerate_lambda: factors lists
-    (top, lam_i, i) for the nonzero lam_i, last component first, and the
-    integer e = lam . g is the quadratic form lam G lam.
+def _lambda_walk(ts: TSData, l: int, lams, h, step, acc):
+    """(acc, e, lam) for each level-l vector lam of lams, in their order,
+    that step keeps.  The one back-substitution of the lambda routes: the
+    count and q_count read tops from it, _level_terms least exponents.
 
-    g = G lam is ScaledForm.dual(lam, l), and each top is local in it:
-    t_i = h_i - 2 s_i g_i + lam_i + corner_i, h = linear_form(ts, chain, l)
-    and E's corner being -lam_dim at i = dim-1 and +lam_{dim-1} at i = dim.
-    With g0 the dual at lam = 0 and level l, g = g0 + u for the integer
-    back-substitution u of lam, u_{i-1} = b_{i-1} (lam_i - a_i u_i - b_i
-    u_{i+1}) from u_dim = 0, which the walk runs per vector, last row first.
-    g is integral, so linear_form's check of h is the level's one lattice
-    check.  A signed or Gaussian binomial with lam_i > 0 vanishes only when
-    0 <= t_i < lam_i, where the vector is dropped.  _CountContext.tops is the
-    dense per-vector reference.
+    g = G lam is ScaledForm.dual(lam, l).  With g0 the dual at lam = 0 and
+    level l, g = g0 + u for the integer back-substitution u of lam,
+    u_{i-1} = b_{i-1} (lam_i - a_i u_i - b_i u_{i+1}) from u_dim = 0, run
+    last component first.  At each nonzero lam_i, e gains lam_i g_i, so
+    e = lam . g = lam G lam at the end, and acc becomes step(acc, e, t_i,
+    lam_i, i); a step that returns None drops the vector there.  The top
+    t_i = h_i - 2 s_i g_i + lam_i + corner_i against the integer vector h,
+    E's corner being -lam_dim at i = dim-1 and +lam_{dim-1} at i = dim; a
+    step that reads no top passes h = 0.  The state (acc, e, u_i, u_{i+1})
+    after the last components depends on those alone, so the last dim -
+    split of them, split = dim // 2 (none when dim <= 2, so E's corner stays
+    in the tail), are walked once per distinct tail and their state is
+    looked up for every vector that shares it; a dropped tail drops all of
+    them.  _CountContext.tops is the dense per-vector reference of the tops.
     """
-    h = linear_form(ts, chain, l)
     form = scaled_form(ts)
     diag, last = form.diag, ts.dim - 1
     off_hi = (*form.off, 0)         # b_i, coupling i to i+1
@@ -416,27 +423,39 @@ def _dual_walk(ts: TSData, chain: ChainSpec, l: int):
         coef[last - 1] += off_lo[last]
     rows = [(h[i], coef[i], diag[i], off_lo[i], off_hi[i], g0[i], i)
             for i in range(last - 1, -1, -1)]
+    split = ts.dim // 2 if ts.dim > 2 else 0
+    tail_rows, head_rows = rows[:last - split], rows[last - split:]
     h_last, g_last, b_last = h[last], g0[last], off_lo[last]
-    for lam in enumerate_lambda(ts, l):
-        x = lam[last]
-        factors, e = [], 0
-        if x:
-            t = h_last + x + (lam[last - 1] if last else 0)
-            if 0 <= t < x:
-                continue
-            factors.append((t, x, last))
-            e = x * g_last
-        u, u_hi = b_last * x, 0
-        for (hi, k, a, b_lo, b_hi, gi, i), x in zip(rows, lam[last - 1::-1]):
+
+    def walk(rows, xs, acc, e, u, u_hi):
+        for (hi, k, a, b_lo, b_hi, gi, i), x in zip(rows, xs):
             if x:
-                t = hi - k * u + x
-                if 0 <= t < x:
-                    break
-                factors.append((t, x, i))
                 e += x * (gi + u)
+                acc = step(acc, e, hi - k * u + x, x, i)
+                if acc is None:
+                    return ()
             u, u_hi = b_lo * (x - a * u - b_hi * u_hi), u
-        else:
-            yield factors, e
+        return acc, e, u, u_hi
+
+    def walk_tail(tail):
+        x, e, state = tail[-1], 0, acc
+        if x:
+            e = x * g_last
+            state = step(acc, e, h_last + x + (tail[-2] if last else 0), x, last)
+            if state is None:
+                return ()
+        return walk(tail_rows, tail[-2::-1], state, e, b_last * x, 0)
+
+    tails = {}                      # tail -> its state, () once dropped
+    for lam in lams:
+        tail = lam[split:]
+        state = tails.get(tail)
+        if state is None:
+            state = tails[tail] = walk_tail(tail)
+        if state:
+            state = walk(head_rows, lam[split - 1::-1], *state)
+            if state:
+                yield state[0], state[1], lam
 
 
 @dataclass(frozen=True)
@@ -446,6 +465,13 @@ class GeneralCount:
     skipped_fractional: int = 0   # always 0: every top is an integer (v1 JSON key)
 
 
+def _count_walk(ts: TSData, chain: ChainSpec, l: int, step, acc):
+    """_lambda_walk over level l's vectors with the tops of linear_form, the
+    level's one lattice check, made before any vector is enumerated."""
+    h = linear_form(ts, chain, l)
+    return _lambda_walk(ts, l, enumerate_lambda(ts, l), h, step, acc)
+
+
 def count_xxz_general_detailed(ts: TSData, chain: ChainSpec, l: int) -> GeneralCount:
     """Binomial-product sum over multiplicity vectors at level l.
 
@@ -453,13 +479,14 @@ def count_xxz_general_detailed(ts: TSData, chain: ChainSpec, l: int) -> GeneralC
     PreconditionError before any vector is enumerated.  Tops use the
     generalized binomial, so negative tops give signed contributions; below
     half filling every nonzero term is positive and the sum agrees with the
-    direct census.
+    direct census.  The walk's step multiplies in each binomial and drops a
+    vector at its first vanishing one, where 0 <= top < lam_i.
     """
+    def step(acc, e, t, x, i):
+        return None if 0 <= t < x else acc * signed_binom(t, x)
+
     total = admissible = 0
-    for factors, _ in _dual_walk(ts, chain, l):
-        prod = 1
-        for t, x, _ in factors:
-            prod *= signed_binom(t, x)
+    for prod, _, _ in _count_walk(ts, chain, l, step, 1):
         total += prod
         admissible += 1
     return GeneralCount(total, admissible)

@@ -3,8 +3,11 @@
 The fermionic side sums q**(l^2/p0) * V_l over all levels, where V_l is the
 generating series of states at level l: a level-l vector lam adds q**(lam G
 lam) / prod_k (q**s_k; q**s_k)_{lam_k} to the sum, G = Theta~ + n n^t/p0 an
-integer matrix.  The bosonic side is an alternating double sum whose kernel
-polynomials are the same for every rational p0.  For integer p0 the bosonic
+integer matrix.  The vectors and their exponents come from the lambda walk
+of configs, which drops a vector at its first component where the partial
+least exponent passes the cutoff; that is sound as G >= 0 entrywise, which
+dead_level_window checks.  The bosonic side is an alternating double sum
+whose kernel polynomials are the same for every rational p0.  For integer p0 the bosonic
 side collapses further to the classical
 Gordon-Andrews alternating sum and, via the Jacobi triple product, to
 modulus-(2 p0 + 1) products.  All comparisons are exact and term-by-term up
@@ -17,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import comb, floor
-from operator import mul
 
-from .configs import _dual_walk, enumerate_lambda
+from .configs import _count_walk, _lambda_walk, enumerate_lambda
 from .qalg import QPolynomial, QSeries, as_exp, gauss_binomial, product_expand, qsum
 from .spectral import ChainSpec, scaled_form
 from .tsdata import TSData, string_weights
@@ -50,18 +52,19 @@ def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
     Each admissible multiplicity vector contributes its quadratic-form
     monomial q**(lam Theta~ lam) times a product of Gaussian binomials in base
     q**(parity).  Evaluating at q = 1 recovers the plain count.  The vectors,
-    their tops and lam G lam = lam Theta~ lam + l^2/p0 come from the counting
-    walk of configs, which skips every vector with a vanishing binomial; the
-    terms are added in place on Z by one qsum, shifted once by -l^2/p0.
+    their products and lam G lam = lam Theta~ lam + l^2/p0 come from the
+    lambda walk of configs, whose step multiplies in each Gaussian binomial
+    and drops a vector at its first vanishing one; a tail's product is taken
+    once for all vectors that share the tail.  The terms are added in place
+    on Z by one qsum, shifted once by -l^2/p0.
     """
-    def terms():
-        for factors, e in _dual_walk(ts, chain, l):
-            term = QPolynomial.one()
-            for t, x, i in factors:
-                term = term * gauss_general(t, x, ts.signs[i])
-            yield term.shift(e)
+    signs = ts.signs
 
-    return qsum(terms()).shift(-l * l / ts.p0)
+    def step(acc, e, t, x, i):
+        return None if 0 <= t < x else acc * gauss_general(t, x, signs[i])
+
+    walk = _count_walk(ts, chain, l, step, QPolynomial.one())
+    return qsum(poly.shift(e) for poly, e, _ in walk).shift(-l * l / ts.p0)
 
 
 # -- fermionic side --------------------------------------------------------------
@@ -72,7 +75,10 @@ def level_series(ts: TSData, l: int, cutoff) -> QSeries:
 
     Each vector is divided on its own: the reference for fermionic_sum,
     which divides each q-factorial once for all vectors that share it.  It
-    sums on Z up to the cutoff + l^2/p0 and shifts back by -l^2/p0."""
+    sums on Z up to the cutoff + l^2/p0 and shifts back by -l^2/p0.  The
+    vectors come from _level_terms, whose early drop needs G >= 0
+    entrywise: dead_level_window checks that first, as in fermionic_sum."""
+    dead_level_window(ts)
     lead = l * l / ts.p0
     cutoff = as_exp(cutoff) + lead
     acc = QSeries.zero(cutoff)
@@ -84,15 +90,23 @@ def level_series(ts: TSData, l: int, cutoff) -> QSeries:
 
 def _level_terms(ts: TSData, l: int, cutoff: Fraction):
     """(e, lam) for each level-l multiplicity vector lam whose series
-    q**e / prod_k (q**s_k; q**s_k)_{lam_k}, e = lam . g = lam G lam,
-    g = ScaledForm.dual(lam, l), has a term within the cutoff.  Its least
-    exponent is e + sum_{s_k < 0} lam_k (lam_k + 1)/2, an integer, so vectors
-    whose series lies wholly past the cutoff are skipped without any series
-    work."""
-    dual, signs, limit = scaled_form(ts).dual, ts.signs, floor(cutoff)
-    for lam in enumerate_lambda(ts, l):
-        e = sum(map(mul, lam, dual(lam, l)))
-        if e + sum(x * (x + 1) for x, s in zip(lam, signs) if s < 0) // 2 <= limit:
+    q**e / prod_k (q**s_k; q**s_k)_{lam_k}, e = lam G lam, has a term within
+    the cutoff: its least exponent e + sum_{s_k < 0} lam_k (lam_k + 1)/2, an
+    integer, is at most floor(cutoff).  The vectors go through _lambda_walk,
+    whose step adds each component's part of the least exponent and drops
+    the vector at the first partial sum past floor(cutoff), with all the
+    vectors sharing its tail if that is where it passed.  Each part,
+    lam_k g_k and lam_k (lam_k + 1)/2, is >= 0 when G >= 0 entrywise, which
+    dead_level_window checks, so every partial sum is a lower bound."""
+    signs, limit = ts.signs, floor(cutoff)
+
+    def step(acc, e, t, x, i):
+        if signs[i] < 0:
+            acc += x * (x + 1) // 2
+        return acc if e + acc <= limit else None
+
+    for acc, e, lam in _lambda_walk(ts, l, enumerate_lambda(ts, l), [0] * ts.dim, step, 0):
+        if e + acc <= limit:        # the zero vector takes no step
             yield e, lam
 
 

@@ -9,10 +9,11 @@ the offset vector b complete the linear form whose j-th component equals
 P_j(lambda) + lambda_j.  scaled_form is the one coding of the integer
 matrix G = Theta~ + n n^t/p0, n the string lengths, kept as the signed bands
 of S C S = Theta~^-1 in O(dim): ScaledForm.dual gives g = G lam by
-back-substitution, and every top is local in g, so vacancy_linear_form, the
-quadratic form of the fermionic sum and the counting walk of configs all
-read the bands.  The dense rows of Theta are built on demand only, for
-coupling_matrix (display) and the per-vector reference of configs."""
+back-substitution, and every top is local in g, so vacancy_linear_form and
+the lambda walk of configs, which gives the tops of the counting routes and
+the quadratic form of the fermionic sum, read the bands.  The dense rows of
+Theta are built on demand only, for coupling_matrix (display) and the
+per-vector reference of configs."""
 
 from __future__ import annotations
 

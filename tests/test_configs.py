@@ -397,19 +397,22 @@ def test_enumerate_lambda_sizes_match_the_generating_function():
 
 def test_enumerate_lambda_set_up_memory_is_a_fraction_of_the_output():
     # the counts and the tail table stay within a tenth of the result's own
-    # size at 16/7, level 50 (47,910 vectors); a table of every component
-    # would hold as many vectors again as the result
-    ts = compute_ts(F(16, 7))
-    enumerate_lambda(ts, 1)
-    tracemalloc.start()
-    try:
-        lams = enumerate_lambda(ts, 50)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = sys.getsizeof(lams) + sum(map(sys.getsizeof, lams))
-    assert len(lams) == 47910
-    assert peak - size <= size // 10, (peak, size)
+    # size: at 16/7, level 50 a table of every component would hold as many
+    # vectors again as the result; at 1997/2, level 8 (dim 1,000, 67
+    # vectors) a copied count row for each of the components heavier than
+    # l would hold 30 % of it
+    for p0, l, size in [(F(16, 7), 50, 47910), (F(1997, 2), 8, 67)]:
+        ts = compute_ts(p0)
+        enumerate_lambda(ts, 1)
+        tracemalloc.start()
+        try:
+            lams = enumerate_lambda(ts, l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = sys.getsizeof(lams) + sum(map(sys.getsizeof, lams))
+        assert len(lams) == size, p0
+        assert peak - out <= out // 10, (p0, peak, out)
 
 
 def test_context_shares_scaled_theta():
@@ -527,6 +530,45 @@ def test_walk_matches_per_vector_reference():
             assert q_count(ts, chain, l) == q_ref, (p0, species, l)
             seen["admissible"] += admissible
     assert seen["negative top"] > 100 and 0 < seen["admissible"] < seen["vector"] / 2, seen
+
+
+def test_walk_steps_through_each_tail_once_per_level():
+    # _lambda_walk keeps the state of the last dim - dim // 2 components once
+    # per distinct tail of a level: a recording step that drops a vector at
+    # its first entry 2 is called at a tail component once per distinct tail,
+    # up to that entry, and at a head component once per vector whose tail
+    # was kept; the expected calls and the 12,184 distinct tails (453,164
+    # vectors) of 16/7, chain 1x50 are counted here from enumerate_lambda
+    from bethestates.configs import _lambda_walk
+    from bethestates.spectral import linear_form
+    ts = compute_ts(F(16, 7))
+    chain = ChainSpec(ts.p0, [(1, 50)])
+    split = ts.dim // 2
+    calls, want = Counter(), Counter()
+
+    def step(acc, e, t, x, i):
+        calls["tail" if i >= split else "head"] += 1
+        return None if x == 2 else acc + 1
+
+    def steps(xs):
+        """Calls on xs, last first, up to the first 2: (calls, kept)."""
+        nonzero = [x for x in reversed(xs) if x]
+        return (nonzero.index(2) + 1, False) if 2 in nonzero else (len(nonzero), True)
+
+    tails = vectors = unshared = 0
+    for l in range(chain.n_total + 1):
+        lams = enumerate_lambda(ts, l)
+        shared = {lam[split:]: steps(lam[split:]) for lam in lams}
+        tails += len(shared)
+        vectors += len(lams)
+        want["tail"] += sum(n for n, _ in shared.values())
+        unshared += sum(shared[lam[split:]][0] for lam in lams)
+        want["head"] += sum(steps(lam[:split])[0] for lam in lams if shared[lam[split:]][1])
+        kept = _lambda_walk(ts, l, lams, linear_form(ts, chain, l), step, 0)
+        assert [(n, lam) for n, _, lam in kept] == \
+            [(sum(map(bool, lam)), lam) for lam in lams if 2 not in lam], l
+    assert (tails, vectors) == (12184, 453164)
+    assert calls == want and 10 * want["tail"] < unshared, (calls, want, unshared)
 
 
 def test_q_count_exponents_lie_on_the_level_coset():

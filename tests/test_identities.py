@@ -9,7 +9,7 @@ from bethestates.identities import (bosonic_sum, bosonic_sum_collapsed,
                                     gordon_andrews_products, gordon_andrews_sum,
                                     kernel_offset, kernel_poly, kernel_sum,
                                     level_series, q_count)
-from bethestates.configs import count_xxz_general, string_weights
+from bethestates.configs import count_xxz_general, enumerate_lambda, string_weights
 from bethestates.qalg import QPolynomial, QSeries, gauss_binomial, pochhammer
 from bethestates.spectral import (ChainSpec, ScaledForm, coupling_matrix, scaled_form,
                                   tridiagonal_adjugate)
@@ -222,7 +222,8 @@ def test_fermionic_exponent_grows_in_every_component():
 def test_dead_level_window_raises_on_a_negative_entry(monkeypatch):
     # the check can fail: the form it reads, G column by column from
     # ScaledForm.dual, with one entry lowered below zero is rejected before
-    # any level is summed
+    # any level is summed, by fermionic_sum and by level_series, whose early
+    # drop of a vector both rely on G >= 0
     ts = compute_ts(F(16, 7))
     first = (1,) + (0,) * (ts.dim - 1)
     n_1 = string_weights(ts)[0]
@@ -236,8 +237,50 @@ def test_dead_level_window_raises_on_a_negative_entry(monkeypatch):
         return g
 
     monkeypatch.setattr(ScaledForm, "dual", lowered)
-    with pytest.raises(AssertionError, match="not monotone at p0 = 16/7, row 1"):
-        fermionic_sum(ts, 6)
+    for sums in (lambda: fermionic_sum(ts, 6), lambda: level_series(ts, 1, 6)):
+        with pytest.raises(AssertionError, match="not monotone at p0 = 16/7, row 1"):
+            sums()
+
+
+@pytest.mark.parametrize("p0, cutoff", [
+    (F(16, 7), 120), (F(16, 7), 240), (F(55, 34), 60), (F(27, 11), 60), (F(7, 3), 40),
+    (F(5, 2), 30), (F(2), 40), (F(3), 40), (F(7, 2), 40)])
+def test_level_terms_match_the_dense_least_exponent(p0, cutoff):
+    # _level_terms drops a vector at its first partial least exponent past
+    # the cutoff; here every vector of every level up to the stop, max n_k
+    # dead levels in a row, is kept or not by its whole least exponent
+    # lam G lam + sum_{s_k < 0} lam_k (lam_k + 1)/2, with the dense G =
+    # Theta~ + n n^t/p0 of coupling_matrix in Fractions.  A limit lowered by
+    # one, or G_11 raised by one, gives other terms.
+    from bethestates.identities import _level_terms
+    ts = compute_ts(p0)
+    n = string_weights(ts)
+    theta = coupling_matrix(ts).rows
+    G = [[si * sj * theta[i][j] + F(n[i] * n[j]) / p0 for j, sj in enumerate(ts.signs)]
+         for i, si in enumerate(ts.signs)]
+    assert all(x.denominator == 1 and x >= 0 for row in G for x in row), p0
+    G = [[int(x) for x in row] for row in G]
+    got, exact, dead, l = {}, {}, 0, 0
+    while dead < max(n):
+        exact[l] = []
+        for lam in enumerate_lambda(ts, l):
+            nz = [(k, x) for k, x in enumerate(lam) if x]
+            e = sum(x * G[k][j] * y for k, x in nz for j, y in nz)
+            least = e + sum(x * (x + 1) // 2 for k, x in nz if ts.signs[k] < 0)
+            exact[l].append((e, least, lam))
+        got[l] = list(_level_terms(ts, l, F(cutoff)))
+        dead = 0 if any(least <= cutoff for _, least, _ in exact[l]) else dead + 1
+        l += 1
+
+    def kept(limit, raise_g11=0):
+        return {l: [(e + raise_g11 * lam[0] ** 2, lam) for e, least, lam in rows
+                    if least + raise_g11 * lam[0] ** 2 <= limit] for l, rows in exact.items()}
+
+    assert got == kept(cutoff)
+    assert sum(map(len, got.values())) > 10
+    assert got != kept(cutoff - 1) and got != kept(cutoff, 1)
+    # the zero vector takes no step, and its least exponent 0 is past -1
+    assert list(_level_terms(ts, 0, F(-1))) == []
 
 
 @pytest.mark.parametrize("p0, cutoff, window", [

@@ -1,17 +1,19 @@
 """q-series identities: fermionic level sums against bosonic alternating sums.
 
-The fermionic side sums q**(l^2/p0) * V_l over all levels, where V_l is the
-generating series of states at level l: a level-l vector lam adds q**(lam G
-lam) / prod_k (q**s_k; q**s_k)_{lam_k} to the sum, G = Theta~ + n n^t/p0 an
-integer matrix.  The vectors and their exponents come from the lambda walk
-of configs, which drops a vector at its first component where the partial
-least exponent passes the cutoff; that is sound as G >= 0 entrywise, which
-dead_level_window checks.  The bosonic side is an alternating double sum
-whose kernel polynomials are the same for every rational p0.  For integer p0 the bosonic
-side collapses further to the classical
-Gordon-Andrews alternating sum and, via the Jacobi triple product, to
-modulus-(2 p0 + 1) products.  All comparisons are exact and term-by-term up
-to a truncation cutoff.
+The fermionic side sums q**(l^2/p0) * V_l over the live levels, where V_l is
+the generating series of states at level l: a level-l vector lam adds
+q**(lam G lam) / prod_k (q**s_k; q**s_k)_{lam_k} to the sum, G = Theta~ + n
+n^t/p0 an integer matrix.  live_levels finds the levels with a term within
+the cutoff before any is enumerated, by a min-plus pass over the components
+on the semiseparable generators of G.  The vectors and their exponents come
+from the lambda walk of configs, which drops a vector at its first component
+where the partial least exponent passes the cutoff.  Both prunes are sound as
+G >= 0 entrywise, which dead_level_window checks.  The bosonic side is an
+alternating double sum whose kernel polynomials are the same for every
+rational p0.  For integer p0 the bosonic side collapses further to the
+classical Gordon-Andrews alternating sum and, via the Jacobi triple product,
+to modulus-(2 p0 + 1) products.  All comparisons are exact and term-by-term
+up to a truncation cutoff.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import comb, floor
 
 from .configs import _count_walk, _lambda_walk, enumerate_lambda
 from .qalg import QPolynomial, QSeries, as_exp, gauss_binomial, product_expand, qsum
-from .spectral import ChainSpec, scaled_form
+from .spectral import ChainSpec, form_generators, scaled_form
 from .tsdata import TSData, string_weights
 from .util import PreconditionError, rat_str, report_header
 
@@ -111,58 +113,103 @@ def _level_terms(ts: TSData, l: int, cutoff: Fraction):
 
 
 def dead_level_window(ts: TSData) -> int:
-    """W = max n_k: fermionic_sum stops after W consecutive dead levels,
-    levels with no vector that has a term within the cutoff.
+    """Check the precondition of every prune of the fermionic sum, and
+    return W = max n_k.  The prunes are the lambda walk's drop of a vector at
+    its first partial least exponent past the cutoff, and live_levels' stop
+    and merge of its states.
 
     The least exponent of the series of lam is e(lam) = lam G lam +
     sum_{s_k < 0} lam_k (lam_k + 1)/2, an integer, with G = Theta~ + n n^t/p0
     (l^2/p0 included, l = n . lam), whose column k is ScaledForm.dual(e_k,
     n_k).  Checked here (AssertionError otherwise): G >= 0 entrywise, and
     G_kk = 0 only where s_k < 0.  So raising lam_k by one adds 2 (G lam)_k +
-    G_kk, plus lam_k + 1 if s_k < 0: e grows by >= 1 in every component.
-    Proof: if levels l0 .. l0 + W - 1 are dead, lower a vector at a level
-    >= l0 + W one unit at a time.  Each step drops the level by n_k <= W, so
-    it meets a vector it dominates in that window, which is past the cutoff,
-    and so is it.  The loop ends, as e(lam) >= sum lam_k >= l / W.
+    G_kk, plus lam_k + 1 if s_k < 0: e grows by >= 1 in every component.  The
+    same scan checks den G_ik = sgn x_i y_k + q n_i n_k for i <= k against
+    form_generators, which live_levels reads.
+
+    W bounds the runs of dead levels: after levels l0 .. l0 + W - 1 are dead,
+    so is every later level, as lowering a later vector one unit at a time
+    drops its level by n_k <= W per step and meets a vector of that window
+    that it dominates.  No loop stops on W, as live_levels finds the live
+    levels directly.
     """
     form, weights = scaled_form(ts), string_weights(ts)
+    x, y, sgn = form_generators(ts)
+    q = ts.p0.denominator
     for k, (n_k, s_k) in enumerate(zip(weights, ts.signs)):
         column = form.dual([int(j == k) for j in range(ts.dim)], n_k)
         if min(column) < 0 or (column[k] == 0 and s_k > 0):
             raise AssertionError(
                 f"fermionic exponent not monotone at p0 = {ts.p0}, row {k + 1}")
+        if any(form.den * g != sgn * x_i * y[k] + q * n_i * n_k
+               for g, x_i, n_i in zip(column[:k + 1], x, weights)):
+            raise AssertionError(
+                f"generators of G disagree with column {k + 1} at p0 = {ts.p0}")
     return max(weights)
+
+
+def live_levels(ts: TSData, cutoff) -> list:
+    """The sorted levels l with a vector lam, n . lam = l, whose least
+    exponent lam G lam + sum_{s_k < 0} lam_k (lam_k + 1)/2 is at most
+    floor(cutoff); no vector is enumerated.
+
+    A min-plus pass over the components: with the generators of G, the
+    prefix lam_0 .. lam_{k-1} enters the rest only through A = sum x_i lam_i
+    and B = sum n_i lam_i, the level so far.  Choosing lam_k = c adds c (2
+    gamma_k + G_kk c), plus c (c + 1)/2 if s_k < 0, with gamma_k = (sgn y_k A
+    + q n_k B)/den = sum_{i<k} G_ik lam_i an integer.  Each state (A, B) keeps
+    its least partial exponent, and c stops at the first value past the
+    cutoff.  Both are sound because every unit of c adds >= 1 and no step
+    lowers the exponent, which dead_level_window checks first.  The live
+    levels are the B of the final states.
+    """
+    dead_level_window(ts)
+    limit = floor(as_exp(cutoff))
+    den, q = scaled_form(ts).den, ts.p0.denominator
+    x, y, sgn = form_generators(ts)
+    states = {(0, 0): 0} if limit >= 0 else {}
+    for n_k, s_k, x_k, y_k in zip(string_weights(ts), ts.signs, x, y):
+        g_kk = (sgn * x_k * y_k + q * n_k * n_k) // den
+        half = 1 if s_k < 0 else 0
+        nxt = {}
+        for (a, b), e in states.items():
+            gamma, rest = divmod(sgn * y_k * a + q * n_k * b, den)
+            if rest:
+                raise AssertionError(f"fractional row sum of G at p0 = {ts.p0}")
+            c = 0
+            while e <= limit:
+                key = (a + c * x_k, b + c * n_k)
+                if e < nxt.get(key, e + 1):
+                    nxt[key] = e
+                c += 1
+                e += 2 * gamma + g_kk * (2 * c - 1) + half * c
+        states = nxt
+    return sorted({b for _, b in states})
 
 
 def fermionic_sum(ts: TSData, cutoff) -> QSeries:
     """Sum of q**(l^2/p0) V_l over levels l >= 0, truncated at the cutoff.
 
-    The level loop stops after dead_level_window(ts) consecutive dead levels;
-    that function proves that no later level has a term within the cutoff.
-    The surviving vectors of all levels are grouped by their path, the
-    q-factorials (q**s; q**s)_x written as signed lengths s * x.  The nodes
-    of a tree are every prefix of every path, the root () included; a node's
-    value is its own monomials plus its children's values, divided once by
-    its last q-factorial, so each shared q-factorial divides once.  The nodes
-    are folded in reverse sorted order: a child sorts after its parent and
-    each subtree is contiguous, so every node comes after all of its
-    descendants, and only the ancestors of the node at hand hold partial sums.
+    Only the levels of live_levels(ts, cutoff) are enumerated; every other
+    level has no term within the cutoff.  The surviving vectors of all levels
+    are grouped by their path, the q-factorials (q**s; q**s)_x written as
+    signed lengths s * x.  The nodes of a tree are every prefix of every
+    path, the root () included; a node's value is its own monomials plus its
+    children's values, divided once by its last q-factorial, so each shared
+    q-factorial divides once.  The nodes are folded in reverse sorted order:
+    a child sorts after its parent and each subtree is contiguous, so every
+    node comes after all of its descendants, and only the ancestors of the
+    node at hand hold partial sums.
     """
     cutoff = as_exp(cutoff)
-    window = dead_level_window(ts)
     # signed lengths s_k * lam_k of the nonzero lam_k, largest |.| first (so
     # the longest divisions sit nearest the root) -> e of each such vector
     groups = {}
-    dead = l = 0
-    while dead < window:
-        live = False
+    for l in live_levels(ts, cutoff):
         for e, lam in _level_terms(ts, l, cutoff):
-            live = True
             path = tuple(sorted((s * x for x, s in zip(lam, ts.signs) if x),
                                 key=lambda f: (abs(f), f), reverse=True))
             groups.setdefault(path, []).append(e)
-        dead = 0 if live else dead + 1
-        l += 1
     zero, sums = QSeries.zero(cutoff), {}
     for node in sorted({path[:i] for path in groups for i in range(len(path) + 1)} | {()},
                        reverse=True):

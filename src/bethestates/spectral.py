@@ -11,7 +11,9 @@ matrix G = Theta~ + n n^t/p0, n the string lengths, kept as the signed bands
 of S C S = Theta~^-1 in O(dim): ScaledForm.dual gives g = G lam by
 back-substitution, and every top is local in g, so vacancy_linear_form and
 the lambda walk of configs, which gives the tops of the counting routes and
-the quadratic form of the fermionic sum, read the bands.  The dense rows of
+the quadratic form of the fermionic sum, read the bands.  form_generators
+writes the same G as semiseparable plus rank one, from the leading and
+trailing minors, for the live-level pass of identities.  The dense rows of
 Theta are built on demand only, for coupling_matrix (display) and the
 per-vector reference of configs."""
 
@@ -258,6 +260,26 @@ def scaled_form(ts: TSData) -> ScaledForm:
     if rest:
         raise AssertionError(f"G = Theta~ + n n^t/p0 is not integral at p0 = {ts.p0}")
     return ScaledForm(den, tuple(diag), tuple(off), sigma, sigma * q, last)
+
+
+@lru_cache(maxsize=16)
+def form_generators(ts: TSData) -> tuple:
+    """(x, y, sgn) with den G_ij = sgn x_i y_j + q n_i n_j for i <= j, q =
+    denominator(p0): G is semiseparable plus rank one, in O(dim) integers.
+
+    On the bands of S C S, x_i = theta_i P_i and y_j = phi_{j+1} P_j, theta
+    and phi the leading and trailing minors as in tridiagonal_adjugate, P_j =
+    prod_{m<j} (-off_m) = +-1, and sgn the sign of theta_dim, so sgn x_i y_j
+    = den Theta~_ij.  dead_level_window checks the identity against G."""
+    form = scaled_form(ts)
+    theta = leading_minors(form.diag, form.off)
+    phi = leading_minors(form.diag[::-1], form.off[::-1])[::-1]
+    x, y, p = [], [], 1
+    for i, b in enumerate(form.off + (0,)):
+        x.append(theta[i] * p)
+        y.append(phi[i + 1] * p)
+        p *= -b
+    return tuple(x), tuple(y), 1 if theta[-1] > 0 else -1
 
 
 def coupling_matrix(ts: TSData) -> RationalMatrix:

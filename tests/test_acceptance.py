@@ -19,7 +19,7 @@ from bethestates.configs import xxx_config_count, xxx_vacancy
 from bethestates.identities import (bosonic_sum, bosonic_sum_collapsed,
                                     check_identity, divide_by_euler, fermionic_sum,
                                     gordon_andrews_products, gordon_andrews_sum,
-                                    kernel_sum, level_series, q_count)
+                                    kernel_sum, level_series, live_levels, q_count)
 from bethestates.qalg import pochhammer
 from bethestates.spectral import (RationalMatrix, coupling_bands, coupling_inverse,
                                   coupling_matrix, tridiagonal_adjugate)
@@ -237,9 +237,9 @@ def test_criterion_11_identity_past_first_bosonic_term():
 
 
 def test_criterion_12_dead_level_window(monkeypatch):
-    # fermionic_sum stops after max(string_weights(ts)) consecutive levels
-    # with nothing within the cutoff; summing twice as many levels must
-    # change nothing
+    # fermionic_sum enumerates exactly the levels of live_levels, those with
+    # a vector within the cutoff; summing every level up to twice as far
+    # must change nothing
     from bethestates import identities
     t0 = time.perf_counter()
     for p0, cutoff in [(F(16, 7), 120), (F(7, 3), 40), (F(5, 2), 30)]:
@@ -251,7 +251,7 @@ def test_criterion_12_dead_level_window(monkeypatch):
         lhs = fermionic_sum(ts, cutoff)
         monkeypatch.undo()
         visited = max(levels) + 1
-        assert levels == list(range(visited))
+        assert levels == live_levels(ts, cutoff)
         total = QSeries.zero(cutoff)
         for l in range(2 * visited):
             lead = F(l * l) / ts.p0
@@ -277,3 +277,14 @@ def test_criterion_14_pairing_13_1x24():
     rep = verify_pairing(compute_ts(13), ChainSpec(13, [(1, 24)]))
     assert rep.all_passed
     report(14, 10, t0, "pairing checks at p0 = 13 on 24 spin-1/2 sites")
+
+
+def test_criterion_15_identity_201_2_terminates():
+    # only the live levels are enumerated, so the sum ends quickly at 201/2
+    # (dim 102, strings up to length 101), although it is vacuous there: the
+    # first real bosonic term lies at q^403
+    t0 = time.perf_counter()
+    ts = compute_ts(F(201, 2))
+    lhs = fermionic_sum(ts, 16)
+    assert lhs == bosonic_sum(ts, 16)
+    report(15, 0.5, t0, "fermionic = bosonic at 201/2 up to q^16")

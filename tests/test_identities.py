@@ -8,11 +8,11 @@ from bethestates.identities import (bosonic_sum, bosonic_sum_collapsed,
                                     divide_by_euler, fermionic_sum, gauss_general,
                                     gordon_andrews_products, gordon_andrews_sum,
                                     kernel_offset, kernel_poly, kernel_sum,
-                                    level_series, q_count)
+                                    level_series, live_levels, q_count)
 from bethestates.configs import count_xxz_general, enumerate_lambda, string_weights
 from bethestates.qalg import QPolynomial, QSeries, gauss_binomial, pochhammer
-from bethestates.spectral import (ChainSpec, ScaledForm, coupling_matrix, scaled_form,
-                                  tridiagonal_adjugate)
+from bethestates.spectral import (ChainSpec, ScaledForm, coupling_matrix, form_generators,
+                                  scaled_form, tridiagonal_adjugate)
 from bethestates.tsdata import compute_ts
 from bethestates.util import PreconditionError
 
@@ -242,32 +242,40 @@ def test_dead_level_window_raises_on_a_negative_entry(monkeypatch):
             sums()
 
 
+def dense_form(ts):
+    """G = Theta~ + n n^t/p0 from the dense coupling_matrix in Fractions,
+    checked integral and >= 0 entrywise."""
+    n = string_weights(ts)
+    theta = coupling_matrix(ts).rows
+    G = [[si * sj * theta[i][j] + F(n[i] * n[j]) / ts.p0 for j, sj in enumerate(ts.signs)]
+         for i, si in enumerate(ts.signs)]
+    assert all(x.denominator == 1 and x >= 0 for row in G for x in row), ts.p0
+    return [[int(x) for x in row] for row in G]
+
+
+def dense_least_exponent(ts, G, lam):
+    """(lam G lam, lam G lam + sum_{s_k < 0} lam_k (lam_k + 1)/2)."""
+    nz = [(k, x) for k, x in enumerate(lam) if x]
+    e = sum(x * G[k][j] * y for k, x in nz for j, y in nz)
+    return e, e + sum(x * (x + 1) // 2 for k, x in nz if ts.signs[k] < 0)
+
+
 @pytest.mark.parametrize("p0, cutoff", [
     (F(16, 7), 120), (F(16, 7), 240), (F(55, 34), 60), (F(27, 11), 60), (F(7, 3), 40),
     (F(5, 2), 30), (F(2), 40), (F(3), 40), (F(7, 2), 40)])
 def test_level_terms_match_the_dense_least_exponent(p0, cutoff):
     # _level_terms drops a vector at its first partial least exponent past
-    # the cutoff; here every vector of every level up to the stop, max n_k
-    # dead levels in a row, is kept or not by its whole least exponent
+    # the cutoff; here every vector of every level up to max n_k dead levels
+    # in a row is kept or not by its whole least exponent
     # lam G lam + sum_{s_k < 0} lam_k (lam_k + 1)/2, with the dense G =
     # Theta~ + n n^t/p0 of coupling_matrix in Fractions.  A limit lowered by
     # one, or G_11 raised by one, gives other terms.
     from bethestates.identities import _level_terms
     ts = compute_ts(p0)
-    n = string_weights(ts)
-    theta = coupling_matrix(ts).rows
-    G = [[si * sj * theta[i][j] + F(n[i] * n[j]) / p0 for j, sj in enumerate(ts.signs)]
-         for i, si in enumerate(ts.signs)]
-    assert all(x.denominator == 1 and x >= 0 for row in G for x in row), p0
-    G = [[int(x) for x in row] for row in G]
+    G = dense_form(ts)
     got, exact, dead, l = {}, {}, 0, 0
-    while dead < max(n):
-        exact[l] = []
-        for lam in enumerate_lambda(ts, l):
-            nz = [(k, x) for k, x in enumerate(lam) if x]
-            e = sum(x * G[k][j] * y for k, x in nz for j, y in nz)
-            least = e + sum(x * (x + 1) // 2 for k, x in nz if ts.signs[k] < 0)
-            exact[l].append((e, least, lam))
+    while dead < max(string_weights(ts)):
+        exact[l] = [dense_least_exponent(ts, G, lam) + (lam,) for lam in enumerate_lambda(ts, l)]
         got[l] = list(_level_terms(ts, l, F(cutoff)))
         dead = 0 if any(least <= cutoff for _, least, _ in exact[l]) else dead + 1
         l += 1
@@ -283,31 +291,87 @@ def test_level_terms_match_the_dense_least_exponent(p0, cutoff):
     assert list(_level_terms(ts, 0, F(-1))) == []
 
 
-@pytest.mark.parametrize("p0, cutoff, window", [
+@pytest.mark.parametrize("p0, cutoff, g11_seen", [
+    (F(16, 7), 120, True), (F(16, 7), 240, True), (F(55, 34), 60, True),
+    (F(27, 11), 60, True), (F(7, 3), 40, True), (F(5, 2), 30, True), (F(2), 40, True),
+    (F(3), 40, False), (F(7, 2), 40, False), (F(201, 2), 16, False)])
+def test_live_levels_match_the_dense_least_exponent(p0, cutoff, g11_seen):
+    # live_levels enumerates no vector.  Here every vector of every level up
+    # to twice the last live level takes its least exponent from the dense G,
+    # and a level must be live at a cutoff c exactly when one of its vectors
+    # has a least exponent <= floor(c), for every c from -1 to the cutoff.
+    # Controls: a limit just below the least exponent of the last live level
+    # drops that level.  Level 1 holds the unit vectors of the strings of
+    # length 1, each with least exponent 1; at 3, 7/2 and 201/2 every level
+    # keeps a least vector with lam_1 = 0, so G_11 raised by one alone moves
+    # no live level there, while G_kk raised by one for each such string
+    # moves level 1 everywhere.
+    ts = compute_ts(p0)
+    G = dense_form(ts)
+    got = live_levels(ts, cutoff)
+    units = [k for k, n_k in enumerate(string_weights(ts)) if n_k == 1]
+    least = {}      # level -> least exponents at G, G_11 + 1, G_kk + 1 for k in units
+    for l in range(2 * got[-1] + 1):
+        for lam in enumerate_lambda(ts, l):
+            e = dense_least_exponent(ts, G, lam)[1]
+            row = (e, e + lam[0] ** 2, e + sum(lam[k] ** 2 for k in units))
+            least[l] = tuple(map(min, least.get(l, row), row))
+
+    def live(limit, which=0):
+        return [l for l, row in least.items() if row[which] <= limit]
+
+    cuts = range(-1, cutoff + 1)
+    sweep = [live_levels(ts, c) for c in cuts]
+    assert sweep[-1] == got == live(cutoff)
+    assert sweep == [live(c) for c in cuts]
+    assert live_levels(ts, F(2 * cutoff + 1, 2)) == got
+    assert got != live(least[got[-1]][0] - 1)
+    assert (sweep != [live(c, 1) for c in cuts]) == g11_seen
+    assert sweep != [live(c, 2) for c in cuts]
+
+
+@pytest.mark.parametrize("which, index", [(0, 2), (1, 3)])
+def test_generator_check_raises_before_any_level(monkeypatch, which, index):
+    # the check can fail: form_generators with one x_i or y_j raised by one
+    # disagrees with a column of G in dead_level_window's scan, so
+    # fermionic_sum and live_levels raise before any level is enumerated
+    from bethestates import identities
+    ts = compute_ts(F(16, 7))
+    bad = list(form_generators(ts))
+    bad[which] = tuple(v + (i == index) for i, v in enumerate(bad[which]))
+    monkeypatch.setattr(identities, "form_generators", lambda ts_: tuple(bad))
+    levels = []
+    monkeypatch.setattr(identities, "enumerate_lambda", lambda ts_, l: levels.append(l) or [])
+    for run in (lambda: fermionic_sum(ts, 40), lambda: live_levels(ts, 40)):
+        with pytest.raises(AssertionError, match="generators of G disagree with column"):
+            run()
+    assert levels == []
+
+
+@pytest.mark.parametrize("p0, cutoff, smaller", [
     (F(2), 20, None), (F(3), 20, None), (F(7, 2), 20, None), (F(27, 11), 16, None),
     (F(55, 34), 10, None), (F(201, 2), 16, 6)])
-def test_fermionic_sum_equals_per_vector_reference(monkeypatch, p0, cutoff, window):
+def test_fermionic_sum_equals_per_vector_reference(monkeypatch, p0, cutoff, smaller):
     # fermionic_sum divides each q-factorial once, for the sum of all vectors
     # whose paths share that prefix; level_series divides vector by vector.
-    # At 201/2 the proved window, 101 dead levels, is out of reach, so a
-    # shorter one stops the loop early; the sides are compared on the visited
-    # levels.
+    # fermionic_sum enumerates exactly the live levels, and the reference
+    # sums every level up to twice the last of them, at the cutoff and at a
+    # smaller one where given.
     from bethestates import identities
     ts = compute_ts(p0)
-    if window is not None:
-        monkeypatch.setattr(identities, "dead_level_window", lambda ts_: window)
-    levels = []
     enumerate_lambda = identities.enumerate_lambda
-    monkeypatch.setattr(identities, "enumerate_lambda",
-                        lambda ts_, l: levels.append(l) or enumerate_lambda(ts_, l))
-    lhs = fermionic_sum(ts, cutoff)
-    monkeypatch.undo()
-    assert levels == list(range(len(levels)))
-    reference = QSeries.zero(cutoff)
-    for l in levels:
-        lead = F(l * l) / p0
-        reference = reference + level_series(ts, l, cutoff - lead).shift(lead)
-    assert lhs == reference
+    for cut in (cutoff,) if smaller is None else (cutoff, smaller):
+        levels = []
+        monkeypatch.setattr(identities, "enumerate_lambda",
+                            lambda ts_, l: levels.append(l) or enumerate_lambda(ts_, l))
+        lhs = fermionic_sum(ts, cut)
+        monkeypatch.undo()
+        assert levels == live_levels(ts, cut)
+        reference = QSeries.zero(cut)
+        for l in range(2 * levels[-1] + 1):
+            lead = F(l * l) / p0
+            reference = reference + level_series(ts, l, cut - lead).shift(lead)
+        assert lhs == reference, cut
 
 
 @pytest.mark.parametrize("p0, cutoff, divisions", [(F(16, 7), 120, 719), (F(55, 34), 60, 112)])

@@ -9,9 +9,9 @@ import pytest
 from bethestates.configs import enumerate_xxz_int
 from bethestates.qalg import QSeries
 from bethestates.spectral import (ChainSpec, RationalMatrix, _runs, coupling_bands,
-                                  coupling_inverse, coupling_matrix, offset_vector,
-                                  parity_matrix, scaled_form, tridiagonal_adjugate,
-                                  vacancy_linear_form)
+                                  coupling_inverse, coupling_matrix, form_generators,
+                                  offset_vector, parity_matrix, scaled_form,
+                                  tridiagonal_adjugate, vacancy_linear_form)
 from bethestates.tsdata import compute_ts, string_weights, zone
 from bethestates.util import PreconditionError
 
@@ -171,9 +171,9 @@ def test_dual_is_theta_times_lambda():
 def test_production_paths_build_no_dense_form(monkeypatch, capsys):
     # counts, q-counts, identities and the vacancy form read the O(dim) bands
     # of scaled_form only; the dense adjugate serves coupling_matrix and the
-    # per-vector reference.  scaled_form's cache is cleared, so it runs under
-    # the patch.  fermionic_sum cannot finish at 201/2, so there the identity
-    # is checked through its parts: the column scan and the first levels.
+    # per-vector reference.  The caches of scaled_form and form_generators
+    # are cleared, so they run under the patch; live_levels reads leading
+    # minors only, so the identity is checked at 201/2 too.
     from bethestates import configs, spectral
     from bethestates.cli import main
     from bethestates.configs import count_xxz_general
@@ -186,6 +186,7 @@ def test_production_paths_build_no_dense_form(monkeypatch, capsys):
     for module in (spectral, configs):
         monkeypatch.setattr(module, "tridiagonal_adjugate", no_dense)
     scaled_form.cache_clear()
+    form_generators.cache_clear()
     try:
         for p0, sites in ((F(16, 7), 6), (F(201, 2), 4)):
             ts = compute_ts(p0)
@@ -203,10 +204,12 @@ def test_production_paths_build_no_dense_form(monkeypatch, capsys):
         assert dead_level_window(ts) == 101
         assert level_series(ts, 0, 3) == QSeries.one(3)
         assert all(level_series(ts, l, 3).is_zero() for l in range(1, 4))
+        assert check_identity(ts, 6).agree
         assert main(["count", "--p0", "1997/2", "--chain", "1x2", "--l", "1"]) == 0
         assert "Z(l=1) = 2 with 2 summands" in capsys.readouterr().out
     finally:
         scaled_form.cache_clear()
+        form_generators.cache_clear()
 
 
 def test_scaled_form_memory_is_linear_in_dim():

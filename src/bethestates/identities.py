@@ -8,7 +8,7 @@ the cutoff before any is enumerated, by a min-plus pass over the components
 on the semiseparable generators of G.  The vectors and their exponents come
 from the lambda walk of configs, which drops a vector at its first component
 where the partial least exponent passes the cutoff.  Both prunes are sound as
-G >= 0 entrywise, which dead_level_window checks.  The bosonic side is an
+G >= 0 entrywise, which spectral.scaled_form checks.  The bosonic side is an
 alternating double sum whose kernel polynomials are the same for every
 rational p0.  For integer p0 the bosonic side collapses further to the
 classical Gordon-Andrews alternating sum and, via the Jacobi triple product,
@@ -25,7 +25,7 @@ from math import comb, floor
 
 from .configs import _count_walk, _lambda_walk, enumerate_lambda
 from .qalg import QPolynomial, QSeries, as_exp, gauss_binomial, product_expand, qsum
-from .spectral import ChainSpec, form_generators, scaled_form
+from .spectral import ChainSpec, scaled_form
 from .tsdata import TSData, string_weights
 from .util import PreconditionError, rat_str, report_header
 
@@ -78,9 +78,7 @@ def level_series(ts: TSData, l: int, cutoff) -> QSeries:
     Each vector is divided on its own: the reference for fermionic_sum,
     which divides each q-factorial once for all vectors that share it.  It
     sums on Z up to the cutoff + l^2/p0 and shifts back by -l^2/p0.  The
-    vectors come from _level_terms, whose early drop needs G >= 0
-    entrywise: dead_level_window checks that first, as in fermionic_sum."""
-    dead_level_window(ts)
+    vectors come from _level_terms."""
     lead = l * l / ts.p0
     cutoff = as_exp(cutoff) + lead
     acc = QSeries.zero(cutoff)
@@ -98,9 +96,10 @@ def _level_terms(ts: TSData, l: int, cutoff: Fraction):
     whose step adds each component's part of the least exponent and drops
     the vector at the first partial sum past floor(cutoff), with all the
     vectors sharing its tail if that is where it passed.  Each part,
-    lam_k g_k and lam_k (lam_k + 1)/2, is >= 0 when G >= 0 entrywise, which
-    dead_level_window checks, so every partial sum is a lower bound."""
+    lam_k g_k and lam_k (lam_k + 1)/2, is >= 0 as G >= 0 entrywise (checked
+    by scaled_form), so every partial sum is a lower bound."""
     signs, limit = ts.signs, floor(cutoff)
+    scaled_form(ts)             # G is checked before any vector is enumerated
 
     def step(acc, e, t, x, i):
         if signs[i] < 0:
@@ -110,42 +109,6 @@ def _level_terms(ts: TSData, l: int, cutoff: Fraction):
     for acc, e, lam in _lambda_walk(ts, l, enumerate_lambda(ts, l), [0] * ts.dim, step, 0):
         if e + acc <= limit:        # the zero vector takes no step
             yield e, lam
-
-
-def dead_level_window(ts: TSData) -> int:
-    """Check the precondition of every prune of the fermionic sum, and
-    return W = max n_k.  The prunes are the lambda walk's drop of a vector at
-    its first partial least exponent past the cutoff, and live_levels' stop
-    and merge of its states.
-
-    The least exponent of the series of lam is e(lam) = lam G lam +
-    sum_{s_k < 0} lam_k (lam_k + 1)/2, an integer, with G = Theta~ + n n^t/p0
-    (l^2/p0 included, l = n . lam), whose column k is ScaledForm.dual(e_k,
-    n_k).  Checked here (AssertionError otherwise): G >= 0 entrywise, and
-    G_kk = 0 only where s_k < 0.  So raising lam_k by one adds 2 (G lam)_k +
-    G_kk, plus lam_k + 1 if s_k < 0: e grows by >= 1 in every component.  The
-    same scan checks den G_ik = sgn x_i y_k + q n_i n_k for i <= k against
-    form_generators, which live_levels reads.
-
-    W bounds the runs of dead levels: after levels l0 .. l0 + W - 1 are dead,
-    so is every later level, as lowering a later vector one unit at a time
-    drops its level by n_k <= W per step and meets a vector of that window
-    that it dominates.  No loop stops on W, as live_levels finds the live
-    levels directly.
-    """
-    form, weights = scaled_form(ts), string_weights(ts)
-    x, y, sgn = form_generators(ts)
-    q = ts.p0.denominator
-    for k, (n_k, s_k) in enumerate(zip(weights, ts.signs)):
-        column = form.dual([int(j == k) for j in range(ts.dim)], n_k)
-        if min(column) < 0 or (column[k] == 0 and s_k > 0):
-            raise AssertionError(
-                f"fermionic exponent not monotone at p0 = {ts.p0}, row {k + 1}")
-        if any(form.den * g != sgn * x_i * y[k] + q * n_i * n_k
-               for g, x_i, n_i in zip(column[:k + 1], x, weights)):
-            raise AssertionError(
-                f"generators of G disagree with column {k + 1} at p0 = {ts.p0}")
-    return max(weights)
 
 
 def live_levels(ts: TSData, cutoff) -> list:
@@ -160,13 +123,12 @@ def live_levels(ts: TSData, cutoff) -> list:
     + q n_k B)/den = sum_{i<k} G_ik lam_i an integer.  Each state (A, B) keeps
     its least partial exponent, and c stops at the first value past the
     cutoff.  Both are sound because every unit of c adds >= 1 and no step
-    lowers the exponent, which dead_level_window checks first.  The live
-    levels are the B of the final states.
+    lowers the exponent, as scaled_form checks G >= 0 with G_kk > 0 where
+    s_k > 0.  The live levels are the B of the final states.
     """
-    dead_level_window(ts)
     limit = floor(as_exp(cutoff))
-    den, q = scaled_form(ts).den, ts.p0.denominator
-    x, y, sgn = form_generators(ts)
+    form, q = scaled_form(ts), ts.p0.denominator
+    den, x, y, sgn = form.den, form.x, form.y, form.sgn
     states = {(0, 0): 0} if limit >= 0 else {}
     for n_k, s_k, x_k, y_k in zip(string_weights(ts), ts.signs, x, y):
         g_kk = (sgn * x_k * y_k + q * n_k * n_k) // den

@@ -11,18 +11,20 @@ matrix G = Theta~ + n n^t/p0, n the string lengths, kept as the signed bands
 of S C S = Theta~^-1 in O(dim): ScaledForm.dual gives g = G lam by
 back-substitution, and every top is local in g, so vacancy_linear_form and
 the lambda walk of configs, which gives the tops of the counting routes and
-the quadratic form of the fermionic sum, read the bands.  form_generators
-writes the same G as semiseparable plus rank one, from the leading and
-trailing minors, for the live-level pass of identities.  The dense rows of
-Theta are built on demand only, for coupling_matrix (display) and the
-per-vector reference of configs."""
+the quadratic form of the fermionic sum, read the bands.  The same form
+writes G as semiseparable plus rank one, from the leading and trailing
+minors, for the live-level pass of identities, and checks once per p0 that
+these generators invert the bands and that G >= 0, in O(dim) (Meurant, SIAM
+J. Matrix Anal. Appl. 13, 1992).  The dense rows of Theta are built on
+demand only, for coupling_matrix (display) and the per-vector reference of
+configs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import mul
 
 from .tsdata import (TSData, admissible_spin, admissible_spins, phase_shift,
@@ -30,8 +32,8 @@ from .tsdata import (TSData, admissible_spin, admissible_spins, phase_shift,
 from .util import PreconditionError, check_level, exact_rational, frac_part, integral
 
 # Widest string data (number of string types) accepted.  scaled_form is O(dim);
-# the ceiling guards the dim^2 theta display, dead_level_window's O(dim^2)
-# column scan and the level loops over dim-long vectors.  201/2 has dim 102.
+# the ceiling guards the dim^2 theta display and the level loops over
+# dim-long vectors.  201/2 has dim 102.
 MAX_DIM = 1000
 
 
@@ -213,6 +215,11 @@ class ScaledForm:
     entry is +-1.  With n the string lengths, (S C S) n = sigma den e_dim, so
     g = G lam solves (S C S) g = lam + lift (n . lam) e_dim, lift = sigma q,
     q = denominator(p0), and g_dim = last (n . lam), last = (sigma + q n_dim)/den.
+
+    x, y and sgn generate G: den G_ij = sgn x_i y_j + q n_i n_j for i <= j,
+    with x_i = theta_i P_i and y_j = phi_{j+1} P_j for the leading and
+    trailing minors theta and phi of S C S (as in tridiagonal_adjugate), P_j
+    = prod_{m<j} (-off_m) = +-1, and sgn the sign of theta_dim.
     """
 
     den: int
@@ -221,6 +228,9 @@ class ScaledForm:
     sigma: int
     lift: int
     last: int
+    x: tuple
+    y: tuple
+    sgn: int
 
     def dual(self, lam, level: int) -> list:
         """g with g_dim = last * level and rows 2..dim of (S C S) g = lam +
@@ -236,15 +246,52 @@ class ScaledForm:
         return g
 
 
+def _nonmonotone_rows(form: ScaledForm, ts: TSData):
+    """The rows k (from 1) where G_ik < 0 for some i <= k, or G_kk = 0 with
+    s_k > 0, in O(dim).  For i <= k, den G_ik = n_i n_k (u_i t_k + q), u_i =
+    x_i/n_i, t_k = sgn y_k/n_k, n > 0: among the i <= k with x_i of one sign
+    the least G_ik is at the largest |u_i|, so two rows i suffice."""
+    n, q = string_weights(ts), ts.p0.denominator
+    x, sgn = form.x, form.sgn
+    ends = {}               # x_i > 0 -> the i <= k of that sign with the largest |u_i|
+    for k, (x_k, y_k, n_k, s_k) in enumerate(zip(x, form.y, n, ts.signs)):
+        if x_k:
+            i = ends.setdefault(x_k > 0, k)
+            if abs(x_k) * n[i] > abs(x[i]) * n_k:
+                ends[x_k > 0] = k
+        if any(sgn * x[i] * y_k + q * n[i] * n_k < 0 for i in ends.values()) or \
+                (s_k > 0 and sgn * x_k * y_k + q * n_k * n_k == 0):
+            yield k + 1
+
+
+def _disagreeing_rows(form: ScaledForm):
+    """The rows k (from 1) where (S C S) M = den I fails, M_ij = sgn x_min(i,j)
+    y_max(i,j), in O(dim).  Off the diagonal, column j of (S C S) M is sgn y_j
+    (S C S) x above row j and sgn x_j (S C S) y below it, so x must solve the
+    band recurrence on rows k < dim, y on rows k > 1, and the diagonal be den."""
+    x, y, off, z = form.x, form.y, form.off, (0,)
+    # row k: b_{k-1}, a_k, b_k and the entries k-1, k, k+1 of x and of y
+    for k, (b0, a, b1, x0, x1, x2, y0, y1, y2) in enumerate(zip(
+            z + off, form.diag, off + z, z + x, x, x[1:] + z, z + y, y, y[1:] + z)):
+        if (k < len(x) - 1 and b0 * x0 + a * x1 + b1 * x2) or \
+                (k and b0 * y0 + a * y1 + b1 * y2) or \
+                form.sgn * ((b0 * x0 + a * x1) * y1 + b1 * x1 * y2) != form.den:
+            yield k + 1
+
+
 @lru_cache(maxsize=16)
 def scaled_form(ts: TSData) -> ScaledForm:
     """The one exact coding of G; every production consumer reads its
-    integers from here.  O(dim): |det C| is the last leading minor."""
+    integers from here.  O(dim): |det C| is the last leading minor.  The
+    prunes of the fermionic sum need G >= 0 entrywise and G_kk > 0 where s_k
+    > 0, and the generators to describe G: both are checked here, once per
+    p0 and in O(dim), and raise AssertionError otherwise."""
     diag, off = coupling_bands(ts)
     signs = ts.signs
     # S C S, S = diag(signs), has the same determinant and the inverse Theta~
     off = [b * s * t for b, s, t in zip(off, signs, signs[1:])]
-    den = abs(leading_minors(diag, off)[-1])
+    theta = leading_minors(diag, off)
+    den = abs(theta[-1])
     if den != ts.p0.numerator:
         raise AssertionError(f"|det C| = {den} is not the numerator of p0 = {ts.p0}")
     n = string_weights(ts)
@@ -259,27 +306,17 @@ def scaled_form(ts: TSData) -> ScaledForm:
     last, rest = divmod(sigma + q * n[-1], den)
     if rest:
         raise AssertionError(f"G = Theta~ + n n^t/p0 is not integral at p0 = {ts.p0}")
-    return ScaledForm(den, tuple(diag), tuple(off), sigma, sigma * q, last)
-
-
-@lru_cache(maxsize=16)
-def form_generators(ts: TSData) -> tuple:
-    """(x, y, sgn) with den G_ij = sgn x_i y_j + q n_i n_j for i <= j, q =
-    denominator(p0): G is semiseparable plus rank one, in O(dim) integers.
-
-    On the bands of S C S, x_i = theta_i P_i and y_j = phi_{j+1} P_j, theta
-    and phi the leading and trailing minors as in tridiagonal_adjugate, P_j =
-    prod_{m<j} (-off_m) = +-1, and sgn the sign of theta_dim, so sgn x_i y_j
-    = den Theta~_ij.  dead_level_window checks the identity against G."""
-    form = scaled_form(ts)
-    theta = leading_minors(form.diag, form.off)
-    phi = leading_minors(form.diag[::-1], form.off[::-1])[::-1]
-    x, y, p = [], [], 1
-    for i, b in enumerate(form.off + (0,)):
-        x.append(theta[i] * p)
-        y.append(phi[i + 1] * p)
-        p *= -b
-    return tuple(x), tuple(y), 1 if theta[-1] > 0 else -1
+    phi = leading_minors(diag[::-1], off[::-1])[::-1]
+    p = list(accumulate((-b for b in off), mul, initial=1))     # P_0 .. P_{dim-1}
+    form = ScaledForm(den, tuple(diag), tuple(off), sigma, sigma * q, last,
+                      tuple(map(mul, theta, p)), tuple(map(mul, phi[1:], p)),
+                      1 if theta[-1] > 0 else -1)
+    for k in _nonmonotone_rows(form, ts):
+        raise AssertionError(f"fermionic exponent not monotone at p0 = {ts.p0}, row {k}")
+    for k in _disagreeing_rows(form):
+        raise AssertionError(
+            f"generators of G disagree with the bands of S C S at p0 = {ts.p0}, row {k}")
+    return form
 
 
 def coupling_matrix(ts: TSData) -> RationalMatrix:

@@ -1,18 +1,21 @@
+import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from bethestates.identities import (bosonic_sum, bosonic_sum_collapsed,
-                                    check_identity, collapsed_kernel, dead_level_window,
+                                    check_identity, collapsed_kernel,
                                     divide_by_euler, fermionic_sum, gauss_general,
                                     gordon_andrews_products, gordon_andrews_sum,
                                     kernel_offset, kernel_poly, kernel_sum,
                                     level_series, live_levels, q_count)
 from bethestates.configs import count_xxz_general, enumerate_lambda, string_weights
 from bethestates.qalg import QPolynomial, QSeries, gauss_binomial, pochhammer
-from bethestates.spectral import (ChainSpec, ScaledForm, coupling_matrix, form_generators,
-                                  scaled_form, tridiagonal_adjugate)
+from bethestates.spectral import (ChainSpec, ScaledForm, _nonmonotone_rows, coupling_matrix,
+                                  leading_minors, scaled_form, tridiagonal_adjugate)
 from bethestates.tsdata import compute_ts
 from bethestates.util import PreconditionError
 
@@ -212,34 +215,70 @@ def test_lattice_denominator_is_numerator_of_p0():
 
 
 def test_fermionic_exponent_grows_in_every_component():
-    # the precondition of the dead-level stopping rule holds over the sweep,
-    # and the window is the largest string weight
+    # scaled_form builds over the sweep, so its O(dim) checks of the
+    # generators and of G >= 0 pass, and (sgn x_min y_max + q n_i n_j)/den
+    # is the dense G = Theta~ + n n^t/p0 entry by entry, which is >= 0, with
+    # G_kk > 0 wherever s_k > 0
     for p0 in reduced_p0(60):
         ts = compute_ts(p0)
-        assert dead_level_window(ts) == max(string_weights(ts)), p0
+        form, n, q = scaled_form(ts), string_weights(ts), p0.denominator
+        G = dense_form(ts)
+        assert [[F(form.sgn * form.x[min(i, j)] * form.y[max(i, j)] + q * n_i * n_j, form.den)
+                 for j, n_j in enumerate(n)] for i, n_i in enumerate(n)] == G, p0
+        assert all(G[k][k] > 0 for k, s_k in enumerate(ts.signs) if s_k > 0), p0
 
 
-def test_dead_level_window_raises_on_a_negative_entry(monkeypatch):
-    # the check can fail: the form it reads, G column by column from
-    # ScaledForm.dual, with one entry lowered below zero is rejected before
-    # any level is summed, by fermionic_sum and by level_series, whose early
-    # drop of a vector both rely on G >= 0
+def perturbed_minors(monkeypatch, ts, which, index, by):
+    """Raise the leading minor theta_index (which = 0) or the trailing minor
+    of the last index rows (which = 1) by `by` as scaled_form reads them,
+    with its cache cleared."""
+    from bethestates import spectral
+    reversed_diag = list(scaled_form(ts).diag[::-1])
+
+    def raised(diag, off):
+        out = leading_minors(diag, off)
+        if (list(diag) == reversed_diag) == bool(which):
+            out[index] += by
+        return out
+
+    monkeypatch.setattr(spectral, "leading_minors", raised)
+    scaled_form.cache_clear()
+
+
+def no_level_enumerated(monkeypatch):
+    """The levels passed to enumerate_lambda, which lists no vector."""
+    from bethestates import configs, identities
+    levels = []
+    for module in (configs, identities):
+        monkeypatch.setattr(module, "enumerate_lambda", lambda ts_, l: levels.append(l) or [])
+    return levels
+
+
+def every_route(ts):
+    chain = ChainSpec(ts.p0, [(1, 4)])
+    return (lambda: fermionic_sum(ts, 40), lambda: live_levels(ts, 40),
+            lambda: level_series(ts, 1, 40), lambda: count_xxz_general(ts, chain, 1),
+            lambda: q_count(ts, chain, 1))
+
+
+def test_positivity_check_raises_on_a_negative_entry(monkeypatch):
+    # the check can fail: the trailing minor of the last 6 rows at 16/7,
+    # lowered by 50, lowers y_1 from 9 to -41 and so G_11 below zero.  Every
+    # route that reads scaled_form raises before any level is enumerated,
+    # among them the fermionic sums and level_series, whose early drop of a
+    # vector relies on G >= 0
     ts = compute_ts(F(16, 7))
-    first = (1,) + (0,) * (ts.dim - 1)
-    n_1 = string_weights(ts)[0]
-    assert scaled_form(ts).dual(first, n_1)[1] >= 0
-    dual = ScaledForm.dual
-
-    def lowered(form, lam, level):
-        g = dual(form, lam, level)
-        if tuple(lam) == first and level == n_1:     # column 1 of G
-            g[1] = -1
-        return g
-
-    monkeypatch.setattr(ScaledForm, "dual", lowered)
-    for sums in (lambda: fermionic_sum(ts, 6), lambda: level_series(ts, 1, 6)):
-        with pytest.raises(AssertionError, match="not monotone at p0 = 16/7, row 1"):
-            sums()
+    assert scaled_form(ts).y[0] == 9
+    try:
+        perturbed_minors(monkeypatch, ts, 1, 6, -50)
+        levels = no_level_enumerated(monkeypatch)
+        for run in every_route(ts):
+            with pytest.raises(AssertionError, match="not monotone at p0 = 16/7, row 1"):
+                run()
+        assert levels == []
+    finally:
+        monkeypatch.undo()
+        scaled_form.cache_clear()
 
 
 def dense_form(ts):
@@ -332,20 +371,91 @@ def test_live_levels_match_the_dense_least_exponent(p0, cutoff, g11_seen):
 
 @pytest.mark.parametrize("which, index", [(0, 2), (1, 3)])
 def test_generator_check_raises_before_any_level(monkeypatch, which, index):
-    # the check can fail: form_generators with one x_i or y_j raised by one
-    # disagrees with a column of G in dead_level_window's scan, so
-    # fermionic_sum and live_levels raise before any level is enumerated
-    from bethestates import identities
+    # the check can fail: the leading minor theta_2, or the trailing minor
+    # of the last 3 rows, raised by one gives generators that no longer
+    # invert the bands of S C S, so every route that reads scaled_form
+    # raises before any level is enumerated
     ts = compute_ts(F(16, 7))
-    bad = list(form_generators(ts))
-    bad[which] = tuple(v + (i == index) for i, v in enumerate(bad[which]))
-    monkeypatch.setattr(identities, "form_generators", lambda ts_: tuple(bad))
-    levels = []
-    monkeypatch.setattr(identities, "enumerate_lambda", lambda ts_, l: levels.append(l) or [])
-    for run in (lambda: fermionic_sum(ts, 40), lambda: live_levels(ts, 40)):
-        with pytest.raises(AssertionError, match="generators of G disagree with column"):
-            run()
-    assert levels == []
+    try:
+        perturbed_minors(monkeypatch, ts, which, index, 1)
+        levels = no_level_enumerated(monkeypatch)
+        for run in every_route(ts):
+            with pytest.raises(AssertionError, match="generators of G disagree with"):
+                run()
+        assert levels == []
+    finally:
+        monkeypatch.undo()
+        scaled_form.cache_clear()
+
+
+def column_scan(ts, form):
+    """The rows k (from 1) that the O(dim^2) scan of the columns of G flags:
+    den G_ik = sgn x_i y_k + q n_i n_k < 0 for some i <= k, or G_kk = 0
+    with s_k > 0."""
+    n, q = string_weights(ts), ts.p0.denominator
+    bad = []
+    for k, (y_k, n_k, s_k) in enumerate(zip(form.y, n, ts.signs)):
+        column = [form.sgn * x_i * y_k + q * n_i * n_k for x_i, n_i in zip(form.x[:k + 1], n)]
+        if min(column) < 0 or (column[k] == 0 and s_k > 0):
+            bad.append(k + 1)
+    return bad
+
+
+def test_positivity_check_agrees_with_the_column_scan():
+    # two-sided: on real string data the O(dim) check and the dense scan
+    # both pass, and the scanned generators are the columns of G that
+    # ScaledForm.dual gives by back-substitution; on perturbed generators
+    # they flag the same rows.  y_j lowered by 50 at 16/7 fails at 6 of 7
+    # components, and seeded perturbations of x, y and sgn elsewhere too.
+    for p0 in reduced_p0(40):
+        ts = compute_ts(p0)
+        form, n = scaled_form(ts), string_weights(ts)
+        assert list(_nonmonotone_rows(form, ts)) == column_scan(ts, form) == [], p0
+        for k, n_k in enumerate(n):
+            g = form.dual([int(j == k) for j in range(ts.dim)], n_k)
+            assert [form.den * g_i for g_i in g[:k + 1]] == \
+                [form.sgn * x_i * form.y[k] + p0.denominator * n_i * n_k
+                 for x_i, n_i in zip(form.x, n)][:k + 1], (p0, k)
+    ts = compute_ts(F(16, 7))
+    form = scaled_form(ts)
+    flagged = []
+    for j in range(ts.dim):
+        bad = replace(form, y=tuple(v - 50 * (i == j) for i, v in enumerate(form.y)))
+        flagged.append(list(_nonmonotone_rows(bad, ts)))
+        assert flagged[-1] == column_scan(ts, bad), j
+    assert sum(map(bool, flagged)) == 6
+    rng = random.Random(20261019)
+    seen = 0
+    for p0 in (F(16, 7), F(55, 34), F(201, 2), F(7, 3), F(3), F(27, 11)):
+        ts = compute_ts(p0)
+        form = scaled_form(ts)
+        for _ in range(60):
+            x, y = list(form.x), list(form.y)
+            for v in rng.sample((x, y), rng.randint(1, 2)):
+                v[rng.randrange(ts.dim)] += rng.choice((-50, -7, -1, 1, 7, 50))
+            bad = replace(form, x=tuple(x), y=tuple(y), sgn=rng.choice((1, 1, -1)) * form.sgn)
+            rows = list(_nonmonotone_rows(bad, ts))
+            assert rows == column_scan(ts, bad), p0
+            seen += bool(rows)
+    assert 100 < seen < 260         # both outcomes occur: 200 of the 360 flag a row
+
+
+def test_identity_at_dim_1000_reads_the_dual_once_per_live_level(monkeypatch):
+    # the checks of G are O(dim) in scaled_form: during the identity at
+    # 1997/2 ScaledForm.dual runs only in the lambda walk, once per live
+    # level, and never once per column of G
+    ts = compute_ts(F(1997, 2))
+    dual, callers = ScaledForm.dual, []
+
+    def counted(form, lam, level):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return dual(form, lam, level)
+
+    monkeypatch.setattr(ScaledForm, "dual", counted)
+    assert check_identity(ts, 3).agree
+    levels = live_levels(ts, 3)
+    assert len(levels) >= 2
+    assert callers == ["_lambda_walk"] * len(levels)
 
 
 @pytest.mark.parametrize("p0, cutoff, smaller", [

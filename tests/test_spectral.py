@@ -8,8 +8,9 @@ import pytest
 
 from bethestates.configs import enumerate_xxz_int
 from bethestates.qalg import QSeries
-from bethestates.spectral import (ChainSpec, RationalMatrix, _runs, coupling_bands,
-                                  coupling_inverse, coupling_matrix, form_generators,
+from bethestates.spectral import (ChainSpec, RationalMatrix, ScaledForm, _disagreeing_rows,
+                                  _runs, coupling_bands,
+                                  coupling_inverse, coupling_matrix,
                                   offset_vector, parity_matrix, scaled_form,
                                   tridiagonal_adjugate, vacancy_linear_form)
 from bethestates.tsdata import compute_ts, string_weights, zone
@@ -141,6 +142,28 @@ def test_dual_band_check_can_fail(monkeypatch):
         scaled_form.cache_clear()
 
 
+def test_generator_check_needs_each_of_its_parts():
+    # the bands 1, 1, 1, 1 with off-diagonal 1 have the leading minors 1, 1,
+    # 0, -1, -1 and the same trailing ones, so x_3 = y_2 = 0 (from 1); x and
+    # y read off the dense adjugate, adj_ij = x_i y_j for i <= j with x_1 = 1,
+    # pass.  Each perturbation keeps two of the three parts of the check and
+    # is flagged by the third alone: y + x on rows 1..3 keeps the diagonal
+    # and the recurrence of x, x + y on rows 2..4 the diagonal and that of
+    # y, and 2 x or -sgn both recurrences.  Real string data has no zero
+    # minor, so only bands like these tell the parts apart.
+    diag, off = (1, 1, 1, 1), (1, 1, 1)
+    det, adj = tridiagonal_adjugate(diag, off)
+    y = tuple(adj[0])
+    x = tuple(row[-1] * y[-1] for row in adj)       # y_4 = +-1
+    form = ScaledForm(abs(det), diag, off, 0, 0, 0, x, y, 1 if det > 0 else -1)
+    assert (x[2], y[1], list(_disagreeing_rows(form))) == (0, 0, [])
+    for bad, rows in ((replace(form, y=tuple(v + x[i] * (i <= 2) for i, v in enumerate(y))), [3]),
+                      (replace(form, x=tuple(v + y[i] * (i >= 1) for i, v in enumerate(x))), [2]),
+                      (replace(form, x=tuple(2 * v for v in x)), [1, 2, 3, 4]),
+                      (replace(form, sgn=-form.sgn), [1, 2, 3, 4])):
+        assert list(_disagreeing_rows(bad)) == rows, bad
+
+
 def test_dual_is_theta_times_lambda():
     # the back-substitution of ScaledForm.dual against the row products of
     # the dense adjugate of its bands S C S, adj = det Theta~, on seeded
@@ -171,13 +194,13 @@ def test_dual_is_theta_times_lambda():
 def test_production_paths_build_no_dense_form(monkeypatch, capsys):
     # counts, q-counts, identities and the vacancy form read the O(dim) bands
     # of scaled_form only; the dense adjugate serves coupling_matrix and the
-    # per-vector reference.  The caches of scaled_form and form_generators
-    # are cleared, so they run under the patch; live_levels reads leading
-    # minors only, so the identity is checked at 201/2 too.
+    # per-vector reference.  The cache of scaled_form is cleared, so it runs
+    # under the patch; live_levels reads its generators, from the leading
+    # and trailing minors only, so the identity is checked at 201/2 too.
     from bethestates import configs, spectral
     from bethestates.cli import main
     from bethestates.configs import count_xxz_general
-    from bethestates.identities import check_identity, dead_level_window, level_series, q_count
+    from bethestates.identities import check_identity, level_series, q_count
     from bethestates.oracle import check_completeness_xxz
 
     def no_dense(*args):
@@ -186,7 +209,6 @@ def test_production_paths_build_no_dense_form(monkeypatch, capsys):
     for module in (spectral, configs):
         monkeypatch.setattr(module, "tridiagonal_adjugate", no_dense)
     scaled_form.cache_clear()
-    form_generators.cache_clear()
     try:
         for p0, sites in ((F(16, 7), 6), (F(201, 2), 4)):
             ts = compute_ts(p0)
@@ -201,7 +223,6 @@ def test_production_paths_build_no_dense_form(monkeypatch, capsys):
                        for x in vacancy_linear_form(ts, chain, level, lam)), p0
         assert check_identity(compute_ts(F(16, 7)), 40).agree
         ts = compute_ts(F(201, 2))
-        assert dead_level_window(ts) == 101
         assert level_series(ts, 0, 3) == QSeries.one(3)
         assert all(level_series(ts, l, 3).is_zero() for l in range(1, 4))
         assert check_identity(ts, 6).agree
@@ -209,7 +230,6 @@ def test_production_paths_build_no_dense_form(monkeypatch, capsys):
         assert "Z(l=1) = 2 with 2 summands" in capsys.readouterr().out
     finally:
         scaled_form.cache_clear()
-        form_generators.cache_clear()
 
 
 def test_scaled_form_memory_is_linear_in_dim():

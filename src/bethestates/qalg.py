@@ -20,7 +20,9 @@ shifted by the other's lowest term, begins; and an exact polynomial p times
 a series s is first truncated at s.cutoff - min(p.min_exp(), 0).  Dividing
 by 1 - q**s needs a cutoff: it is a prefix sum with stride s over the
 coefficients, run per residue class mod s when s is short against the
-window and per s-long block otherwise.
+window and per s-long block otherwise.  div_steps runs it in place on a
+plain coefficient list, for div_cyclotomic and for the fermionic fold of
+identities alike.
 
 QPolynomial is the same type without a cutoff (``cut`` is None): an exact
 finite Laurent-style polynomial.  An operation between polynomials returns
@@ -78,6 +80,23 @@ def _new(den: int, lo: int, coeffs: list, cut) -> "QSeries":
     v = object.__new__(QPolynomial if cut is None else QSeries)
     v._set(den, lo, coeffs, cut)
     return v
+
+
+def div_steps(c: list, steps) -> None:
+    """Divide the coefficient list c in place by the product of (1 - q**s)
+    over the positive int steps s: the prefix sum c[k] += c[k - s] in
+    increasing k on the n entries of c, which keeps its length.  A step with
+    s*s <= n runs as s running sums, one per residue mod s, each in C; a
+    longer step, as the fewer than s passes that add each s-long block to the
+    next."""
+    n = len(c)
+    for s in steps:
+        if s * s <= n:
+            for r in range(s):
+                c[r::s] = accumulate(c[r::s])
+        else:
+            for k in range(s, n, s):
+                c[k:k + s] = map(add, c[k:k + s], c[k - s:k])
 
 
 def qsum(values) -> "QSeries":
@@ -254,11 +273,9 @@ class QSeries:
         Every negative step is first made positive through
         1/(1 - q**step) = -q**(-step)/(1 - q**(-step)), so together they give
         one shift and one sign.  Dividing by 1 - q**s, s > 0, multiplies by
-        the geometric series 1 + q**s + q**(2 s) + ... up to the cutoff: the
-        prefix sum c[k] += c[k - s] in increasing k, for every step on the
-        same coefficient list of n entries.  A step with s*s <= n runs it as
-        s running sums, one per residue mod s, each in C; a longer step, as
-        the fewer than s passes that add each s-long block to the next.
+        the geometric series 1 + q**s + q**(2 s) + ... up to the cutoff,
+        which div_steps does in place on the coefficient list padded to the
+        cutoff.
         """
         steps = [as_exp(s) for s in steps]
         if 0 in steps:
@@ -270,16 +287,8 @@ class QSeries:
         shift = -sum(_scaled(s, den) for s in steps if s < 0)
         if not coeffs:
             return _new(den, lo, [], cut + shift)
-        n = cut - lo + 1
-        c = coeffs + [0] * (n - len(coeffs))
-        for s in steps:
-            s = abs(_scaled(s, den))
-            if s * s <= n:
-                for r in range(s):
-                    c[r::s] = accumulate(c[r::s])
-            else:
-                for k in range(s, n, s):
-                    c[k:k + s] = map(add, c[k:k + s], c[k - s:k])
+        c = coeffs + [0] * (cut - lo + 1 - len(coeffs))
+        div_steps(c, [abs(_scaled(s, den)) for s in steps])
         if sum(s < 0 for s in steps) % 2:
             c = [-x for x in c]
         return _new(den, lo + shift, c, cut + shift)

@@ -8,6 +8,7 @@ Bethe states.
 
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -236,7 +237,7 @@ def test_criterion_11_identity_past_first_bosonic_term():
                        f"(q^{firsts[0]} at 16/7, q^{firsts[1]} at 7/3)")
 
 
-def test_criterion_12_dead_level_window(monkeypatch):
+def test_criterion_12_fermionic_sum_enumerates_only_live_levels(monkeypatch):
     # fermionic_sum enumerates exactly the levels of live_levels, those with
     # a vector within the cutoff; summing every level up to twice as far
     # must change nothing
@@ -288,3 +289,36 @@ def test_criterion_15_identity_201_2_terminates():
     lhs = fermionic_sum(ts, 16)
     assert lhs == bosonic_sum(ts, 16)
     report(15, 0.5, t0, "fermionic = bosonic at 201/2 up to q^16")
+
+
+def first_term_past_zero(series):
+    """The least exponent e > 0 with a nonzero coefficient, or None."""
+    return min((e for e, c in series.terms.items() if e > 0 and c), default=None)
+
+
+# p0 = a/b, 1 <= b <= a <= 15 in lowest terms, whose first bosonic term past
+# q^0 is at q^(ab + 1); at the other 37 it is at q^(ab).  They are the values
+# with odd alpha, whose k = 1, m = 0 kernel is q rather than 1
+FIRST_TERM_PAST_AB = {F(a, b) for a, b in [
+    (3, 2), (4, 3), (5, 2), (5, 4), (6, 5), (7, 2), (7, 3), (7, 6), (8, 5), (8, 7),
+    (9, 2), (9, 4), (9, 8), (10, 3), (10, 9), (11, 2), (11, 5), (11, 7), (11, 8),
+    (11, 10), (12, 7), (12, 11), (13, 2), (13, 3), (13, 4), (13, 5), (13, 6), (13, 12),
+    (14, 9), (14, 11), (14, 13), (15, 2), (15, 7), (15, 11), (15, 14)]}
+
+
+def test_criterion_16_identity_sweep_past_the_first_bosonic_term():
+    # every reduced p0 = a/b with a <= 15 at cutoff ab + 20, past the first
+    # bosonic term, which lies at q^(ab) or q^(ab + 1); at cutoff ab - 1 the
+    # bosonic side is 1 alone, so there the non-vacuity check would fail
+    t0 = time.perf_counter()
+    values = [F(a, b) for a in range(1, 16) for b in range(1, a + 1) if gcd(a, b) == 1]
+    assert len(values) == 72
+    for p0 in values:
+        ts, ab = compute_ts(p0), p0.numerator * p0.denominator
+        rep = check_identity(ts, ab + 20)
+        assert rep.agree, p0
+        assert first_term_past_zero(rep.rhs) == ab + (p0 in FIRST_TERM_PAST_AB), p0
+        assert (ts.alpha % 2 == 1) == (p0 in FIRST_TERM_PAST_AB), p0
+        assert first_term_past_zero(bosonic_sum(ts, ab - 1)) is None, p0
+    report(16, 20, t0, f"fermionic = bosonic past the first bosonic term at {len(values)} "
+                       "values of p0 = a/b, a <= 15")

@@ -489,11 +489,14 @@ def test_fermionic_sum_divides_once_per_shared_prefix(monkeypatch, p0, cutoff, d
     # a live vector's path is its signed lengths s_k lam_k, largest |.| first;
     # every distinct nonempty prefix of the paths divides once, for all the
     # vectors below it, so a division per path would divide shared prefixes
-    # again
+    # again.  The fold divides a node by its last q-factorial s * x through
+    # _div_qfactorial, which runs the one kernel div_steps on 1 - q**i, i =
+    # 1..x, and never through QSeries.div_cyclotomic
     from bethestates import identities
     ts = compute_ts(p0)
-    prefixes, steps = set(), []
-    level_terms = identities._level_terms
+    prefixes, factors, steps, series_divisions = set(), [], [], []
+    level_terms, div_qfactorial, div_steps = (
+        identities._level_terms, identities._div_qfactorial, identities.div_steps)
 
     def recorded(ts_, l, cut):
         for e, lam in level_terms(ts_, l, cut):
@@ -502,14 +505,19 @@ def test_fermionic_sum_divides_once_per_shared_prefix(monkeypatch, p0, cutoff, d
             prefixes.update(tuple(path[:i]) for i in range(1, len(path) + 1))
             yield e, lam
 
-    div = QSeries.div_cyclotomic
     monkeypatch.setattr(identities, "_level_terms", recorded)
+    monkeypatch.setattr(identities, "_div_qfactorial",
+                        lambda lo, c, f: factors.append(f) or div_qfactorial(lo, c, f))
+    monkeypatch.setattr(identities, "div_steps",
+                        lambda c, s: steps.append(tuple(s)) or div_steps(c, s))
     monkeypatch.setattr(QSeries, "div_cyclotomic",
-                        lambda self, *s: steps.append(s) or div(self, *s))
+                        lambda self, *s: series_divisions.append(s))
     fermionic_sum(ts, cutoff)
-    assert len(steps) == len(prefixes) == divisions
-    # (q**s; q**s)_x divides by 1 - q**(s i) for i = 1..x, s * x last
-    assert sorted(s[-1] for s in steps) == sorted(prefix[-1] for prefix in prefixes)
+    assert len(factors) == len(prefixes) == divisions
+    # (q**s; q**s)_x is the last factor s * x of its prefix
+    assert sorted(factors) == sorted(prefix[-1] for prefix in prefixes)
+    assert steps == [tuple(range(1, abs(f) + 1)) for f in factors]
+    assert series_divisions == []
 
 
 # -- identity checks -------------------------------------------------------------------

@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from bethestates.qalg import (QPolynomial, QSeries, gauss_binomial, pochhammer,
+from bethestates.qalg import (QPolynomial, QSeries, div_steps, gauss_binomial, pochhammer,
                               product_expand, qsum)
 from bethestates.util import PreconditionError
 
@@ -163,6 +163,54 @@ def test_div_zero_series_is_zero():
 def test_div_step_zero_rejected():
     with pytest.raises(PreconditionError):
         QSeries.one(5).div_cyclotomic(0)
+
+
+def schoolbook(a, b, n):
+    """The first n coefficients of the product of coefficient lists a and b,
+    term by term (test oracle)."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(b[:n - i]):
+            out[i + j] += x * y
+    return out
+
+
+def test_div_steps_multiplies_back_to_its_input():
+    # random signed lists with coefficients up to 10**40, divided in place
+    # by 1-6 steps of both branches: s*s <= n (strided running sums) and
+    # s*s > n, up to and past the window (s-long blocks); multiplying the
+    # result back by each 1 - q**s gives the input on the window
+    rng = random.Random(20261020)
+    strided = blocks = 0
+    for _ in range(60):
+        n = rng.randint(1, 150)
+        given = [rng.randint(-10**40, 10**40) if rng.random() < 0.3 else 0 for _ in range(n)]
+        steps = [rng.choice([rng.randint(1, isqrt(n)), rng.randint(isqrt(n) + 1, n + 2)])
+                 for _ in range(rng.randint(1, 6))]
+        strided += sum(s * s <= n for s in steps)
+        blocks += sum(s * s > n for s in steps)
+        c = list(given)
+        div_steps(c, steps)
+        assert len(c) == n
+        for s in steps:
+            c = schoolbook(c, [1] + [0] * (s - 1) + [-1], n)
+        assert c == given, (n, steps)
+    assert strided > 50 and blocks > 50
+
+
+def test_div_cyclotomic_mixed_signs_frozen():
+    # QSeries.div_cyclotomic with mixed-sign steps, on the integer and on the
+    # half-integer lattice: one shift and one sign for all negative steps
+    s = QSeries({0: 3, 2: -1, 5: 7}, 12).div_cyclotomic(2, -1, 3, -2)
+    assert s.cutoff == 15
+    assert s.terms == {Fraction(e): c for e, c in zip(
+        range(3, 16), [3, 3, 8, 11, 18, 30, 42, 63, 86, 119, 153, 204, 252])}
+    s = QSeries({Fraction(-1, 2): 2, 1: -5}, 6).div_cyclotomic(
+        Fraction(-3, 2), 1, Fraction(1, 2))
+    assert s.cutoff == Fraction(15, 2)
+    assert s.terms == {Fraction(e, 2): c for e, c in zip(
+        [2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15],
+        [-2, -2, -4, -1, -3, 1, 4, 5, 11, 12, 18, 22, 28])}
 
 
 # -- polynomials -----------------------------------------------------------------

@@ -8,9 +8,9 @@ the cutoff before any is enumerated, by a min-plus pass over the components
 on the semiseparable generators of G.  The vectors and their exponents come
 from the lambda walk of configs, which drops a vector at its first component
 where the partial least exponent passes the cutoff.  Both prunes are sound as
-G >= 0 entrywise, which spectral.scaled_form checks.  The vectors' series are
-summed by a fold over their shared q-factorials, each divided once, on plain
-integer coefficient lists (qalg.div_steps); one QSeries is built at the end.
+G >= 0 entrywise, which spectral.scaled_form checks.  Each vector goes to
+qalg._qfactorial_sum as its exponent and its q-factorials, and that fold
+divides each shared q-factorial once.
 The bosonic side is an alternating double sum whose kernel polynomials are
 the same for every rational p0.  For integer p0 the bosonic side collapses
 further to the classical Gordon-Andrews alternating sum and, via the Jacobi
@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import comb, floor
-from operator import add, neg
 
 from .configs import _count_walk, _lambda_walk, enumerate_lambda
-from .qalg import (QPolynomial, QSeries, as_exp, div_steps, gauss_binomial, product_expand,
-                   qsum)
+from .qalg import (QPolynomial, QSeries, _qfactorial_sum, as_exp, gauss_binomial,
+                   product_expand, qsum)
 from .spectral import ChainSpec, scaled_form
 from .tsdata import TSData, string_weights
 from .util import PreconditionError, rat_str, report_header
@@ -157,65 +156,15 @@ def fermionic_sum(ts: TSData, cutoff) -> QSeries:
     """Sum of q**(l^2/p0) V_l over levels l >= 0, truncated at the cutoff.
 
     Only the levels of live_levels(ts, cutoff) are enumerated; every other
-    level has no term within the cutoff.  The surviving vectors of all levels
-    are grouped by their path, the q-factorials (q**s; q**s)_x written as
-    signed lengths s * x.  The nodes of a tree are every prefix of every
-    path, the root () included; a node's value is its own monomials plus its
-    children's values, divided once by its last q-factorial
-    (_div_qfactorial), so each shared q-factorial divides once.  The nodes
-    are folded in reverse sorted order: a child sorts after its parent and
-    each subtree is contiguous, so every node comes after all of its
-    descendants, and only the ancestors of the node at hand hold partial
-    sums.  Every exponent lam G lam is an integer, so a value is a plain
-    int list on the window from its least exponent up to floor(cutoff), and
-    a child is added into its parent in place; only the root's becomes a
-    QSeries, with the caller's cutoff.
+    level has no term within the cutoff.  Each surviving vector of every
+    level is the term (lam G lam, its nonzero (lam_k, s_k)) of
+    qalg._qfactorial_sum, which divides each shared q-factorial once.
     """
     cutoff = as_exp(cutoff)
-    limit = floor(cutoff)
-    # signed lengths s_k * lam_k of the nonzero lam_k, largest |.| first (so
-    # the longest divisions sit nearest the root) -> e of each such vector
-    groups = {}
-    for l in live_levels(ts, cutoff):
-        for e, lam in _level_terms(ts, l, cutoff):
-            path = tuple(sorted((s * x for x, s in zip(lam, ts.signs) if x),
-                                key=lambda f: (abs(f), f), reverse=True))
-            groups.setdefault(path, []).append(e)
-    sums = {}                   # node -> (lo, coefficients of q**lo .. q**limit)
-    for node in sorted({path[:i] for path in groups for i in range(len(path) + 1)} | {()},
-                       reverse=True):
-        lo, c = sums.pop(node, None) or (limit + 1, [])
-        for e in groups.pop(node, ()):      # e <= the vector's least exponent <= limit
-            if e < lo:
-                c[:0], lo = [0] * (lo - e), e
-            c[e - lo] += 1
-        if not node:
-            return QSeries({lo + i: v for i, v in enumerate(c) if v}, cutoff)
-        lo = _div_qfactorial(lo, c, node[-1])
-        if c:
-            p_lo, p = sums.get(node[:-1]) or (limit + 1, [])
-            if lo < p_lo:
-                p[:0], p_lo = [0] * (p_lo - lo), lo
-            p[lo - p_lo:] = map(add, p[lo - p_lo:], c)
-            sums[node[:-1]] = p_lo, p
-
-
-def _div_qfactorial(lo: int, c: list, f: int) -> int:
-    """Divide the value c, the coefficients of q**lo .. q**floor(cutoff), in
-    place by (q**s; q**s)_x, f = s * x; returns its new least exponent.
-
-    1/(1 - q**-i) = -q**i/(1 - q**i), so for s = -1 the value first moves
-    up by x (x + 1)/2, dropping what passes the cutoff, and changes sign if
-    x is odd; then both bases divide by (1 - q)...(1 - q**x)."""
-    x = abs(f)
-    if f < 0:
-        t = x * (x + 1) // 2
-        del c[max(len(c) - t, 0):]
-        lo += t
-        if x % 2:
-            c[:] = map(neg, c)
-    div_steps(c, range(1, x + 1))
-    return lo
+    signs = ts.signs
+    return _qfactorial_sum(((e, [(x, s) for x, s in zip(lam, signs) if x])
+                            for l in live_levels(ts, cutoff)
+                            for e, lam in _level_terms(ts, l, cutoff)), cutoff)
 
 
 # -- bosonic side ----------------------------------------------------------------

@@ -21,8 +21,8 @@ a series s is first truncated at s.cutoff - min(p.min_exp(), 0).  Dividing
 by 1 - q**s needs a cutoff: it is a prefix sum with stride s over the
 coefficients, run per residue class mod s when s is short against the
 window and per s-long block otherwise.  div_steps runs it in place on a
-plain coefficient list, for div_cyclotomic and for the fermionic fold of
-identities alike.
+plain coefficient list, for div_cyclotomic and for _qfactorial_sum, the
+fold over shared q-factorials that sums the fermionic side of identities.
 
 QPolynomial is the same type without a cutoff (``cut`` is None): an exact
 finite Laurent-style polynomial.  An operation between polynomials returns
@@ -34,8 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import lcm
-from operator import add, mul
+from math import floor, lcm
+from operator import add, mul, neg
 
 from .util import PreconditionError, exact_rational
 
@@ -127,6 +127,52 @@ def qsum(values) -> "QSeries":
         acc += [0] * (end - len(acc))
         acc[i:end] = map(add, acc[i:end], coeffs)
     return _new(den, lo, acc, cut)
+
+
+def _qfactorial_sum(terms, cutoff) -> "QSeries":
+    """The sum of q**e / prod (q**s; q**s)_x over the terms (e, factors), the
+    factors (x, s) with x >= 1 and s = +-1, up to the cutoff.  Precondition:
+    every e is an integer at most floor(cutoff).
+
+    A term's path is its factors sorted descending, longest first; every
+    prefix of a path is a node of a tree, whose value is its own monomials
+    plus its children's values divided once by its last q-factorial.  The
+    nodes are folded in reverse sorted order, so each comes after all of its
+    descendants and only the ancestors of the node at hand hold values: int
+    lists from their least exponent up to floor(cutoff), added into the
+    parent in place.  As 1/(1 - q**-i) = -q**i/(1 - q**i), a value divided
+    in base q**-1 first moves up by x (x + 1)/2, dropping what passes the
+    cutoff, and changes sign if x is odd.  Only the root becomes a QSeries,
+    with the caller's cutoff.
+    """
+    limit = floor(cutoff)
+    groups = {}
+    for e, factors in terms:
+        groups.setdefault(tuple(sorted(factors, reverse=True)), []).append(e)
+    sums = {}                   # node -> (lo, coefficients of q**lo .. q**limit)
+    for node in sorted({path[:i] for path in groups for i in range(len(path) + 1)} | {()},
+                       reverse=True):
+        lo, c = sums.pop(node, None) or (limit + 1, [])
+        for e in groups.pop(node, ()):
+            if e < lo:
+                c[:0], lo = [0] * (lo - e), e
+            c[e - lo] += 1
+        if not node:
+            return QSeries({lo + i: v for i, v in enumerate(c) if v}, cutoff)
+        x, s = node[-1]
+        if s < 0:
+            t = x * (x + 1) // 2
+            del c[max(len(c) - t, 0):]
+            lo += t
+            if x % 2:
+                c[:] = map(neg, c)
+        div_steps(c, range(1, x + 1))
+        if c:
+            p_lo, p = sums.get(node[:-1]) or (limit + 1, [])
+            if lo < p_lo:
+                p[:0], p_lo = [0] * (p_lo - lo), lo
+            p[lo - p_lo:] = map(add, p[lo - p_lo:], c)
+            sums[node[:-1]] = p_lo, p
 
 
 class QSeries:

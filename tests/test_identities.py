@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from dataclasses import replace
@@ -146,6 +147,97 @@ def test_q_count_gauss_oracle_fails_from_the_numerator_on():
     fails = [l for l in range(21)
              if not _equal_up_to_a_monomial(q_count(ts, chain, l), gauss_binomial(20, l))]
     assert fails == [16, 17, 20]
+
+
+# Kostka-Foulkes oracle: coded apart from q_count and the lambda walk.  mu is
+# the chain's spins sorted into a partition, each 2s repeated by its
+# multiplicity, and a two-row semistandard tableau of content mu is the
+# content a_i <= mu_i of its second row, which never holds a 1.
+
+def _charge(word) -> int:
+    """Lascoux-Schutzenberger charge of a word of partition content: split
+    off standard subwords, each from its rightmost 1 cyclically leftward to
+    2, 3, ..., with an index that rises by one at each wrap; sum the indices."""
+    word, total = list(word), 0
+    while word:
+        taken, pos, index, letter = [], len(word), 0, 1
+        while True:
+            left = [i for i in range(pos - 1, -1, -1) if word[i] == letter]
+            right = [i for i in range(len(word) - 1, pos, -1) if word[i] == letter]
+            if not left and not right:
+                break
+            if not left:
+                index += 1
+            pos = (left or right)[0]
+            taken.append(pos)
+            total += index
+            letter += 1
+        word = [w for i, w in enumerate(word) if i not in taken]
+    return total
+
+
+def _cocharge_kostka(mu) -> dict:
+    """l' -> K~_{(N - l', l'), mu}(q) = q**n(mu) K(1/q) for every two-row
+    shape, K the charge sum over the semistandard tableaux of content mu,
+    whose reading word is the second row, then the first."""
+    n = sum(mu)
+    n_mu = sum(i * m for i, m in enumerate(mu))
+    out = {}
+    for tail in itertools.product(*(range(m + 1) for m in mu[1:])):
+        content = list(zip(mu, (0,) + tail))
+        second = [i for i, (_, a) in enumerate(content, 1) for _ in range(a)]
+        first = [i for i, (m, a) in enumerate(content, 1) for _ in range(m - a)]
+        if 2 * len(second) > n or any(b <= t for b, t in zip(second, first)):
+            continue
+        term = QPolynomial.monomial(n_mu - _charge(second + first))
+        out[len(second)] = out.get(len(second), QPolynomial.zero()) + term
+    return out
+
+
+def _kostka_mismatches(p0, chain_text) -> list:
+    """The levels l where q_count differs from sum_{l' <= min(l, N - l)}
+    K~_{(N - l', l'), mu} by more than a monomial."""
+    species = [tuple(int(v) for v in part.split("x")) for part in chain_text.split(",")]
+    ts, chain = compute_ts(p0), ChainSpec(p0, species)
+    mu = sorted((two_s for two_s, count in species for _ in range(count)), reverse=True)
+    n, kostka = chain.n_total, _cocharge_kostka(mu)
+    return [l for l in range(n + 1) if not _equal_up_to_a_monomial(
+        q_count(ts, chain, l),
+        sum((kostka.get(k, QPolynomial.zero()) for k in range(min(l, n - l) + 1)),
+            QPolynomial.zero()))]
+
+
+def test_cocharge_kostka_foulkes_small_cases():
+    # K_{(2),(1,1)} = q and K_{(1,1),(1,1)} = 1, so K~ = 1 and q (n(mu) = 1)
+    assert _charge([1, 2]) == 1 and _charge([2, 1]) == 0
+    assert _cocharge_kostka([1, 1]) == {0: QPolynomial.one(), 1: QPolynomial.monomial(1)}
+    # K_{(2,1),(1,1,1)} = q + q^2, from the reading words 312 and 213, and
+    # K_{(3),(1,1,1)} = q^3; n(mu) = 3
+    assert _charge([3, 1, 2]) == 2 and _charge([2, 1, 3]) == 1 and _charge([1, 2, 3]) == 3
+    assert _cocharge_kostka([1, 1, 1]) == {0: QPolynomial.one(), 1: QPolynomial({1: 1, 2: 1})}
+
+
+@pytest.mark.parametrize("p0, chain", [
+    (F(21), "2x4"), (F(21), "2x5"), (F(23, 2), "3x3"), (F(9), "3x3"),
+    (F(21), "1x3,2x2,3x1"), (F(31, 3), "2x3,1x2"), (F(64, 3), "4x2,1x2"),
+    (F(16, 7), "1x12"), (F(27, 11), "1x12"), (F(12, 5), "1x12"), (F(201, 2), "1x10")])
+def test_q_count_is_a_cocharge_kostka_foulkes_sum(p0, chain):
+    # up to a monomial, q_count at level l is the sum of the cocharge
+    # Kostka-Foulkes polynomials of the two-row shapes (N - l', l'),
+    # l' <= min(l, N - l), at every level of these chains
+    assert _kostka_mismatches(p0, chain) == []
+
+
+@pytest.mark.parametrize("p0, chain, levels", [
+    (F(7, 3), "1x10", [8, 9, 10]), (F(5, 2), "1x6", [6]), (F(5), "2x4", [5, 6]),
+    (F(7), "2x4", [7]), (F(6), "3x2,1x2", [6, 7]), (F(3), "2x3", [3, 4]),
+    (F(3), "1x3,2x2", [3, 4, 5, 6]), (F(4), "3x3", [4, 5, 6]),
+    (F(16, 7), "8x1,1x4", list(range(3, 10))), (F(16, 7), "1x6,8x1", list(range(3, 12)))])
+def test_q_count_kostka_foulkes_oracle_fails_where_p0_is_small(p0, chain, levels):
+    # negative control: where p0 is small against the chain's length or
+    # spins, these levels are not cocharge Kostka-Foulkes sums, so the
+    # comparison can fail; the failing levels are frozen
+    assert _kostka_mismatches(p0, chain) == levels
 
 
 # -- fermionic side -------------------------------------------------------------------
@@ -486,37 +578,34 @@ def test_fermionic_sum_equals_per_vector_reference(monkeypatch, p0, cutoff, smal
 
 @pytest.mark.parametrize("p0, cutoff, divisions", [(F(16, 7), 120, 719), (F(55, 34), 60, 112)])
 def test_fermionic_sum_divides_once_per_shared_prefix(monkeypatch, p0, cutoff, divisions):
-    # a live vector's path is its signed lengths s_k lam_k, largest |.| first;
+    # a live vector's path is its q-factorials (lam_k, s_k), sorted descending;
     # every distinct nonempty prefix of the paths divides once, for all the
     # vectors below it, so a division per path would divide shared prefixes
-    # again.  The fold divides a node by its last q-factorial s * x through
-    # _div_qfactorial, which runs the one kernel div_steps on 1 - q**i, i =
-    # 1..x, and never through QSeries.div_cyclotomic
-    from bethestates import identities
+    # again.  qalg._qfactorial_sum folds the prefixes in reverse sorted order
+    # and divides each by its last q-factorial (q**s; q**s)_x with the one
+    # kernel div_steps on 1 - q**i, i = 1..x, and never through
+    # QSeries.div_cyclotomic
+    from bethestates import identities, qalg
     ts = compute_ts(p0)
-    prefixes, factors, steps, series_divisions = set(), [], [], []
-    level_terms, div_qfactorial, div_steps = (
-        identities._level_terms, identities._div_qfactorial, identities.div_steps)
+    prefixes, steps, series_divisions = set(), [], []
+    level_terms, div_steps = identities._level_terms, qalg.div_steps
 
     def recorded(ts_, l, cut):
         for e, lam in level_terms(ts_, l, cut):
-            path = sorted((s * x for x, s in zip(lam, ts.signs) if x),
-                          key=lambda f: (abs(f), f), reverse=True)
+            path = sorted(((x, s) for x, s in zip(lam, ts.signs) if x), reverse=True)
             prefixes.update(tuple(path[:i]) for i in range(1, len(path) + 1))
             yield e, lam
 
     monkeypatch.setattr(identities, "_level_terms", recorded)
-    monkeypatch.setattr(identities, "_div_qfactorial",
-                        lambda lo, c, f: factors.append(f) or div_qfactorial(lo, c, f))
-    monkeypatch.setattr(identities, "div_steps",
+    monkeypatch.setattr(qalg, "div_steps",
                         lambda c, s: steps.append(tuple(s)) or div_steps(c, s))
     monkeypatch.setattr(QSeries, "div_cyclotomic",
                         lambda self, *s: series_divisions.append(s))
     fermionic_sum(ts, cutoff)
-    assert len(factors) == len(prefixes) == divisions
-    # (q**s; q**s)_x is the last factor s * x of its prefix
-    assert sorted(factors) == sorted(prefix[-1] for prefix in prefixes)
-    assert steps == [tuple(range(1, abs(f) + 1)) for f in factors]
+    assert len(steps) == len(prefixes) == divisions
+    # in the fold's order, (q**s; q**s)_x is the last factor (x, s) of its prefix
+    assert steps == [tuple(range(1, prefix[-1][0] + 1))
+                     for prefix in sorted(prefixes, reverse=True)]
     assert series_divisions == []
 
 

@@ -4,8 +4,8 @@ from math import isqrt
 
 import pytest
 
-from bethestates.qalg import (QPolynomial, QSeries, div_steps, gauss_binomial, pochhammer,
-                              product_expand, qsum)
+from bethestates.qalg import (QPolynomial, QSeries, _qfactorial_sum, div_steps, gauss_binomial,
+                              pochhammer, product_expand, qsum)
 from bethestates.util import PreconditionError
 
 
@@ -211,6 +211,37 @@ def test_div_cyclotomic_mixed_signs_frozen():
     assert s.terms == {Fraction(e, 2): c for e, c in zip(
         [2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15],
         [-2, -2, -4, -1, -3, 1, 4, 5, 11, 12, 18, 22, 28])}
+
+
+def test_qfactorial_sum_matches_each_term_divided_on_its_own():
+    # seeded random terms q**e / prod (q**s; q**s)_x, e <= floor(cutoff), over
+    # both bases with repeated factors, given in any order; a small pool of
+    # factors makes paths share prefixes, some of which are no term's path.
+    # The reference divides each term on its own by QSeries.div_cyclotomic
+    # and sums them with qsum, cut at the caller's cutoff
+    rng = random.Random(20261021)
+    pool = [(x, s) for x in (1, 2, 3, 5) for s in (1, -1)]
+    shared = bare = pushed_past = 0
+    for _ in range(80):
+        cutoff = rng.choice([0, 6, 20, 30, Fraction(29, 2)])
+        limit = int(cutoff)
+        terms = [(rng.randint(-3, limit), [rng.choice(pool) for _ in range(rng.randint(0, 4))])
+                 for _ in range(rng.randint(1, 12))]
+        paths = [tuple(sorted(f, reverse=True)) for _, f in terms]
+        prefixes = [p[:i] for p in set(paths) for i in range(1, len(p))]
+        shared += len(prefixes) > len(set(prefixes))
+        bare += any(p not in paths for p in prefixes)
+        pushed_past += sum(e + x * (x + 1) // 2 > cutoff
+                           for e, f in terms for x, s in f if s < 0)
+        want = qsum([QSeries.zero(cutoff)] + [
+            QSeries.monomial(e, 1, cutoff).div_cyclotomic(
+                *(s * i for x, s in f for i in range(1, x + 1))) for e, f in terms])
+        got = _qfactorial_sum(((e, rng.sample(f, len(f))) for e, f in terms), cutoff)
+        assert got == want, (terms, cutoff)
+    assert shared > 20 and bare > 20 and pushed_past > 20
+    # no terms: zero, with the caller's cutoff
+    assert _qfactorial_sum([], Fraction(29, 2)) == QSeries.zero(Fraction(29, 2))
+    assert _qfactorial_sum(iter(()), -1) == QSeries.zero(-1)
 
 
 # -- polynomials -----------------------------------------------------------------

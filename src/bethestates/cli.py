@@ -7,13 +7,15 @@ Each cmd_* only computes: given the string data, the chain (or None) and the
 parsed arguments, it returns (JSON payload, text lines, verdict); main alone
 parses, builds both inputs, prints, and maps the verdict to the exit code.
 Exit codes: 0 ok, 1 identity/completeness/pairing mismatch, 2 parse error,
-3 precondition violation.
+3 precondition violation.  A reader that closes stdout early (| head) ends
+the output, not the run: the exit code is still the verdict's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bijection, configs, identities, oracle, spectral, tsdata
@@ -222,7 +224,12 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    _emit(payload, args.json, lines)
+    try:
+        _emit(payload, args.json, lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; the interpreter's last flush writes to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if verdict else EXIT_MISMATCH
 
 

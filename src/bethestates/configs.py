@@ -268,15 +268,20 @@ def enumerate_xxz_int(ts: TSData, chain: ChainSpec, l: int) -> list:
     Admissibility requires every vacancy number nonnegative, including the
     ones of unoccupied string types.  Order: club count descending, then the
     partition in ascending lexicographic order.  A chain with a spin outside
-    the string classification raises, as in the linear-form route.
+    the string classification raises, as in the linear-form route.  The
+    closed forms P_{p0-1} = r + f + clubs and P_p0 = f + lam_{p0-1} >= 0 (see
+    xxz_vacancies_int) bound the clubs and the leading parts p0 - 1.
     """
     p0 = ts.integer_p0(_DIRECT, 2)
     check_level(l)
+    chain.require_p0(ts.p0)
     require_classified_spins(ts, chain)
+    f, r = divmod(chain.n_total - 2 * l, p0)
+    longest = (p0 - 1,) * max(-f, 0)
     out = []
-    for clubs in range(l, -1, -1):
-        for parts in sorted(partitions(l - clubs, p0 - 1)):
-            cfg = XXZConfig.from_parts(parts, p0, clubs)
+    for clubs in range(l, max(-(r + f), 0) - 1, -1):
+        for parts in sorted(partitions(l - clubs - len(longest) * (p0 - 1), p0 - 1)):
+            cfg = XXZConfig.from_parts(longest + parts, p0, clubs)
             vac = xxz_vacancies_int(ts, chain, cfg)
             if any(v < 0 for v in vac):
                 continue

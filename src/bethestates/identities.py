@@ -3,14 +3,15 @@
 The fermionic side sums q**(l^2/p0) * V_l over the live levels, where V_l is
 the generating series of states at level l: a level-l vector lam adds
 q**(lam G lam) / prod_k (q**s_k; q**s_k)_{lam_k} to the sum, G = Theta~ + n
-n^t/p0 an integer matrix.  live_levels finds the levels with a term within
-the cutoff before any is enumerated, by a min-plus pass over the components
-on the semiseparable generators of G.  The vectors and their exponents come
-from the lambda walk of configs, which drops a vector at its first component
-where the partial least exponent passes the cutoff.  Both prunes are sound as
-G >= 0 entrywise, which spectral.scaled_form checks.  Each vector goes to
-qalg._qfactorial_sum as its exponent and its q-factorials, and that fold
-divides each shared q-factorial once.
+n^t/p0 an integer matrix, G_ij = n_min(i,j) r_max(i,j) with r = G e_1 an
+integer row.  live_levels finds the levels with a term within the cutoff
+before any is enumerated, by a min-plus pass over the components on the
+level so far.  The vectors and their exponents come from the lambda walk of
+configs, which drops a vector at its first component where the partial
+least exponent passes the cutoff.  Both prunes are sound as G >= 0
+entrywise, that is r >= 0, which spectral.scaled_form checks.  Each vector
+goes to qalg._qfactorial_sum as its exponent and its q-factorials, and that
+fold divides each shared q-factorial once.
 The bosonic side is an alternating double sum whose kernel polynomials are
 the same for every rational p0.  For integer p0 the bosonic side collapses
 further to the classical Gordon-Andrews alternating sum and, via the Jacobi
@@ -119,37 +120,31 @@ def live_levels(ts: TSData, cutoff) -> list:
     exponent lam G lam + sum_{s_k < 0} lam_k (lam_k + 1)/2 is at most
     floor(cutoff); no vector is enumerated.
 
-    A min-plus pass over the components: with the generators of G, the
-    prefix lam_0 .. lam_{k-1} enters the rest only through A = sum x_i lam_i
-    and B = sum n_i lam_i, the level so far.  Choosing lam_k = c adds c (2
-    gamma_k + G_kk c), plus c (c + 1)/2 if s_k < 0, with gamma_k = (sgn y_k A
-    + q n_k B)/den = sum_{i<k} G_ik lam_i an integer.  Each state (A, B) keeps
-    its least partial exponent, and c stops at the first value past the
-    cutoff.  Both are sound because every unit of c adds >= 1 and no step
-    lowers the exponent, as scaled_form checks G >= 0 with G_kk > 0 where
-    s_k > 0.  The live levels are the B of the final states.
+    A min-plus pass over the components: as G_ik = n_i r_k for i <= k, the
+    prefix lam_0 .. lam_{k-1} enters the rest only through the level so far,
+    B = sum n_i lam_i.  Choosing lam_k = c adds c (2 gamma_k + G_kk c), plus
+    c (c + 1)/2 if s_k < 0, with gamma_k = r_k B = sum_{i<k} G_ik lam_i and
+    G_kk = n_k r_k.  Each state B keeps its least partial exponent, and c
+    stops at the first value past the cutoff.  Both are sound because every
+    unit of c adds >= 1 and no step lowers the exponent, as scaled_form
+    checks r >= 0 with r_k > 0 where s_k > 0.  The live levels are the final
+    states.
     """
-    limit = floor(as_exp(cutoff))
-    form, q = scaled_form(ts), ts.p0.denominator
-    den, x, y, sgn = form.den, form.x, form.y, form.sgn
-    states = {(0, 0): 0} if limit >= 0 else {}
-    for n_k, s_k, x_k, y_k in zip(string_weights(ts), ts.signs, x, y):
-        g_kk = (sgn * x_k * y_k + q * n_k * n_k) // den
-        half = 1 if s_k < 0 else 0
+    limit, r = floor(as_exp(cutoff)), scaled_form(ts).r    # wide string data fails first
+    states = {0: 0} if limit >= 0 else {}
+    for n_k, s_k, r_k in zip(string_weights(ts), ts.signs, r):
+        g_kk, half = n_k * r_k, 1 if s_k < 0 else 0
         nxt = {}
-        for (a, b), e in states.items():
-            gamma, rest = divmod(sgn * y_k * a + q * n_k * b, den)
-            if rest:
-                raise AssertionError(f"fractional row sum of G at p0 = {ts.p0}")
-            c = 0
+        for b, e in states.items():
+            gamma, c = r_k * b, 0
             while e <= limit:
-                key = (a + c * x_k, b + c * n_k)
+                key = b + c * n_k
                 if e < nxt.get(key, e + 1):
                     nxt[key] = e
                 c += 1
                 e += 2 * gamma + g_kk * (2 * c - 1) + half * c
         states = nxt
-    return sorted({b for _, b in states})
+    return sorted(states)
 
 
 def fermionic_sum(ts: TSData, cutoff) -> QSeries:

@@ -12,10 +12,10 @@ of S C S = Theta~^-1 in O(dim): ScaledForm.dual gives g = G lam by
 back-substitution, and every top is local in g, so vacancy_linear_form and
 the lambda walk of configs, which gives the tops of the counting routes and
 the quadratic form of the fermionic sum, read the bands.  The same form
-writes G as semiseparable plus rank one, from the leading and trailing
-minors, for the live-level pass of identities, and checks once per p0 that
-these generators invert the bands and that G >= 0, in O(dim) (Meurant, SIAM
-J. Matrix Anal. Appl. 13, 1992).  The dense rows of Theta are built on
+keeps r = G e_1, the dual at lam = 0 and level 1, an integer row with
+G_ij = n_min(i,j) r_max(i,j), for the live-level pass of identities, and
+checks once per p0, in O(dim), that n and r generate the inverse of the
+bands and that r >= 0, so G >= 0.  The dense rows of Theta are built on
 demand only, for coupling_matrix (display) and the per-vector reference of
 configs."""
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import groupby
 from operator import mul
 
 from .tsdata import (TSData, admissible_spin, admissible_spins, phase_shift,
@@ -203,6 +203,19 @@ def parity_matrix(ts: TSData) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
+def _back_substitute(diag, off, lam, last: int, lift: int) -> list:
+    """g with g_dim = last and rows 2..dim of B g = lam + lift e_dim, B the
+    symmetric tridiagonal matrix with the bands diag and off, every off entry
+    +-1, last row first: g_{i-1} = b_{i-1} (lam_i - a_i g_i - b_i g_{i+1})."""
+    g = [0] * len(diag)
+    g[-1] = last
+    below = -lift                   # b_i g_{i+1}, or the last row's raise
+    for i in range(len(g) - 1, 0, -1):
+        g[i - 1] = off[i - 1] * (lam[i] - diag[i] * g[i] - below)
+        below = off[i - 1] * g[i]
+    return g
+
+
 @dataclass(frozen=True)
 class ScaledForm:
     """Theta~ as the bands of its inverse, which also give the integer matrix
@@ -214,12 +227,11 @@ class ScaledForm:
     diag and off are the bands of S C S = Theta~^-1, S = diag(s); every off
     entry is +-1.  With n the string lengths, (S C S) n = sigma den e_dim, so
     g = G lam solves (S C S) g = lam + lift (n . lam) e_dim, lift = sigma q,
-    q = denominator(p0), and g_dim = last (n . lam), last = (sigma + q n_dim)/den.
+    q = denominator(p0).
 
-    x, y and sgn generate G: den G_ij = sgn x_i y_j + q n_i n_j for i <= j,
-    with x_i = theta_i P_i and y_j = phi_{j+1} P_j for the leading and
-    trailing minors theta and phi of S C S (as in tridiagonal_adjugate), P_j
-    = prod_{m<j} (-off_m) = +-1, and sgn the sign of theta_dim.
+    r = G e_1 is an integer row, and G_ij = n_min(i,j) r_max(i,j): G is
+    semiseparable, generated by n and r (Meurant, SIAM J. Matrix Anal. Appl.
+    13, 1992).  So g_dim = r_dim (n . lam), and G >= 0 exactly when r >= 0.
     """
 
     den: int
@@ -227,71 +239,53 @@ class ScaledForm:
     off: tuple
     sigma: int
     lift: int
-    last: int
-    x: tuple
-    y: tuple
-    sgn: int
+    r: tuple
 
     def dual(self, lam, level: int) -> list:
-        """g with g_dim = last * level and rows 2..dim of (S C S) g = lam +
-        lift * level * e_dim, last row first: g_{i-1} = b_{i-1} (lam_i - a_i g_i
-        - b_i g_{i+1}).  At level = n . lam this is g = G lam, in O(dim)."""
-        diag, off = self.diag, self.off
-        g = [0] * len(diag)
-        g[-1] = self.last * level
-        below = -self.lift * level      # b_i g_{i+1}, or the last row's raise
-        for i in range(len(g) - 1, 0, -1):
-            g[i - 1] = off[i - 1] * (lam[i] - diag[i] * g[i] - below)
-            below = off[i - 1] * g[i]
-        return g
+        """g with g_dim = r_dim * level and rows 2..dim of (S C S) g = lam +
+        lift * level * e_dim, by back-substitution.  At level = n . lam this
+        is g = G lam, in O(dim)."""
+        return _back_substitute(self.diag, self.off, lam, self.r[-1] * level, self.lift * level)
 
 
 def _nonmonotone_rows(form: ScaledForm, ts: TSData):
     """The rows k (from 1) where G_ik < 0 for some i <= k, or G_kk = 0 with
-    s_k > 0, in O(dim).  For i <= k, den G_ik = n_i n_k (u_i t_k + q), u_i =
-    x_i/n_i, t_k = sgn y_k/n_k, n > 0: among the i <= k with x_i of one sign
-    the least G_ik is at the largest |u_i|, so two rows i suffice."""
-    n, q = string_weights(ts), ts.p0.denominator
-    x, sgn = form.x, form.sgn
-    ends = {}               # x_i > 0 -> the i <= k of that sign with the largest |u_i|
-    for k, (x_k, y_k, n_k, s_k) in enumerate(zip(x, form.y, n, ts.signs)):
-        if x_k:
-            i = ends.setdefault(x_k > 0, k)
-            if abs(x_k) * n[i] > abs(x[i]) * n_k:
-                ends[x_k > 0] = k
-        if any(sgn * x[i] * y_k + q * n[i] * n_k < 0 for i in ends.values()) or \
-                (s_k > 0 and sgn * x_k * y_k + q * n_k * n_k == 0):
-            yield k + 1
+    s_k > 0, in O(dim).  G_ik = n_i r_k for i <= k and n > 0, so these are
+    the k with r_k < 0, or r_k = 0 and s_k > 0."""
+    for k, (r_k, s_k) in enumerate(zip(form.r, ts.signs), 1):
+        if r_k < 0 or (r_k == 0 and s_k > 0):
+            yield k
 
 
-def _disagreeing_rows(form: ScaledForm):
-    """The rows k (from 1) where (S C S) M = den I fails, M_ij = sgn x_min(i,j)
-    y_max(i,j), in O(dim).  Off the diagonal, column j of (S C S) M is sgn y_j
-    (S C S) x above row j and sgn x_j (S C S) y below it, so x must solve the
-    band recurrence on rows k < dim, y on rows k > 1, and the diagonal be den."""
-    x, y, off, z = form.x, form.y, form.off, (0,)
-    # row k: b_{k-1}, a_k, b_k and the entries k-1, k, k+1 of x and of y
-    for k, (b0, a, b1, x0, x1, x2, y0, y1, y2) in enumerate(zip(
-            z + off, form.diag, off + z, z + x, x, x[1:] + z, z + y, y, y[1:] + z)):
-        if (k < len(x) - 1 and b0 * x0 + a * x1 + b1 * x2) or \
-                (k and b0 * y0 + a * y1 + b1 * y2) or \
-                form.sgn * ((b0 * x0 + a * x1) * y1 + b1 * x1 * y2) != form.den:
-            yield k + 1
+def _disagreeing_rows(form: ScaledForm, n, q: int):
+    """The rows k (from 1) where (S C S) M = den I fails, M_ij = n_min(i,j)
+    v_max(i,j), v = den r - q n, in O(dim); where none fails, den G = M + q n
+    n^t.  Off the diagonal, column j of (S C S) M is v_j (S C S) n = 0 above
+    row j, as scaled_form checks, and n_j (S C S) v below it, so v must solve
+    the band recurrence on rows k > 1, and the diagonal be den."""
+    v = [form.den * r_k - q * n_k for r_k, n_k in zip(form.r, n)]
+    off, z = form.off, (0,)
+    # row k: b_{k-1}, a_k, b_k, the entries k-1, k of n and k-1, k, k+1 of v
+    for k, (b0, a, b1, n0, n1, v0, v1, v2) in enumerate(zip(
+            z + off, form.diag, off + z, (0, *n), n, (0, *v), v, (*v[1:], 0)), 1):
+        if (k > 1 and b0 * v0 + a * v1 + b1 * v2) or \
+                (b0 * n0 + a * n1) * v1 + b1 * n1 * v2 != form.den:
+            yield k
 
 
 @lru_cache(maxsize=16)
 def scaled_form(ts: TSData) -> ScaledForm:
     """The one exact coding of G; every production consumer reads its
-    integers from here.  O(dim): |det C| is the last leading minor.  The
+    integers from here.  O(dim): |det C| is the last leading minor, and r
+    is the back-substitution of ScaledForm.dual at lam = 0, level 1.  The
     prunes of the fermionic sum need G >= 0 entrywise and G_kk > 0 where s_k
-    > 0, and the generators to describe G: both are checked here, once per
-    p0 and in O(dim), and raise AssertionError otherwise."""
+    > 0, and n and r to generate G: both are checked here, once per p0 and
+    in O(dim), and raise AssertionError otherwise."""
     diag, off = coupling_bands(ts)
     signs = ts.signs
     # S C S, S = diag(signs), has the same determinant and the inverse Theta~
     off = [b * s * t for b, s, t in zip(off, signs, signs[1:])]
-    theta = leading_minors(diag, off)
-    den = abs(theta[-1])
+    den = abs(leading_minors(diag, off)[-1])
     if den != ts.p0.numerator:
         raise AssertionError(f"|det C| = {den} is not the numerator of p0 = {ts.p0}")
     n = string_weights(ts)
@@ -306,14 +300,11 @@ def scaled_form(ts: TSData) -> ScaledForm:
     last, rest = divmod(sigma + q * n[-1], den)
     if rest:
         raise AssertionError(f"G = Theta~ + n n^t/p0 is not integral at p0 = {ts.p0}")
-    phi = leading_minors(diag[::-1], off[::-1])[::-1]
-    p = list(accumulate((-b for b in off), mul, initial=1))     # P_0 .. P_{dim-1}
-    form = ScaledForm(den, tuple(diag), tuple(off), sigma, sigma * q, last,
-                      tuple(map(mul, theta, p)), tuple(map(mul, phi[1:], p)),
-                      1 if theta[-1] > 0 else -1)
+    r = _back_substitute(diag, off, [0] * len(diag), last, sigma * q)
+    form = ScaledForm(den, tuple(diag), tuple(off), sigma, sigma * q, tuple(r))
     for k in _nonmonotone_rows(form, ts):
         raise AssertionError(f"fermionic exponent not monotone at p0 = {ts.p0}, row {k}")
-    for k in _disagreeing_rows(form):
+    for k in _disagreeing_rows(form, n, q):
         raise AssertionError(
             f"generators of G disagree with the bands of S C S at p0 = {ts.p0}, row {k}")
     return form

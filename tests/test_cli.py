@@ -242,6 +242,21 @@ def test_cli_import_loads_no_process_machinery():
     assert proc.stdout.strip() == "[]"
 
 
+def test_closed_stdout_keeps_the_exit_code():
+    # a reader that takes one byte and closes the pipe, as | head -c 1 does,
+    # ends the output, not the run: theta at 201/2 writes 146 kB, more than
+    # a pipe holds, yet stderr stays empty and the exit code is 0, not the
+    # mismatch code 1 of a BrokenPipeError traceback
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen([sys.executable, "-m", "bethestates.cli", "theta", "--p0", "201/2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"d"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+
+
 # exit code and sha256 of the one stream each invocation writes (stdout on
 # exit 0, stderr on exit 2 and 3), frozen from the output of commit 270609b
 CLI_FROZEN = {

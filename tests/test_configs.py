@@ -229,37 +229,61 @@ def test_example3_vacancy_probes():
     assert xxz_vacancy_int(ts, chain, cfg5, 5) == 5
 
 
-def test_census_evaluates_the_closed_form_once_per_configuration(monkeypatch):
-    # one xxz_vacancies_int call per candidate configuration, no per-index
-    # call and no Partition built
+def census_calls(monkeypatch):
+    """The configurations passed to xxz_vacancies_int; xxz_vacancy_int and
+    Partition fail."""
     from bethestates import configs
-    ts, chain = compute_ts(11), ChainSpec(11, [(1, 20)])
-    calls, built = [], []
+    calls = []
     vacancies = configs.xxz_vacancies_int
     monkeypatch.setattr(configs, "xxz_vacancies_int",
                         lambda ts_, chain_, cfg: calls.append(cfg) or vacancies(ts_, chain_, cfg))
     monkeypatch.setattr(configs, "xxz_vacancy_int", None)
-    init = Partition.__init__
-    monkeypatch.setattr(Partition, "__init__",
-                        lambda self, parts: built.append(parts) or init(self, parts))
-    recs = enumerate_xxz_int(ts, chain, 14)   # above half filling: some rejected
-    monkeypatch.undo()
-    candidates = sum(1 for clubs in range(15) for _ in partitions(14 - clubs, 10))
-    assert len(calls) == len(set(calls)) == candidates
-    assert built == []
-    assert 0 < len(recs) < candidates
+    monkeypatch.setattr(Partition, "__init__", None)
+    return calls
 
 
-def test_census_computes_the_chain_term_once_per_chain():
+def test_census_evaluates_the_closed_form_once_per_configuration(monkeypatch):
+    # one xxz_vacancies_int call per candidate configuration, no per-index
+    # call and no Partition built; the candidates are the partitions whose
+    # P_{p0-1} = r + f + clubs and P_p0 = f + lam_{p0-1}, N - 2l = p0 f + r,
+    # are >= 0: at 11 with 1x20 P_p0 leaves 12 of 494 configurations, at 4
+    # with 1x8 P_{p0-1} 1 of 4, and at 9 with 1x4,2x3 the other closed forms
+    # reject some
+    for p0, spec, l, scored, kept in ((11, [(1, 20)], 14, 12, 12), (4, [(1, 8)], 8, 1, 1),
+                                      (9, [(1, 4), (2, 3)], 5, 19, 16)):
+        ts, chain = compute_ts(p0), ChainSpec(p0, spec)
+        calls = census_calls(monkeypatch)
+        recs = enumerate_xxz_int(ts, chain, l)
+        monkeypatch.undo()
+        f, r = divmod(chain.n_total - 2 * l, p0)
+        candidates = sum(1 for clubs in range(l + 1) for parts in partitions(l - clubs, p0 - 1)
+                         if r + f + clubs >= 0 and f + parts.count(p0 - 1) >= 0)
+        assert len(calls) == len(set(calls)) == candidates == scored, p0
+        assert len(recs) == kept, p0
+
+
+def test_census_scores_only_admissible_candidates_at_13_1x24(monkeypatch):
+    # the closed-form bounds leave no candidate to reject on this chain: 965
+    # admissible configurations over all 25 levels, one call each, where a
+    # scan of every partition at every level scores 30,292
+    ts, chain = compute_ts(13), ChainSpec(13, [(1, 24)])
+    calls = census_calls(monkeypatch)
+    recs = [rec for l in range(25) for rec in enumerate_xxz_int(ts, chain, l)]
+    assert len(calls) == len(recs) == 965
+
+
+def test_census_computes_the_chain_term_once_per_chain(monkeypatch):
     # sum_m N_m min(j, 2s_m) is fixed by the chain, so a census over every
-    # level builds it once
+    # level builds it once, and each of its 48 candidates after the first
+    # reads it from the cache
     from bethestates import configs
     ts, chain = compute_ts(9), ChainSpec(9, [(1, 4), (2, 3)])
+    calls = census_calls(monkeypatch)
     configs._chain_terms.cache_clear()
     for l in range(chain.n_total + 1):
         enumerate_xxz_int(ts, chain, l)
     info = configs._chain_terms.cache_info()
-    assert info.misses == 1 and info.hits > 100, info
+    assert info.misses == 1 and info.hits == len(calls) - 1 == 47, info
     assert configs._chain_terms(chain, 9) == (7, 10, 10, 10, 10, 10, 10)
 
 

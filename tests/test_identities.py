@@ -15,8 +15,8 @@ from bethestates.identities import (bosonic_sum, bosonic_sum_collapsed,
                                     level_series, live_levels, q_count)
 from bethestates.configs import count_xxz_general, enumerate_lambda, string_weights
 from bethestates.qalg import QPolynomial, QSeries, gauss_binomial, pochhammer
-from bethestates.spectral import (ChainSpec, ScaledForm, _nonmonotone_rows, coupling_matrix,
-                                  leading_minors, scaled_form, tridiagonal_adjugate)
+from bethestates.spectral import (ChainSpec, ScaledForm, _disagreeing_rows, _nonmonotone_rows,
+                                  coupling_matrix, scaled_form, tridiagonal_adjugate)
 from bethestates.tsdata import compute_ts
 from bethestates.util import PreconditionError
 
@@ -308,32 +308,30 @@ def test_lattice_denominator_is_numerator_of_p0():
 
 def test_fermionic_exponent_grows_in_every_component():
     # scaled_form builds over the sweep, so its O(dim) checks of the
-    # generators and of G >= 0 pass, and (sgn x_min y_max + q n_i n_j)/den
-    # is the dense G = Theta~ + n n^t/p0 entry by entry, which is >= 0, with
-    # G_kk > 0 wherever s_k > 0
+    # generators and of G >= 0 pass, and n_min(i,j) r_max(i,j) is the dense
+    # G = Theta~ + n n^t/p0 entry by entry, which is >= 0, with G_kk > 0
+    # wherever s_k > 0
     for p0 in reduced_p0(60):
         ts = compute_ts(p0)
-        form, n, q = scaled_form(ts), string_weights(ts), p0.denominator
+        r, n = scaled_form(ts).r, string_weights(ts)
         G = dense_form(ts)
-        assert [[F(form.sgn * form.x[min(i, j)] * form.y[max(i, j)] + q * n_i * n_j, form.den)
-                 for j, n_j in enumerate(n)] for i, n_i in enumerate(n)] == G, p0
+        assert [[n[min(i, j)] * r[max(i, j)] for j in range(ts.dim)]
+                for i in range(ts.dim)] == G, p0
         assert all(G[k][k] > 0 for k, s_k in enumerate(ts.signs) if s_k > 0), p0
 
 
-def perturbed_minors(monkeypatch, ts, which, index, by):
-    """Raise the leading minor theta_index (which = 0) or the trailing minor
-    of the last index rows (which = 1) by `by` as scaled_form reads them,
-    with its cache cleared."""
+def perturbed_row(monkeypatch, index, by):
+    """Raise r_index, the entry of G's first row, by `by` as scaled_form
+    reads it from the back-substitution, with its cache cleared."""
     from bethestates import spectral
-    reversed_diag = list(scaled_form(ts).diag[::-1])
+    solve = spectral._back_substitute
 
-    def raised(diag, off):
-        out = leading_minors(diag, off)
-        if (list(diag) == reversed_diag) == bool(which):
-            out[index] += by
-        return out
+    def raised(diag, off, lam, last, lift):
+        g = solve(diag, off, lam, last, lift)
+        g[index] += by
+        return g
 
-    monkeypatch.setattr(spectral, "leading_minors", raised)
+    monkeypatch.setattr(spectral, "_back_substitute", raised)
     scaled_form.cache_clear()
 
 
@@ -354,15 +352,14 @@ def every_route(ts):
 
 
 def test_positivity_check_raises_on_a_negative_entry(monkeypatch):
-    # the check can fail: the trailing minor of the last 6 rows at 16/7,
-    # lowered by 50, lowers y_1 from 9 to -41 and so G_11 below zero.  Every
-    # route that reads scaled_form raises before any level is enumerated,
-    # among them the fermionic sums and level_series, whose early drop of a
-    # vector relies on G >= 0
+    # the check can fail: r_1 = G_11 at 16/7, lowered by 2 from 1 to -1,
+    # takes G_11 below zero.  Every route that reads scaled_form raises
+    # before any level is enumerated, among them the fermionic sums and
+    # level_series, whose early drop of a vector relies on G >= 0
     ts = compute_ts(F(16, 7))
-    assert scaled_form(ts).y[0] == 9
+    assert scaled_form(ts).r[0] == 1
     try:
-        perturbed_minors(monkeypatch, ts, 1, 6, -50)
+        perturbed_row(monkeypatch, 0, -2)
         levels = no_level_enumerated(monkeypatch)
         for run in every_route(ts):
             with pytest.raises(AssertionError, match="not monotone at p0 = 16/7, row 1"):
@@ -461,15 +458,16 @@ def test_live_levels_match_the_dense_least_exponent(p0, cutoff, g11_seen):
     assert sweep != [live(c, 2) for c in cuts]
 
 
-@pytest.mark.parametrize("which, index", [(0, 2), (1, 3)])
-def test_generator_check_raises_before_any_level(monkeypatch, which, index):
-    # the check can fail: the leading minor theta_2, or the trailing minor
-    # of the last 3 rows, raised by one gives generators that no longer
-    # invert the bands of S C S, so every route that reads scaled_form
-    # raises before any level is enumerated
+@pytest.mark.parametrize("up, index", [(0, 2), (1, 3)])
+def test_generator_check_raises_before_any_level(monkeypatch, up, index):
+    # the check can fail: r_3 = 1 at 16/7 lowered by one, to 0 where s_3 < 0
+    # so that G stays >= 0, or r_4 = 2 raised by one gives generators that
+    # no longer invert the bands of S C S, so every route that reads
+    # scaled_form raises before any level is enumerated
     ts = compute_ts(F(16, 7))
+    assert (scaled_form(ts).r[index], ts.signs[index]) == ((1, -1), (2, -1))[up]
     try:
-        perturbed_minors(monkeypatch, ts, which, index, 1)
+        perturbed_row(monkeypatch, index, 1 if up else -1)
         levels = no_level_enumerated(monkeypatch)
         for run in every_route(ts):
             with pytest.raises(AssertionError, match="generators of G disagree with"):
@@ -482,12 +480,11 @@ def test_generator_check_raises_before_any_level(monkeypatch, which, index):
 
 def column_scan(ts, form):
     """The rows k (from 1) that the O(dim^2) scan of the columns of G flags:
-    den G_ik = sgn x_i y_k + q n_i n_k < 0 for some i <= k, or G_kk = 0
-    with s_k > 0."""
-    n, q = string_weights(ts), ts.p0.denominator
+    G_ik = n_i r_k < 0 for some i <= k, or G_kk = 0 with s_k > 0."""
+    n = string_weights(ts)
     bad = []
-    for k, (y_k, n_k, s_k) in enumerate(zip(form.y, n, ts.signs)):
-        column = [form.sgn * x_i * y_k + q * n_i * n_k for x_i, n_i in zip(form.x[:k + 1], n)]
+    for k, (r_k, s_k) in enumerate(zip(form.r, ts.signs)):
+        column = [n_i * r_k for n_i in n[:k + 1]]
         if min(column) < 0 or (column[k] == 0 and s_k > 0):
             bad.append(k + 1)
     return bad
@@ -495,41 +492,55 @@ def column_scan(ts, form):
 
 def test_positivity_check_agrees_with_the_column_scan():
     # two-sided: on real string data the O(dim) check and the dense scan
-    # both pass, and the scanned generators are the columns of G that
-    # ScaledForm.dual gives by back-substitution; on perturbed generators
-    # they flag the same rows.  y_j lowered by 50 at 16/7 fails at 6 of 7
-    # components, and seeded perturbations of x, y and sgn elsewhere too.
+    # both pass, and n_min r_max is each column of G that ScaledForm.dual
+    # gives by back-substitution; on perturbed rows r they flag the same
+    # rows.  r_j lowered by one at 16/7 fails at 3 of 7 components, and
+    # seeded perturbations of r elsewhere too.
     for p0 in reduced_p0(40):
         ts = compute_ts(p0)
         form, n = scaled_form(ts), string_weights(ts)
         assert list(_nonmonotone_rows(form, ts)) == column_scan(ts, form) == [], p0
         for k, n_k in enumerate(n):
-            g = form.dual([int(j == k) for j in range(ts.dim)], n_k)
-            assert [form.den * g_i for g_i in g[:k + 1]] == \
-                [form.sgn * x_i * form.y[k] + p0.denominator * n_i * n_k
-                 for x_i, n_i in zip(form.x, n)][:k + 1], (p0, k)
+            assert form.dual([int(j == k) for j in range(ts.dim)], n_k) == \
+                [n[min(i, k)] * form.r[max(i, k)] for i in range(ts.dim)], (p0, k)
     ts = compute_ts(F(16, 7))
     form = scaled_form(ts)
     flagged = []
     for j in range(ts.dim):
-        bad = replace(form, y=tuple(v - 50 * (i == j) for i, v in enumerate(form.y)))
+        bad = replace(form, r=tuple(v - (i == j) for i, v in enumerate(form.r)))
         flagged.append(list(_nonmonotone_rows(bad, ts)))
         assert flagged[-1] == column_scan(ts, bad), j
-    assert sum(map(bool, flagged)) == 6
+    assert flagged == [[1], [2], [], [], [5], [], []]
     rng = random.Random(20261019)
     seen = 0
     for p0 in (F(16, 7), F(55, 34), F(201, 2), F(7, 3), F(3), F(27, 11)):
         ts = compute_ts(p0)
         form = scaled_form(ts)
         for _ in range(60):
-            x, y = list(form.x), list(form.y)
-            for v in rng.sample((x, y), rng.randint(1, 2)):
-                v[rng.randrange(ts.dim)] += rng.choice((-50, -7, -1, 1, 7, 50))
-            bad = replace(form, x=tuple(x), y=tuple(y), sgn=rng.choice((1, 1, -1)) * form.sgn)
+            r = list(form.r)
+            for j in rng.sample(range(ts.dim), rng.randint(1, 2)):
+                r[j] += rng.choice((-50, -7, -1, 1, 7, 50))
+            bad = replace(form, r=tuple(r))
             rows = list(_nonmonotone_rows(bad, ts))
             assert rows == column_scan(ts, bad), p0
             seen += bool(rows)
-    assert 100 < seen < 260         # both outcomes occur: 200 of the 360 flag a row
+    assert 100 < seen < 260, seen     # both outcomes occur
+
+
+def test_generator_check_flags_every_unit_perturbation_of_r():
+    # r_j raised or lowered by one, for every j, at six values of p0 (270
+    # perturbations): the check of (S C S) M = den I alone flags each
+    count = 0
+    for p0 in (F(16, 7), F(55, 34), F(201, 2), F(7, 3), F(3), F(27, 11)):
+        ts = compute_ts(p0)
+        form, n = scaled_form(ts), string_weights(ts)
+        assert list(_disagreeing_rows(form, n, p0.denominator)) == [], p0
+        for j in range(ts.dim):
+            for by in (-1, 1):
+                bad = replace(form, r=tuple(v + by * (i == j) for i, v in enumerate(form.r)))
+                assert list(_disagreeing_rows(bad, n, p0.denominator)), (p0, j, by)
+                count += 1
+    assert count == 270
 
 
 def test_identity_at_dim_1000_reads_the_dual_once_per_live_level(monkeypatch):

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 import pytest
 
@@ -10,7 +10,7 @@ from bethestates.configs import enumerate_xxz_int
 from bethestates.qalg import QSeries
 from bethestates.spectral import (ChainSpec, RationalMatrix, ScaledForm, _disagreeing_rows,
                                   _runs, coupling_bands,
-                                  coupling_inverse, coupling_matrix,
+                                  coupling_inverse, coupling_matrix, leading_minors,
                                   offset_vector, parity_matrix, scaled_form,
                                   tridiagonal_adjugate, vacancy_linear_form)
 from bethestates.tsdata import compute_ts, string_weights, zone
@@ -143,25 +143,26 @@ def test_dual_band_check_can_fail(monkeypatch):
 
 
 def test_generator_check_needs_each_of_its_parts():
-    # the bands 1, 1, 1, 1 with off-diagonal 1 have the leading minors 1, 1,
-    # 0, -1, -1 and the same trailing ones, so x_3 = y_2 = 0 (from 1); x and
-    # y read off the dense adjugate, adj_ij = x_i y_j for i <= j with x_1 = 1,
-    # pass.  Each perturbation keeps two of the three parts of the check and
-    # is flagged by the third alone: y + x on rows 1..3 keeps the diagonal
-    # and the recurrence of x, x + y on rows 2..4 the diagonal and that of
-    # y, and 2 x or -sgn both recurrences.  Real string data has no zero
-    # minor, so only bands like these tell the parts apart.
+    # the bands 1, 1, 1, 1 with off-diagonal 1 have det -1, the leading
+    # minors 1, 1, 0, -1, so n = (1, -1, 0, 1) solves (S C S) n = e_4, and
+    # v = -adj_1. = (1, 0, -1, 1) gives -adj = n_min v_max; with q = den =
+    # 1, r = v + n passes.  Each perturbation of r is flagged by one part of
+    # the check alone: n on rows 1..2, as n_3 = 0, keeps the diagonal and
+    # breaks the recurrence of v at row 3, and v on every row (v doubled)
+    # keeps the recurrence and breaks the diagonal.  Real string data has
+    # no zero minor, so only bands like these tell the parts apart.
     diag, off = (1, 1, 1, 1), (1, 1, 1)
     det, adj = tridiagonal_adjugate(diag, off)
-    y = tuple(adj[0])
-    x = tuple(row[-1] * y[-1] for row in adj)       # y_4 = +-1
-    form = ScaledForm(abs(det), diag, off, 0, 0, 0, x, y, 1 if det > 0 else -1)
-    assert (x[2], y[1], list(_disagreeing_rows(form))) == (0, 0, [])
-    for bad, rows in ((replace(form, y=tuple(v + x[i] * (i <= 2) for i, v in enumerate(y))), [3]),
-                      (replace(form, x=tuple(v + y[i] * (i >= 1) for i, v in enumerate(x))), [2]),
-                      (replace(form, x=tuple(2 * v for v in x)), [1, 2, 3, 4]),
-                      (replace(form, sgn=-form.sgn), [1, 2, 3, 4])):
-        assert list(_disagreeing_rows(bad)) == rows, bad
+    n, v = (1, -1, 0, 1), (1, 0, -1, 1)
+    assert (det, leading_minors(diag, off)) == (-1, [1, 1, 0, -1, -1])
+    assert [[n[min(i, j)] * v[max(i, j)] for j in range(4)] for i in range(4)] == \
+        [[-a for a in row] for row in adj]
+    form = ScaledForm(1, diag, off, 1, 1, tuple(map(add, v, n)))
+    assert list(_disagreeing_rows(form, n, 1)) == []
+    for step, rows in ((tuple(n_i * (i <= 1) for i, n_i in enumerate(n)), [3]),
+                       (v, [1, 2, 3, 4])):
+        bad = replace(form, r=tuple(map(add, form.r, step)))
+        assert list(_disagreeing_rows(bad, n, 1)) == rows, step
 
 
 def test_dual_is_theta_times_lambda():

@@ -56,6 +56,7 @@ def _matrix_rows(m: spectral.RationalMatrix):
 
 
 def cmd_ts(ts, chain, args):
+    spectral.coupling_bands(ts)     # string data wider than MAX_DIM is rejected first
     table = tsdata.length_table(ts)
     payload = {
         **report_header(ts.p0),

@@ -10,13 +10,14 @@ the vectors of a level: a depth-first search over the head components, pruned
 by the counts N_k(r) of the tails that complete it, joins each prefix to a
 table of the lex-sorted tails of the last components.  One walk over a
 level's vectors serves the count, q_count and the fermionic level terms of
-identities: it reads g = G lam, G = Theta~ + n n^t/p0 an integer matrix, by
-back-substitution in the tridiagonal S C S, last component first, walks the
-last half of the components once per distinct tail and the rest per vector,
-and lets a step of each route multiply in its factor or drop the vector at
-the first component that rules it out.  _CountContext.tops evaluates the
-form per vector from the dense adjugate of S C S, built on demand, and E; it
-is the reference the walk's tops are tested against.
+identities: it reads g = G lam, G = Theta~ + n n^t/p0 an integer matrix,
+from the generators n and r of G and two suffix sums of lam, last component
+first, walks the last half of the components once per distinct tail and the
+rest per vector, and lets a step of each route multiply in its factor or
+drop the vector at the first component that rules it out.
+_CountContext.tops evaluates the form per vector from the dense adjugate of
+S C S, built on demand, and E; it is the reference the walk's tops are
+tested against.
 """
 
 from __future__ import annotations
@@ -366,7 +367,7 @@ def enumerate_lambda(ts: TSData, l: int) -> list:
 class _CountContext:
     """The vacancy linear form scaled by denom = det C, evaluated densely per
     vector from det C * Theta~ = adj(S C S) and the entries of E: the
-    reference for the counting walk, sharing no back-substitution with it.
+    reference for the counting walk, which reads G from its generators.
 
     tops(lam) returns the integer top vector.  On a chain inside the string
     classification every top of a level-l vector is an integer, so a
@@ -397,59 +398,50 @@ class _CountContext:
 
 def _lambda_walk(ts: TSData, l: int, lams, h, step, acc):
     """(acc, e, lam) for each level-l vector lam of lams, in their order,
-    that step keeps.  The one back-substitution of the lambda routes: the
-    count and q_count read tops from it, _level_terms least exponents.
+    that step keeps.  The count and q_count read tops from it,
+    _level_terms least exponents.
 
-    g = G lam is ScaledForm.dual(lam, l).  With g0 the dual at lam = 0 and
-    level l, g = g0 + u for the integer back-substitution u of lam,
-    u_{i-1} = b_{i-1} (lam_i - a_i u_i - b_i u_{i+1}) from u_dim = 0, run
-    last component first.  At each nonzero lam_i, e gains lam_i g_i, so
-    e = lam . g = lam G lam at the end, and acc becomes step(acc, e, t_i,
-    lam_i, i); a step that returns None drops the vector there.  The top
-    t_i = h_i - 2 s_i g_i + lam_i + corner_i against the integer vector h,
-    E's corner being -lam_dim at i = dim-1 and +lam_{dim-1} at i = dim; a
-    step that reads no top passes h = 0.  The state (acc, e, u_i, u_{i+1})
-    after the last components depends on those alone, so the last dim -
-    split of them, split = dim // 2 (none when dim <= 2, so E's corner stays
-    in the tail), are walked once per distinct tail and their state is
-    looked up for every vector that shares it; a dropped tail drops all of
-    them.  _CountContext.tops is the dense per-vector reference of the tops.
+    The walk runs last component first on the level still to place, B =
+    l - sum_{j>i} n_j lam_j, and R = sum_{j>i} r_j lam_j, with n and r the
+    generators of G in ScaledForm, so g_i = (G lam)_i = r_i B + n_i R.  At
+    each nonzero lam_i, e gains lam_i g_i, so e = lam . g = lam G lam at the
+    end, and acc becomes step(acc, e, t_i, lam_i, i); a step that returns
+    None drops the vector there.  The top t_i = h_i - 2 s_i g_i + lam_i +
+    corner_i against the integer vector h, E's corner being -lam_dim at
+    i = dim-1 and +lam_{dim-1} at i = dim; a step that reads no top passes
+    h = 0.  The state (acc, e, B, R) after the last components depends on
+    those alone, so the last dim - split of them, split = dim // 2 (none
+    when dim <= 2, so E's corner stays in the tail), are walked once per
+    distinct tail and their state is looked up for every vector that shares
+    it; a dropped tail drops all of them.  _CountContext.tops is the dense
+    per-vector reference of the tops.
     """
-    form = scaled_form(ts)
-    diag, last = form.diag, ts.dim - 1
-    off_hi = (*form.off, 0)         # b_i, coupling i to i+1
-    off_lo = (0, *form.off)         # b_{i-1}, coupling i to i-1
-    coef = [2 * s for s in ts.signs]
-    g0 = form.dual([0] * ts.dim, l)
-    # t_i = h_i - 2 s_i u_i + lam_i + corner_i, g0 folded into h
-    h = [hi - k * gi for hi, k, gi in zip(h, coef, g0)]
-    if last:
-        # the corner at dim-1, -lam_dim = -b_{dim-1} u_{dim-1}, joins its coefficient
-        coef[last - 1] += off_lo[last]
-    rows = [(h[i], coef[i], diag[i], off_lo[i], off_hi[i], g0[i], i)
-            for i in range(last - 1, -1, -1)]
+    form, last = scaled_form(ts), ts.dim - 1
+    rows = [[h[i], 2 * s, r, n, i] for i, (s, r, n)
+            in enumerate(zip(ts.signs, form.r, form.n))][::-1]
     split = ts.dim // 2 if ts.dim > 2 else 0
-    tail_rows, head_rows = rows[:last - split], rows[last - split:]
-    h_last, g_last, b_last = h[last], g0[last], off_lo[last]
+    tail_rows, head_rows = rows[:ts.dim - split], rows[ts.dim - split:]
+    corner = [(row, row[0]) for row in rows[:2]]       # E's corner rows, with their h
 
-    def walk(rows, xs, acc, e, u, u_hi):
-        for (hi, k, a, b_lo, b_hi, gi, i), x in zip(rows, xs):
+    def walk(rows, xs, acc, e, b, rs):
+        for (hi, k, r, n, i), x in zip(rows, xs):
             if x:
-                e += x * (gi + u)
-                acc = step(acc, e, hi - k * u + x, x, i)
+                g = r * b + n * rs
+                e += x * g
+                acc = step(acc, e, hi - k * g + x, x, i)
                 if acc is None:
                     return ()
-            u, u_hi = b_lo * (x - a * u - b_hi * u_hi), u
-        return acc, e, u, u_hi
+                b -= n * x
+                rs += r * x
+        return acc, e, b, rs
 
     def walk_tail(tail):
-        x, e, state = tail[-1], 0, acc
-        if x:
-            e = x * g_last
-            state = step(acc, e, h_last + x + (tail[-2] if last else 0), x, last)
-            if state is None:
-                return ()
-        return walk(tail_rows, tail[-2::-1], state, e, b_last * x, 0)
+        x, y = tail[-1], tail[-2] if last else 0
+        # E's corner, set in place on the first two rows of the tail: +lam_{dim-1}
+        # on the top of dim, -lam_dim on the one before
+        for (row, hi), c in zip(corner, (y, -x)):
+            row[0] = hi + c
+        return walk(tail_rows, tail[::-1], acc, 0, l, 0)
 
     tails = {}                      # tail -> its state, () once dropped
     for lam in lams:

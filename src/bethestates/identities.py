@@ -30,7 +30,7 @@ from .configs import _count_walk, _lambda_walk, enumerate_lambda
 from .qalg import (QPolynomial, QSeries, _qfactorial_sum, as_exp, gauss_binomial,
                    product_expand, qsum)
 from .spectral import ChainSpec, scaled_form
-from .tsdata import TSData, string_weights
+from .tsdata import TSData
 from .util import PreconditionError, rat_str, report_header
 
 
@@ -130,9 +130,9 @@ def live_levels(ts: TSData, cutoff) -> list:
     checks r >= 0 with r_k > 0 where s_k > 0.  The live levels are the final
     states.
     """
-    limit, r = floor(as_exp(cutoff)), scaled_form(ts).r    # wide string data fails first
+    limit, form = floor(as_exp(cutoff)), scaled_form(ts)   # wide string data fails first
     states = {0: 0} if limit >= 0 else {}
-    for n_k, s_k, r_k in zip(string_weights(ts), ts.signs, r):
+    for n_k, s_k, r_k in zip(form.n, ts.signs, form.r):
         g_kk, half = n_k * r_k, 1 if s_k < 0 else 0
         nxt = {}
         for b, e in states.items():

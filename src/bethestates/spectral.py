@@ -7,17 +7,15 @@ B = 2*Theta.  The continuant recurrence for the leading minors of C gives
 den * Theta, so no dense elimination is needed.  The parity matrix E and
 the offset vector b complete the linear form whose j-th component equals
 P_j(lambda) + lambda_j.  scaled_form is the one coding of the integer
-matrix G = Theta~ + n n^t/p0, n the string lengths, kept as the signed bands
-of S C S = Theta~^-1 in O(dim): ScaledForm.dual gives g = G lam by
-back-substitution, and every top is local in g, so vacancy_linear_form and
-the lambda walk of configs, which gives the tops of the counting routes and
-the quadratic form of the fermionic sum, read the bands.  The same form
-keeps r = G e_1, the dual at lam = 0 and level 1, an integer row with
-G_ij = n_min(i,j) r_max(i,j), for the live-level pass of identities, and
-checks once per p0, in O(dim), that n and r generate the inverse of the
-bands and that r >= 0, so G >= 0.  The dense rows of Theta are built on
-demand only, for coupling_matrix (display) and the per-vector reference of
-configs."""
+matrix G = Theta~ + n n^t/p0, n the string lengths, by its generators: r =
+G e_1, an integer row from one back-substitution in the signed bands of
+S C S = Theta~^-1, and G_ij = n_min(i,j) r_max(i,j).  So g = G lam is
+r_i B_i + n_i R_i on suffix sums of lam (ScaledForm.dual), every top is
+local in g, and vacancy_linear_form, the lambda walk of configs and the
+live-level pass of identities read n and r alone.  scaled_form checks once
+per p0, in O(dim), that n and r generate the inverse of the bands and that
+r >= 0, so G >= 0.  The dense rows of Theta are built on demand only, for
+coupling_matrix (display) and the per-vector reference of configs."""
 
 from __future__ import annotations
 
@@ -203,49 +201,52 @@ def parity_matrix(ts: TSData) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
-def _back_substitute(diag, off, lam, last: int, lift: int) -> list:
-    """g with g_dim = last and rows 2..dim of B g = lam + lift e_dim, B the
+def _back_substitute(diag, off, last: int, lift: int) -> list:
+    """g with g_dim = last and rows 2..dim of B g = lift e_dim, B the
     symmetric tridiagonal matrix with the bands diag and off, every off entry
-    +-1, last row first: g_{i-1} = b_{i-1} (lam_i - a_i g_i - b_i g_{i+1})."""
+    +-1, last row first: g_{i-1} = -b_{i-1} (a_i g_i + b_i g_{i+1})."""
     g = [0] * len(diag)
     g[-1] = last
     below = -lift                   # b_i g_{i+1}, or the last row's raise
     for i in range(len(g) - 1, 0, -1):
-        g[i - 1] = off[i - 1] * (lam[i] - diag[i] * g[i] - below)
+        g[i - 1] = -off[i - 1] * (diag[i] * g[i] + below)
         below = off[i - 1] * g[i]
     return g
 
 
 @dataclass(frozen=True)
 class ScaledForm:
-    """Theta~ as the bands of its inverse, which also give the integer matrix
-    G = Theta~ + n n^t/p0, in O(dim) integers; no dense row is kept.
+    """The integer matrix G = Theta~ + n n^t/p0 by its generators, in O(dim)
+    integers; no dense row is kept.
 
     den = |det C| = numerator(p0), Theta~_ij = s_i s_j Theta_ij with
     s = ts.signs, and den * Theta~ is integral, as den * Theta = sign(det) adj C.
 
-    diag and off are the bands of S C S = Theta~^-1, S = diag(s); every off
-    entry is +-1.  With n the string lengths, (S C S) n = sigma den e_dim, so
-    g = G lam solves (S C S) g = lam + lift (n . lam) e_dim, lift = sigma q,
-    q = denominator(p0).
-
-    r = G e_1 is an integer row, and G_ij = n_min(i,j) r_max(i,j): G is
-    semiseparable, generated by n and r (Meurant, SIAM J. Matrix Anal. Appl.
-    13, 1992).  So g_dim = r_dim (n . lam), and G >= 0 exactly when r >= 0.
+    n holds the string lengths and r = G e_1 an integer row, and G_ij =
+    n_min(i,j) r_max(i,j): G is semiseparable, generated by n and r (Meurant,
+    SIAM J. Matrix Anal. Appl. 13, 1992), so G >= 0 exactly when r >= 0.
+    diag and off are the bands of S C S = Theta~^-1, S = diag(s), every off
+    entry +-1, with (S C S) n = sigma den e_dim; scaled_form checks the
+    generators against them.
     """
 
     den: int
     diag: tuple
     off: tuple
     sigma: int
-    lift: int
+    n: tuple
     r: tuple
 
     def dual(self, lam, level: int) -> list:
-        """g with g_dim = r_dim * level and rows 2..dim of (S C S) g = lam +
-        lift * level * e_dim, by back-substitution.  At level = n . lam this
-        is g = G lam, in O(dim)."""
-        return _back_substitute(self.diag, self.off, lam, self.r[-1] * level, self.lift * level)
+        """g = G lam + (level - n . lam) r in O(dim), last component first:
+        g_i = r_i B_i + n_i R_i with B_i = level - sum_{j>i} n_j lam_j and
+        R_i = sum_{j>i} r_j lam_j.  At level = n . lam this is G lam."""
+        g, b, rs = [], level, 0
+        for n_i, r_i, x in zip(reversed(self.n), reversed(self.r), reversed(lam)):
+            g.append(r_i * b + n_i * rs)
+            b -= n_i * x
+            rs += r_i * x
+        return g[::-1]
 
 
 def _nonmonotone_rows(form: ScaledForm, ts: TSData):
@@ -257,14 +258,14 @@ def _nonmonotone_rows(form: ScaledForm, ts: TSData):
             yield k
 
 
-def _disagreeing_rows(form: ScaledForm, n, q: int):
+def _disagreeing_rows(form: ScaledForm, q: int):
     """The rows k (from 1) where (S C S) M = den I fails, M_ij = n_min(i,j)
     v_max(i,j), v = den r - q n, in O(dim); where none fails, den G = M + q n
     n^t.  Off the diagonal, column j of (S C S) M is v_j (S C S) n = 0 above
     row j, as scaled_form checks, and n_j (S C S) v below it, so v must solve
     the band recurrence on rows k > 1, and the diagonal be den."""
+    n, off, z = form.n, form.off, (0,)
     v = [form.den * r_k - q * n_k for r_k, n_k in zip(form.r, n)]
-    off, z = form.off, (0,)
     # row k: b_{k-1}, a_k, b_k, the entries k-1, k of n and k-1, k, k+1 of v
     for k, (b0, a, b1, n0, n1, v0, v1, v2) in enumerate(zip(
             z + off, form.diag, off + z, (0, *n), n, (0, *v), v, (*v[1:], 0)), 1):
@@ -277,7 +278,8 @@ def _disagreeing_rows(form: ScaledForm, n, q: int):
 def scaled_form(ts: TSData) -> ScaledForm:
     """The one exact coding of G; every production consumer reads its
     integers from here.  O(dim): |det C| is the last leading minor, and r
-    is the back-substitution of ScaledForm.dual at lam = 0, level 1.  The
+    solves rows 2..dim of (S C S) r = sigma q e_dim from r_dim = (sigma +
+    q n_dim)/den by back-substitution, q = denominator(p0).  The
     prunes of the fermionic sum need G >= 0 entrywise and G_kk > 0 where s_k
     > 0, and n and r to generate G: both are checked here, once per p0 and
     in O(dim), and raise AssertionError otherwise."""
@@ -300,11 +302,11 @@ def scaled_form(ts: TSData) -> ScaledForm:
     last, rest = divmod(sigma + q * n[-1], den)
     if rest:
         raise AssertionError(f"G = Theta~ + n n^t/p0 is not integral at p0 = {ts.p0}")
-    r = _back_substitute(diag, off, [0] * len(diag), last, sigma * q)
-    form = ScaledForm(den, tuple(diag), tuple(off), sigma, sigma * q, tuple(r))
+    r = _back_substitute(diag, off, last, sigma * q)
+    form = ScaledForm(den, tuple(diag), tuple(off), sigma, n, tuple(r))
     for k in _nonmonotone_rows(form, ts):
         raise AssertionError(f"fermionic exponent not monotone at p0 = {ts.p0}, row {k}")
-    for k in _disagreeing_rows(form, n, q):
+    for k in _disagreeing_rows(form, q):
         raise AssertionError(
             f"generators of G disagree with the bands of S C S at p0 = {ts.p0}, row {k}")
     return form
@@ -363,7 +365,7 @@ def linear_form(ts: TSData, chain: ChainSpec, l: int) -> list:
     The entry of the linear-form counting routes: a chain with a spin outside
     the string classification is rejected here, before any lambda is
     enumerated.  A top is h_i - 2 s_i g_i + lam_i + E's corner with
-    g = ScaledForm.dual(lam, l) integral, so a fractional h raises AssertionError.
+    g = G lam integral, so a fractional h raises AssertionError.
     """
     scaled_form(ts)             # string data wider than MAX_DIM is rejected first
     require_classified_spins(ts, chain)
@@ -388,10 +390,10 @@ def vacancy_linear_form(ts: TSData, chain: ChainSpec, l: int, lam):
         raise PreconditionError("lambda vector has wrong length")
     if any(x < 0 for x in lam):
         raise PreconditionError("lambda entries must be nonnegative")
-    form, weights = scaled_form(ts), string_weights(ts)
-    level = sum(map(mul, weights, lam))
+    form = scaled_form(ts)
+    level = sum(map(mul, form.n, lam))
     out = [b - 2 * s * (x - n * level / ts.p0)
-           for s, x, n, b in zip(ts.signs, form.dual(lam, level), weights,
+           for s, x, n, b in zip(ts.signs, form.dual(lam, level), form.n,
                                  offset_vector(ts, chain, l))]
     for i, j, e in _parity_entries(ts):
         out[i] += e * ts.signs[j] * lam[j]

@@ -183,7 +183,8 @@ def test_identity_negative_cutoff_rejected(capsys, monkeypatch):
 
 def test_too_wide_string_data_rejected(capsys, monkeypatch):
     # 1000001/1000000 has a million string types; compute_ts is cheap there,
-    # but the continuants of the bands, Theta or the linear form would not be
+    # but the string lengths, the continuants of the bands, Theta or the
+    # linear form would not be
     from bethestates import spectral
 
     def no_theta(*args):
@@ -193,7 +194,8 @@ def test_too_wide_string_data_rejected(capsys, monkeypatch):
     monkeypatch.setattr(spectral, "tridiagonal_adjugate", no_theta)
     monkeypatch.setattr(spectral, "offset_vector", no_theta)
     wide = "1000001/1000000"
-    for argv in (["theta", "--p0", wide], ["theta", "--p0", wide, "--json"],
+    for argv in (["ts", "--p0", wide], ["ts", "--p0", wide, "--json"],
+                 ["theta", "--p0", wide], ["theta", "--p0", wide, "--json"],
                  ["count", "--p0", wide, "--chain", "1x2", "--l", "1"],
                  ["completeness", "--p0", wide, "--chain", "1x2"],
                  ["identity", "--p0", wide, "--cutoff", "3"]):

@@ -517,10 +517,10 @@ WALK_CASES = [(F(16, 7), ((1, 12), (8, 1))), (F(55, 34), ((2, 2), (7, 1))),
 
 
 def test_walk_matches_per_vector_reference():
-    # the walk reads each top from m = den Theta~ lam by back-substitution
-    # and drops a vector at its first vanishing binomial; the reference
+    # the walk reads each top from g = G lam on the suffix sums of lam and
+    # drops a vector at its first vanishing binomial; the reference
     # evaluates the dense form at every vector and multiplies every factor.
-    # q_count's exponents, lam . m in the walk, are checked against the
+    # q_count's exponents, lam . g in the walk, are checked against the
     # quadratic form lam~ Theta lam~ of the Fractions of coupling_matrix,
     # over the nonzero entries of lam~ only.
     from bethestates.identities import gauss_general, q_count

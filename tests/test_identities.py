@@ -326,8 +326,8 @@ def perturbed_row(monkeypatch, index, by):
     from bethestates import spectral
     solve = spectral._back_substitute
 
-    def raised(diag, off, lam, last, lift):
-        g = solve(diag, off, lam, last, lift)
+    def raised(diag, off, last, lift):
+        g = solve(diag, off, last, lift)
         g[index] += by
         return g
 
@@ -493,7 +493,7 @@ def column_scan(ts, form):
 def test_positivity_check_agrees_with_the_column_scan():
     # two-sided: on real string data the O(dim) check and the dense scan
     # both pass, and n_min r_max is each column of G that ScaledForm.dual
-    # gives by back-substitution; on perturbed rows r they flag the same
+    # gives on the suffix sums of e_k; on perturbed rows r they flag the same
     # rows.  r_j lowered by one at 16/7 fails at 3 of 7 components, and
     # seeded perturbations of r elsewhere too.
     for p0 in reduced_p0(40):
@@ -533,32 +533,40 @@ def test_generator_check_flags_every_unit_perturbation_of_r():
     count = 0
     for p0 in (F(16, 7), F(55, 34), F(201, 2), F(7, 3), F(3), F(27, 11)):
         ts = compute_ts(p0)
-        form, n = scaled_form(ts), string_weights(ts)
-        assert list(_disagreeing_rows(form, n, p0.denominator)) == [], p0
+        form = scaled_form(ts)
+        assert list(_disagreeing_rows(form, p0.denominator)) == [], p0
         for j in range(ts.dim):
             for by in (-1, 1):
                 bad = replace(form, r=tuple(v + by * (i == j) for i, v in enumerate(form.r)))
-                assert list(_disagreeing_rows(bad, n, p0.denominator)), (p0, j, by)
+                assert list(_disagreeing_rows(bad, p0.denominator)), (p0, j, by)
                 count += 1
     assert count == 270
 
 
-def test_identity_at_dim_1000_reads_the_dual_once_per_live_level(monkeypatch):
+def test_identity_at_dim_1000_solves_the_bands_once(monkeypatch):
     # the checks of G are O(dim) in scaled_form: during the identity at
-    # 1997/2 ScaledForm.dual runs only in the lambda walk, once per live
-    # level, and never once per column of G
+    # 1997/2 the bands are solved once, for r in scaled_form, and
+    # ScaledForm.dual never runs, so nothing runs once per column of G
+    from bethestates import spectral
     ts = compute_ts(F(1997, 2))
-    dual, callers = ScaledForm.dual, []
+    solve, callers = spectral._back_substitute, []
 
-    def counted(form, lam, level):
+    def counted(*args):
         callers.append(sys._getframe(1).f_code.co_name)
-        return dual(form, lam, level)
+        return solve(*args)
 
-    monkeypatch.setattr(ScaledForm, "dual", counted)
-    assert check_identity(ts, 3).agree
-    levels = live_levels(ts, 3)
-    assert len(levels) >= 2
-    assert callers == ["_lambda_walk"] * len(levels)
+    def no_dual(*args):
+        raise AssertionError("ScaledForm.dual called")
+
+    monkeypatch.setattr(spectral, "_back_substitute", counted)
+    monkeypatch.setattr(ScaledForm, "dual", no_dual)
+    scaled_form.cache_clear()
+    try:
+        assert check_identity(ts, 3).agree
+        assert len(live_levels(ts, 3)) >= 2
+    finally:
+        scaled_form.cache_clear()
+    assert callers == ["scaled_form"]
 
 
 @pytest.mark.parametrize("p0, cutoff, smaller", [

@@ -113,9 +113,10 @@ def test_det_law():
 
 
 def test_dual_bands_send_the_string_lengths_to_the_last_row():
-    # (S C S) n = sigma den e_dim is what lets the counting walk start from
-    # m_dim = sigma * level: the last column of den Theta~, taken from the
-    # dense Theta of coupling_matrix, is sigma n
+    # (S C S) n = sigma den e_dim is what lets scaled_form solve the bands
+    # for r = G e_1 with only the last right-hand side raised: the last
+    # column of den Theta~, taken from the dense Theta of coupling_matrix,
+    # is sigma n
     for p0 in [F(1), F(2), F(6), F(5, 2), F(16, 7), F(27, 11)] + DEEP_P0:
         ts = compute_ts(p0)
         form = scaled_form(ts)
@@ -157,16 +158,16 @@ def test_generator_check_needs_each_of_its_parts():
     assert (det, leading_minors(diag, off)) == (-1, [1, 1, 0, -1, -1])
     assert [[n[min(i, j)] * v[max(i, j)] for j in range(4)] for i in range(4)] == \
         [[-a for a in row] for row in adj]
-    form = ScaledForm(1, diag, off, 1, 1, tuple(map(add, v, n)))
-    assert list(_disagreeing_rows(form, n, 1)) == []
+    form = ScaledForm(1, diag, off, 1, n, tuple(map(add, v, n)))
+    assert list(_disagreeing_rows(form, 1)) == []
     for step, rows in ((tuple(n_i * (i <= 1) for i, n_i in enumerate(n)), [3]),
                        (v, [1, 2, 3, 4])):
         bad = replace(form, r=tuple(map(add, form.r, step)))
-        assert list(_disagreeing_rows(bad, n, 1)) == rows, step
+        assert list(_disagreeing_rows(bad, 1)) == rows, step
 
 
 def test_dual_is_theta_times_lambda():
-    # the back-substitution of ScaledForm.dual against the row products of
+    # ScaledForm.dual, on the suffix sums of lam, against the row products of
     # the dense adjugate of its bands S C S, adj = det Theta~, on seeded
     # vectors at the level n . lam, at dim 1000 too: it is G lam = adj lam/det
     # + q (n . lam) n/den, q = denominator(p0), an integer vector; another
@@ -193,15 +194,20 @@ def test_dual_is_theta_times_lambda():
 
 
 def test_production_paths_build_no_dense_form(monkeypatch, capsys):
-    # counts, q-counts, identities and the vacancy form read the O(dim) bands
-    # of scaled_form only; the dense adjugate serves coupling_matrix and the
-    # per-vector reference.  The cache of scaled_form is cleared, so it runs
-    # under the patch; live_levels reads its generators, from the leading
-    # and trailing minors only, so the identity is checked at 201/2 too.
-    from bethestates import configs, spectral
+    # counts, q-counts, identities and the vacancy form read the O(dim)
+    # generators n and r of scaled_form only; the dense adjugate serves
+    # coupling_matrix and the per-vector reference.  The cache of scaled_form
+    # is cleared, so it runs under the patch; live_levels reads its
+    # generators, from the leading minors only, so the identity is checked
+    # at 201/2 too.  The bands of S C S serve only scaled_form's checks:
+    # with diag and off taken out of the form it returns, the routes return
+    # what they return with them, on five chains of test_configs' WALK_CASES.
+    from test_configs import WALK_CASES
+
+    from bethestates import configs, identities, spectral
     from bethestates.cli import main
-    from bethestates.configs import count_xxz_general
-    from bethestates.identities import check_identity, level_series, q_count
+    from bethestates.configs import count_xxz_general, count_xxz_general_detailed
+    from bethestates.identities import check_identity, fermionic_sum, level_series, q_count
     from bethestates.oracle import check_completeness_xxz
 
     def no_dense(*args):
@@ -231,6 +237,22 @@ def test_production_paths_build_no_dense_form(monkeypatch, capsys):
         assert "Z(l=1) = 2 with 2 summands" in capsys.readouterr().out
     finally:
         scaled_form.cache_clear()
+
+    def routes(ts, chain):
+        levels = range(chain.n_total + 1)
+        lam = [1] + [0] * (ts.dim - 2) + [2]
+        level = sum(map(mul, string_weights(ts), lam))
+        return ([count_xxz_general_detailed(ts, chain, l) for l in levels],
+                [q_count(ts, chain, l) for l in levels], fermionic_sum(ts, 20),
+                vacancy_linear_form(ts, chain, level, lam))
+
+    cases = [(compute_ts(p0), ChainSpec(p0, species)) for p0, species in WALK_CASES[2:]]
+    want = [routes(*case) for case in cases]
+    checked = spectral.scaled_form
+    for module in (spectral, configs, identities):
+        monkeypatch.setattr(module, "scaled_form",
+                            lambda ts_: replace(checked(ts_), diag=None, off=None))
+    assert [routes(*case) for case in cases] == want
 
 
 def test_scaled_form_memory_is_linear_in_dim():

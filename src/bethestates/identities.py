@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from math import comb, floor
 
 from .configs import _count_walk, _lambda_walk, enumerate_lambda
 from .qalg import (QPolynomial, QSeries, _qfactorial_sum, as_exp, gauss_binomial,
-                   product_expand, qsum)
+                   product_expand, qsum, shifted_product)
 from .spectral import ChainSpec, scaled_form
 from .tsdata import TSData
 from .util import PreconditionError, rat_str, report_header
@@ -36,6 +37,7 @@ from .util import PreconditionError, rat_str, report_header
 
 # -- q-analog of the state count ------------------------------------------------
 
+@lru_cache(maxsize=1024)     # keyed by (top, b, base_sign)
 def gauss_general(top: int, b: int, base_sign: int = 1) -> QPolynomial:
     """Gaussian binomial extended to negative tops.
 
@@ -58,19 +60,22 @@ def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
     Each admissible multiplicity vector contributes its quadratic-form
     monomial q**(lam Theta~ lam) times a product of Gaussian binomials in base
     q**(parity).  Evaluating at q = 1 recovers the plain count.  The vectors,
-    their products and lam G lam = lam Theta~ lam + l^2/p0 come from the
-    lambda walk of configs, whose step multiplies in each Gaussian binomial
-    and drops a vector at its first vanishing one; a tail's product is taken
-    once for all vectors that share the tail.  The terms are added in place
-    on Z by one qsum, shifted once by -l^2/p0.
+    their tops and lam G lam = lam Theta~ lam + l^2/p0 come from the lambda
+    walk of configs, whose step only records (top, lam_i, s_i) and drops a
+    vector at its first vanishing binomial, 0 <= top < lam_i, before any
+    product is taken.  Each kept vector's binomials (gauss_general, cached)
+    are multiplied once, on integer coefficient lists, by
+    qalg.shifted_product; the terms are added in place on Z by one qsum,
+    shifted once by -l^2/p0.
     """
     signs = ts.signs
 
     def step(acc, e, t, x, i):
-        return None if 0 <= t < x else acc * gauss_general(t, x, signs[i])
+        return None if 0 <= t < x else acc + ((t, x, signs[i]),)
 
-    walk = _count_walk(ts, chain, l, step, QPolynomial.one())
-    return qsum(poly.shift(e) for poly, e, _ in walk).shift(-l * l / ts.p0)
+    walk = _count_walk(ts, chain, l, step, ())
+    return qsum(shifted_product(e, [gauss_general(*f) for f in acc])
+                for acc, e, _ in walk).shift(-l * l / ts.p0)
 
 
 # -- fermionic side --------------------------------------------------------------

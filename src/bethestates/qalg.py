@@ -17,7 +17,9 @@ tighten the region of validity: a sum is valid up to the smaller cutoff; a
 product a*b up to min(cut_a + min(m_b, 0), cut_b + min(m_a, 0)), m the
 minimal exponent (0 for zero), where the unknown tail of one factor,
 shifted by the other's lowest term, begins; and an exact polynomial p times
-a series s is first truncated at s.cutoff - min(p.min_exp(), 0).  Dividing
+a series s is first truncated at s.cutoff - min(p.min_exp(), 0).  mul_lists
+forms the coefficients of every product on plain lists, for __mul__ and for
+shifted_product, the product of q_count's Gaussian binomials.  Dividing
 by 1 - q**s needs a cutoff: it is a prefix sum with stride s over the
 coefficients, run per residue class mod s when s is short against the
 window and per s-long block otherwise.  div_steps runs it in place on a
@@ -97,6 +99,34 @@ def div_steps(c: list, steps) -> None:
         else:
             for k in range(s, n, s):
                 c[k:k + s] = map(add, c[k:k + s], c[k - s:k])
+
+
+def mul_lists(a: list, b: list, n: int) -> list:
+    """The first n >= 0 coefficients of the product of the coefficient lists
+    a and b, zero past its length: the one multiplication kernel, which
+    QSeries.__mul__ and shifted_product call.  It walks the nonzero entries
+    of the sparser list and adds the other one, scaled, slice-wise."""
+    if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a
+    out = [0] * n
+    for i, c in enumerate(a[:n]):
+        if c:
+            seg = b[:n - i]
+            out[i:i + len(seg)] = map(add, out[i:i + len(seg)], map(mul, seg, repeat(c)))
+    return out
+
+
+def shifted_product(e: int, polys) -> "QPolynomial":
+    """q**e times the product of the polynomials, each on the integer
+    lattice, multiplied on their coefficient lists by mul_lists: one call
+    per polynomial after the first, none for an empty product (q**e)."""
+    c = None
+    for p in polys:
+        if p.den != 1:
+            raise PreconditionError("shifted_product needs polynomials on the integers")
+        e += p.lo
+        c = p.coeffs if c is None else mul_lists(c, p.coeffs, len(c) + len(p.coeffs) - 1)
+    return _new(1, e, [1] if c is None else c, None)
 
 
 def qsum(values) -> "QSeries":
@@ -282,6 +312,9 @@ class QSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product on the lcm of the two lattices, valid up to the cutoff
+        given in the module docstring; mul_lists, the one multiplication
+        kernel, forms its coefficients."""
         if isinstance(other, int):
             return _new(self.den, self.lo, [c * other for c in self.coeffs], self.cut)
         if not isinstance(other, QSeries):
@@ -300,16 +333,7 @@ class QSeries:
             n = min(n, cut - lo + 1)
         if n <= 0:
             return _new(den, 0, [], cut)
-        # Walk the nonzero entries of the sparser factor; the other one is
-        # combined slice-wise.
-        if len(ca) - ca.count(0) > len(cb) - cb.count(0):
-            ca, cb = cb, ca
-        out = [0] * n
-        for i, c in enumerate(ca[:n]):
-            if c:
-                seg = cb[:n - i]
-                out[i:i + len(seg)] = map(add, out[i:i + len(seg)], map(mul, seg, repeat(c)))
-        return _new(den, lo, out, cut)
+        return _new(den, lo, mul_lists(ca, cb, n), cut)
 
     __rmul__ = __mul__
 

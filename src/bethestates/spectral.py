@@ -359,21 +359,38 @@ def require_classified_spins(ts: TSData, chain: ChainSpec) -> None:
             f"at p0 = {ts.p0}; admissible 2s: {ok}")
 
 
+@lru_cache(maxsize=16)
+def _level_zero_form(ts: TSData, chain: ChainSpec) -> tuple:
+    """h(0) = b(0), the offset vector at level 0, as integers, once per
+    chain; AssertionError if it is fractional, which lru_cache does not keep."""
+    h = offset_vector(ts, chain, 0)
+    if any(x.denominator != 1 for x in h):
+        raise AssertionError("fractional top at level 0")
+    return tuple(map(int, h))
+
+
 def linear_form(ts: TSData, chain: ChainSpec, l: int) -> list:
     """h = b + 2 l S n/p0, b the offset vector at level l, as integers.
 
     The entry of the linear-form counting routes: a chain with a spin outside
     the string classification is rejected here, before any lambda is
     enumerated.  A top is h_i - 2 s_i g_i + lam_i + E's corner with
-    g = G lam integral, so a fractional h raises AssertionError.
+    g = G lam integral, so a fractional h raises AssertionError.  As b_j =
+    s_j n_j frac((N - 2l)/p0) - phases_j, h(l) - h(0) = S n (floor(N/p0) -
+    floor((N - 2l)/p0)) is an integer vector: h(0) is built and checked
+    once per chain (_level_zero_form), and every level adds that integer
+    step to it, so the lattice check holds at every level.
     """
-    scaled_form(ts)             # string data wider than MAX_DIM is rejected first
+    form = scaled_form(ts)      # string data wider than MAX_DIM is rejected first
     require_classified_spins(ts, chain)
-    h = [b + 2 * l * s * n / ts.p0
-         for b, s, n in zip(offset_vector(ts, chain, l), ts.signs, string_weights(ts))]
-    if any(x.denominator != 1 for x in h):
-        raise AssertionError(f"fractional top at level {l}")
-    return [int(x) for x in h]
+    check_level(l)
+    try:
+        h0 = _level_zero_form(ts, chain)
+    except AssertionError:
+        raise AssertionError(f"fractional top at level {l}") from None
+    p, q, big_n = ts.p0.numerator, ts.p0.denominator, chain.n_total
+    step = big_n * q // p - (big_n - 2 * l) * q // p
+    return [h + s * n * step for h, s, n in zip(h0, ts.signs, form.n)]
 
 
 def vacancy_linear_form(ts: TSData, chain: ChainSpec, l: int, lam):

@@ -193,6 +193,7 @@ def test_too_wide_string_data_rejected(capsys, monkeypatch):
     monkeypatch.setattr(spectral, "leading_minors", no_theta)
     monkeypatch.setattr(spectral, "tridiagonal_adjugate", no_theta)
     monkeypatch.setattr(spectral, "offset_vector", no_theta)
+    monkeypatch.setattr(spectral, "_level_zero_form", no_theta)
     wide = "1000001/1000000"
     for argv in (["ts", "--p0", wide], ["ts", "--p0", wide, "--json"],
                  ["theta", "--p0", wide], ["theta", "--p0", wide, "--json"],

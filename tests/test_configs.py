@@ -613,8 +613,11 @@ def test_q_count_exponents_lie_on_the_level_coset():
 
 def test_walk_checks_the_lattice_once_per_level(monkeypatch):
     # the walk checks that every top is an integer once per level, in
-    # linear_form; an offset vector shifted off the lattice by 1/den in its
-    # first or its last row raises on both routes at every level
+    # linear_form, which builds h(0) from the offset vector once per chain
+    # and adds an integer step per level; an offset vector shifted off the
+    # lattice by 1/den in its first or its last row raises on both routes at
+    # every level.  The per-chain cache is cleared before each patch, so
+    # h(0) is read from the patched offset vector.
     from bethestates import configs, identities, spectral
     offset_vector = spectral.offset_vector
     for row in (0, -1):
@@ -623,13 +626,14 @@ def test_walk_checks_the_lattice_once_per_level(monkeypatch):
             b[row] += F(1, ts_.p0.numerator)
             return b
 
+        spectral._level_zero_form.cache_clear()
         monkeypatch.setattr(spectral, "offset_vector", shifted)
         for p0, species in WALK_CASES:
             ts = compute_ts(p0)
             chain = ChainSpec(p0, species)
             for l in range(chain.n_total + 1):
                 for route in (count_xxz_general, identities.q_count):
-                    with pytest.raises(AssertionError, match="fractional top"):
+                    with pytest.raises(AssertionError, match=f"fractional top at level {l}$"):
                         route(ts, chain, l)
     monkeypatch.undo()
     ts = compute_ts(F(16, 7))
@@ -643,6 +647,38 @@ def test_walk_checks_the_lattice_once_per_level(monkeypatch):
         count_xxz_general(ts, chain, l)
         identities.q_count(ts, chain, l)
     assert calls == [l for l in range(chain.n_total + 1) for _ in range(2)]
+
+
+def test_linear_form_is_the_fraction_definition_at_every_level():
+    # linear_form builds h(0) once per chain and adds an integer step per
+    # level; it equals b + 2 l S n/p0 on the Fractions of offset_vector at
+    # every level 0..N+2, on the walk's chains and on every reduced a/b with
+    # a <= 22 whose string data classify the chain.  As a negative control
+    # the definition one level on differs somewhere on every chain, since
+    # floor((N - 2l)/p0) drops as N - 2l passes from 0 to -2.
+    from math import gcd
+    from bethestates.spectral import linear_form
+    from bethestates.tsdata import admissible_spin
+    sweep = [(F(a, b), species) for a in range(1, 23) for b in range(1, a + 1)
+             if gcd(a, b) == 1 for species in (((1, 4),), ((1, 2), (2, 1)))]
+    checked = 0
+    for p0, species in WALK_CASES + sweep:
+        ts = compute_ts(p0)
+        chain = ChainSpec(p0, species)
+        if not all(admissible_spin(ts, two_s) for two_s, _ in species):
+            continue
+
+        def definition(l):
+            return [b + 2 * l * s * n / p0 for b, s, n in
+                    zip(offset_vector(ts, chain, l), ts.signs, string_weights(ts))]
+
+        levels = range(chain.n_total + 3)
+        forms = [linear_form(ts, chain, l) for l in levels]
+        assert all(type(x) is int for h in forms for x in h), (p0, species)
+        assert forms == [definition(l) for l in levels], (p0, species)
+        assert any(h != definition(l + 1) for l, h in zip(levels, forms)), (p0, species)
+        checked += 1
+    assert checked == len(WALK_CASES) + 125     # 75 p0 classify 1x4, 50 also 1x2,2x1
 
 
 def test_inadmissible_chains_raise_before_enumerating(monkeypatch):

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 from bethestates.qalg import (QPolynomial, QSeries, _qfactorial_sum, div_steps, gauss_binomial,
-                              pochhammer, product_expand, qsum)
+                              mul_lists, pochhammer, product_expand, qsum, shifted_product)
 from bethestates.util import PreconditionError
 
 
@@ -196,6 +196,46 @@ def test_div_steps_multiplies_back_to_its_input():
             c = schoolbook(c, [1] + [0] * (s - 1) + [-1], n)
         assert c == given, (n, steps)
     assert strided > 50 and blocks > 50
+
+
+def test_mul_lists_matches_a_dict_schoolbook_product():
+    # seeded signed lists with coefficients up to 10**40, sparse and dense,
+    # empty among them; n below, at and past the length of the product,
+    # whose entries past it are zero
+    rng = random.Random(27)
+    cases = [([], []), ([], [3, -1]), ([5], []), ([0, 0, 7], [1])]
+    for _ in range(60):
+        density = rng.random()
+        cases.append(tuple([rng.randint(-10**40, 10**40) if rng.random() < density else 0
+                            for _ in range(rng.randint(0, 25))] for _ in range(2)))
+    for a, b in cases:
+        prod = {}
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = prod.get(i + j, 0) + x * y
+        full = len(a) + len(b) - 1 if a and b else 0
+        for n in {0, full // 2, max(full - 1, 0), full, full + 1, full + 5}:
+            assert mul_lists(list(a), list(b), n) == [prod.get(k, 0) for k in range(n)], \
+                (a, b, n)
+
+
+def test_shifted_product_is_the_series_product():
+    # q**e times the product of polynomials on the integers, as the series
+    # product; the empty product is q**e, a zero factor gives zero, and a
+    # polynomial on a finer lattice is refused
+    rng = random.Random(5)
+    for _ in range(30):
+        polys = [poly({rng.randint(-5, 5): rng.randint(-9, 9) for _ in range(rng.randint(1, 4))})
+                 for _ in range(rng.randint(0, 4))]
+        e = rng.randint(-6, 6)
+        want = QPolynomial.monomial(e)
+        for f in polys:
+            want = want * f
+        got = shifted_product(e, polys)
+        assert type(got) is QPolynomial and got == want, (e, polys)
+    assert shifted_product(2, [poly({1: 1}), QPolynomial.zero()]).is_zero()
+    with pytest.raises(PreconditionError):
+        shifted_product(0, [QPolynomial.monomial(Fraction(1, 2))])
 
 
 def test_div_cyclotomic_mixed_signs_frozen():

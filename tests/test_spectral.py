@@ -522,6 +522,17 @@ def test_linear_form_validates_input():
         vacancy_linear_form(ts, chain, 0, [0, -1, 0])
 
 
+def test_linear_form_rejects_what_offset_vector_rejects():
+    # the integer form checks the level itself, as offset_vector does
+    from bethestates.spectral import linear_form
+    ts = compute_ts(F(16, 7))
+    chain = ChainSpec(ts.p0, [(1, 3)])
+    for l in (-1, F(1, 2)):
+        for route in (linear_form, offset_vector):
+            with pytest.raises(PreconditionError):
+                route(ts, chain, l)
+
+
 def test_runs_of_three_or_more_become_ranges():
     # the admissible-2s list of the exit-3 message; a pair stays a list
     assert [_runs(v) for v in ([], [1, 2], [1, 2, 3], [1, 8, 15], [1, 2, 4, 5, 6, 9])] == \

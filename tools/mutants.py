@@ -57,6 +57,15 @@ MUTANTS = [
      "zip(corner, (y, -x))", "zip(corner, (y, 0))", (CRITERION_05,)),
     ("walk reads B after lowering it", "configs.py",
      "g = r * b + n * rs", "g = r * (b - n * x) + n * rs", (CRITERION_04,)),
+    # gauss_general(0, x) is zero, so the output cannot show this one; the
+    # count of list products does
+    ("q_count drops at 0 < t instead of 0 <= t", "identities.py",
+     "return None if 0 <= t < x else acc + ((t, x, signs[i]),)",
+     "return None if 0 < t < x else acc + ((t, x, signs[i]),)",
+     ("tests/test_identities.py::test_q_count_multiplies_only_the_kept_vectors",)),
+    ("linear_form's level step one level on", "spectral.py",
+     "(big_n - 2 * l) * q // p", "(big_n - 2 * l - 2) * q // p",
+     ("tests/test_configs.py::test_linear_form_is_the_fraction_definition_at_every_level",)),
 ]
 
 

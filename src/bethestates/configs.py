@@ -8,13 +8,14 @@ given by the vacancy linear form; at integer p0 this must agree with the
 direct census route, which is checked in the tests.  enumerate_lambda lists
 the vectors of a level: a depth-first search over the head components, pruned
 by the counts N_k(r) of the tails that complete it, joins each prefix to a
-table of the lex-sorted tails of the last components.  One walk over a
-level's vectors serves the count, q_count and the fermionic level terms of
-identities: it reads g = G lam, G = Theta~ + n n^t/p0 an integer matrix,
-from the generators n and r of G and two suffix sums of lam, last component
-first, walks the last half of the components once per distinct tail and the
-rest per vector, and lets a step of each route multiply in its factor or
-drop the vector at the first component that rules it out.
+table of the lex-sorted tails of the last components.  One walk, which
+lists a level's vectors itself, serves the count, q_count and the fermionic
+level terms of identities: it reads g = G lam, G = Theta~ + n n^t/p0 an
+integer matrix, from the generators n and r of G and two suffix sums of
+lam, last component first, walks the last half of the components once per
+distinct tail and the rest per vector, and lets a step of each route
+multiply in its factor or drop the vector at the first component that rules
+it out.
 _CountContext.tops evaluates the form per vector from the dense adjugate of
 S C S, built on demand, and E; it is the reference the walk's tops are
 tested against.
@@ -396,10 +397,11 @@ class _CountContext:
         return [v // den for v in scaled]
 
 
-def _lambda_walk(ts: TSData, l: int, lams, h, step, acc):
-    """(acc, e, lam) for each level-l vector lam of lams, in their order,
-    that step keeps.  The count and q_count read tops from it,
-    _level_terms least exponents.
+def _lambda_walk(ts: TSData, l: int, h, step, acc):
+    """(acc, e, lam) for each vector lam of enumerate_lambda(ts, l), listed
+    after scaled_form checks G, that step keeps.  The count and q_count pass
+    h = linear_form(ts, chain, l), evaluated before the walk starts, and read
+    tops from it; _level_terms reads least exponents.
 
     The walk runs last component first on the level still to place, B =
     l - sum_{j>i} n_j lam_j, and R = sum_{j>i} r_j lam_j, with n and r the
@@ -444,7 +446,7 @@ def _lambda_walk(ts: TSData, l: int, lams, h, step, acc):
         return walk(tail_rows, tail[::-1], acc, 0, l, 0)
 
     tails = {}                      # tail -> its state, () once dropped
-    for lam in lams:
+    for lam in enumerate_lambda(ts, l):
         tail = lam[split:]
         state = tails.get(tail)
         if state is None:
@@ -462,13 +464,6 @@ class GeneralCount:
     skipped_fractional: int = 0   # always 0: every top is an integer (v1 JSON key)
 
 
-def _count_walk(ts: TSData, chain: ChainSpec, l: int, step, acc):
-    """_lambda_walk over level l's vectors with the tops of linear_form, the
-    level's one lattice check, made before any vector is enumerated."""
-    h = linear_form(ts, chain, l)
-    return _lambda_walk(ts, l, enumerate_lambda(ts, l), h, step, acc)
-
-
 def count_xxz_general_detailed(ts: TSData, chain: ChainSpec, l: int) -> GeneralCount:
     """Binomial-product sum over multiplicity vectors at level l.
 
@@ -483,7 +478,7 @@ def count_xxz_general_detailed(ts: TSData, chain: ChainSpec, l: int) -> GeneralC
         return None if 0 <= t < x else acc * signed_binom(t, x)
 
     total = admissible = 0
-    for prod, _, _ in _count_walk(ts, chain, l, step, 1):
+    for prod, _, _ in _lambda_walk(ts, l, linear_form(ts, chain, l), step, 1):
         total += prod
         admissible += 1
     return GeneralCount(total, admissible)

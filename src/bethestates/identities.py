@@ -11,7 +11,8 @@ configs, which drops a vector at its first component where the partial
 least exponent passes the cutoff.  Both prunes are sound as G >= 0
 entrywise, that is r >= 0, which spectral.scaled_form checks.  Each vector
 goes to qalg._qfactorial_sum as its exponent and its q-factorials, and that
-fold divides each shared q-factorial once.
+fold divides each shared q-factorial once.  Every sum of terms goes through
+qalg.qsum, and every Gaussian binomial is qalg.gauss_general.
 The bosonic side is an alternating double sum whose kernel polynomials are
 the same for every rational p0.  For integer p0 the bosonic side collapses
 further to the classical Gordon-Andrews alternating sum and, via the Jacobi
@@ -23,36 +24,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import count
+from itertools import chain, count
 from math import comb, floor
 
-from .configs import _count_walk, _lambda_walk, enumerate_lambda
-from .qalg import (QPolynomial, QSeries, _qfactorial_sum, as_exp, gauss_binomial,
+from .configs import _lambda_walk
+from .qalg import (QPolynomial, QSeries, _qfactorial_sum, as_exp, gauss_binomial, gauss_general,
                    product_expand, qsum, shifted_product)
-from .spectral import ChainSpec, scaled_form
+from .spectral import ChainSpec, linear_form, scaled_form
 from .tsdata import TSData
 from .util import PreconditionError, rat_str, report_header
 
 
 # -- q-analog of the state count ------------------------------------------------
-
-@lru_cache(maxsize=1024)     # keyed by (top, b, base_sign)
-def gauss_general(top: int, b: int, base_sign: int = 1) -> QPolynomial:
-    """Gaussian binomial extended to negative tops.
-
-    For top < 0 the standard negation identity gives a signed Laurent
-    polynomial whose value at q = 1 is the generalized binomial.
-    """
-    if base_sign not in (1, -1):
-        raise PreconditionError("base_sign must be +1 or -1")
-    if b < 0:
-        return QPolynomial.zero()
-    if top >= 0:
-        return gauss_binomial(top, b, base_sign)
-    poly = gauss_binomial(b - top - 1, b, 1).shift(top * b - b * (b - 1) // 2) * (-1) ** b
-    return poly.subs_inverse() if base_sign == -1 else poly
-
 
 def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
     """q-analog of the state count at level l (a Laurent polynomial).
@@ -73,7 +56,7 @@ def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
     def step(acc, e, t, x, i):
         return None if 0 <= t < x else acc + ((t, x, signs[i]),)
 
-    walk = _count_walk(ts, chain, l, step, ())
+    walk = _lambda_walk(ts, l, linear_form(ts, chain, l), step, ())
     return qsum(shifted_product(e, [gauss_general(*f) for f in acc])
                 for acc, e, _ in walk).shift(-l * l / ts.p0)
 
@@ -90,11 +73,11 @@ def level_series(ts: TSData, l: int, cutoff) -> QSeries:
     vectors come from _level_terms."""
     lead = l * l / ts.p0
     cutoff = as_exp(cutoff) + lead
-    acc = QSeries.zero(cutoff)
-    for e, lam in _level_terms(ts, l, cutoff):
-        acc = acc + QSeries.monomial(e, 1, cutoff).div_cyclotomic(
-            *(eps * i for x, eps in zip(lam, ts.signs) for i in range(1, x + 1)))
-    return acc.shift(-lead)
+    terms = (QSeries.monomial(e, 1, cutoff).div_cyclotomic(
+        *(eps * i for x, eps in zip(lam, ts.signs) for i in range(1, x + 1)))
+        for e, lam in _level_terms(ts, l, cutoff))
+    # the zero leads, so a level with no vector keeps the series type and cutoff
+    return qsum(chain((QSeries.zero(cutoff),), terms)).shift(-lead)
 
 
 def _level_terms(ts: TSData, l: int, cutoff: Fraction):
@@ -108,14 +91,13 @@ def _level_terms(ts: TSData, l: int, cutoff: Fraction):
     lam_k g_k and lam_k (lam_k + 1)/2, is >= 0 as G >= 0 entrywise (checked
     by scaled_form), so every partial sum is a lower bound."""
     signs, limit = ts.signs, floor(cutoff)
-    scaled_form(ts)             # G is checked before any vector is enumerated
 
     def step(acc, e, t, x, i):
         if signs[i] < 0:
             acc += x * (x + 1) // 2
         return acc if e + acc <= limit else None
 
-    for acc, e, lam in _lambda_walk(ts, l, enumerate_lambda(ts, l), [0] * ts.dim, step, 0):
+    for acc, e, lam in _lambda_walk(ts, l, [0] * ts.dim, step, 0):
         if e + acc <= limit:        # the zero vector takes no step
             yield e, lam
 
@@ -132,8 +114,8 @@ def live_levels(ts: TSData, cutoff) -> list:
     G_kk = n_k r_k.  Each state B keeps its least partial exponent, and c
     stops at the first value past the cutoff.  Both are sound because every
     unit of c adds >= 1 and no step lowers the exponent, as scaled_form
-    checks r >= 0 with r_k > 0 where s_k > 0.  The live levels are the final
-    states.
+    checks r >= 0 with r_k > 0 where s_k > 0; so c <= limit + 1, and a c
+    past it raises AssertionError.  The live levels are the final states.
     """
     limit, form = floor(as_exp(cutoff)), scaled_form(ts)   # wide string data fails first
     states = {0: 0} if limit >= 0 else {}
@@ -147,6 +129,8 @@ def live_levels(ts: TSData, cutoff) -> list:
                 if e < nxt.get(key, e + 1):
                     nxt[key] = e
                 c += 1
+                if c > limit + 1:
+                    raise AssertionError(f"live_levels stalls at p0 = {rat_str(ts.p0)}")
                 e += 2 * gamma + g_kk * (2 * c - 1) + half * c
         states = nxt
     return sorted(states)
@@ -193,10 +177,7 @@ def kernel_sum(k: int) -> QPolynomial:
     """Alternating m-sum of the positive-base kernels at fixed k."""
     if k < 1:
         raise PreconditionError("kernel sum needs k >= 1")
-    out = QPolynomial.zero()
-    for m in range(k + 1):
-        out = out + kernel_poly(1, k, m).shift(m * (m + 1) // 2) * (-1) ** m
-    return out
+    return qsum(kernel_poly(1, k, m).shift(m * (m + 1) // 2) * (-1) ** m for m in range(k + 1))
 
 
 def _bosonic_exponent(ts: TSData, k: int, m: int) -> int:
@@ -224,12 +205,8 @@ def bosonic_sum(ts: TSData, cutoff) -> QSeries:
     eps = 1 if ts.alpha % 2 == 0 else -1
 
     def term(k, exps):
-        out = QPolynomial.zero()
-        for m, e in enumerate(exps):
-            if e <= cutoff:
-                sgn = (-1) ** (k + m) if eps == 1 else (-1) ** m
-                out = out + kernel_poly(eps, k, m).shift(e) * sgn
-        return out
+        return qsum(kernel_poly(eps, k, m).shift(e) * (-1) ** (k + m if eps == 1 else m)
+                    for m, e in enumerate(exps) if e <= cutoff)
 
     return _bosonic_k_sum(ts, cutoff, term)
 
@@ -242,11 +219,9 @@ def collapsed_kernel(ts: TSData, k: int) -> QPolynomial:
     eps = 1 if a % 2 == 0 else -1
     ya, za1 = ts.y(a), ts.z(a - 1)
     cross = ts.y(a + 1) * za1 + 2 * ya * za1 + ya * ts.z(a)
-    out = QPolynomial.zero()
-    for m in range(k + 1):
-        e = m * m * ya * za1 - k * m * cross + kernel_offset(a, k, k - m)
-        out = out + kernel_poly(eps, k, k - m).shift(e) * (-1) ** m
-    return out
+    return qsum(kernel_poly(eps, k, k - m).shift(
+        m * m * ya * za1 - k * m * cross + kernel_offset(a, k, k - m)) * (-1) ** m
+        for m in range(k + 1))
 
 
 def bosonic_sum_collapsed(ts: TSData, cutoff) -> QSeries:

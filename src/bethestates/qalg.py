@@ -23,8 +23,10 @@ shifted_product, the product of q_count's Gaussian binomials.  Dividing
 by 1 - q**s needs a cutoff: it is a prefix sum with stride s over the
 coefficients, run per residue class mod s when s is short against the
 window and per s-long block otherwise.  div_steps runs it in place on a
-plain coefficient list, for div_cyclotomic and for _qfactorial_sum, the
-fold over shared q-factorials that sums the fermionic side of identities.
+plain coefficient list, for div_cyclotomic, for _qfactorial_sum, the fold
+over shared q-factorials that sums the fermionic side of identities, and
+for gauss_general, the one Gaussian binomial and its one cache, built on a
+coefficient list cut at its degree.
 
 QPolynomial is the same type without a cutoff (``cut`` is None): an exact
 finite Laurent-style polynomial.  An operation between polynomials returns
@@ -37,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import floor, lcm
-from operator import add, mul, neg
+from operator import add, mul, neg, sub
 
 from .util import PreconditionError, exact_rational
 
@@ -445,33 +447,38 @@ def pochhammer(step_sign: int, n: int) -> QPolynomial:
     return out
 
 
-@lru_cache(maxsize=1024)   # keyed by (m, min(n, m - n))
-def _gauss_positive(m: int, small: int) -> QPolynomial:
-    """[m, small]_q as the series prod_i (1 - q**(m-small+i)) / (1 - q**i),
-    i = 1..small, cut at its degree small*(m-small), where it is exact."""
-    num = QSeries.one(small * (m - small))
-    for e in range(m - small + 1, m + 1):
-        num = num - num.shift(e)
-    ser = num.div_cyclotomic(*range(1, small + 1))
-    return _new(ser.den, ser.lo, ser.coeffs, None)
+@lru_cache(maxsize=1024)     # keyed by (top, b, base_sign)
+def gauss_general(top: int, b: int, base_sign: int = 1) -> QPolynomial:
+    """The Gaussian binomial [top, b] in base q**base_sign, for any integer top.
 
-
-def gauss_binomial(m: int, n: int, base_sign: int = 1) -> QPolynomial:
-    """Gaussian binomial coefficient in base q**base_sign.
-
-    Zero unless 0 <= n <= m; otherwise the quotient
-    (x;x)_m / ((x;x)_n (x;x)_{m-n}) with x = q**base_sign.  It is a
-    polynomial of degree n*(m-n), so its power series cut at that degree is
-    exact.  The inverse base is an exponent relabeling.
+    Zero for b < 0 and for 0 <= top < b.  For top = m >= b it is the
+    polynomial (x;x)_m / ((x;x)_b (x;x)_{m-b}), x = q**base_sign, of degree
+    k (m - k), k = min(b, m - b): a coefficient list cut there is multiplied
+    in place by 1 - q**e, e = m-k+1..m, and div_steps divides it exactly.
+    For top < 0 the negation identity [top, b] = (-1)**b q**(top b -
+    b (b - 1)/2) [b - top - 1, b] gives a signed Laurent polynomial whose
+    value at q = 1 is the generalized binomial.  Base q**-1 is subs_inverse.
     """
     if base_sign not in (1, -1):
         raise PreconditionError("base_sign must be +1 or -1")
-    if not (0 <= n <= m):
+    if b < 0 or 0 <= top < b:
         return QPolynomial.zero()
-    poly = _gauss_positive(m, min(n, m - n))
-    if base_sign == -1:
-        return poly.subs_inverse()
-    return poly
+    m = top if top >= 0 else b - top - 1
+    k = min(b, m - b)
+    c = [1] + [0] * (k * (m - k))
+    for e in range(m - k + 1, m + 1):
+        c[e:] = map(sub, c[e:], c[:len(c) - e])
+    div_steps(c, range(1, k + 1))
+    poly = _new(1, 0, c, None)
+    if top < 0:
+        poly = poly.shift(top * b - b * (b - 1) // 2) * (-1) ** b
+    return poly.subs_inverse() if base_sign == -1 else poly
+
+
+def gauss_binomial(m: int, n: int, base_sign: int = 1) -> QPolynomial:
+    """gauss_general(m, n, base_sign) for m >= 0, and zero for m < 0 (as
+    n = -1, after the same base_sign check)."""
+    return gauss_general(m, n if m >= 0 else -1, base_sign)
 
 
 def product_expand(factors, cutoff) -> QSeries:

@@ -241,13 +241,13 @@ def test_criterion_12_fermionic_sum_enumerates_only_live_levels(monkeypatch):
     # fermionic_sum enumerates exactly the levels of live_levels, those with
     # a vector within the cutoff; summing every level up to twice as far
     # must change nothing
-    from bethestates import identities
+    from bethestates import configs
     t0 = time.perf_counter()
     for p0, cutoff in [(F(16, 7), 120), (F(7, 3), 40), (F(5, 2), 30)]:
         ts = compute_ts(p0)
         levels = []
-        enumerate_lambda = identities.enumerate_lambda
-        monkeypatch.setattr(identities, "enumerate_lambda",
+        enumerate_lambda = configs.enumerate_lambda
+        monkeypatch.setattr(configs, "enumerate_lambda",
                             lambda ts_, l: levels.append(l) or enumerate_lambda(ts_, l))
         lhs = fermionic_sum(ts, cutoff)
         monkeypatch.undo()

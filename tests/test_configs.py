@@ -588,7 +588,7 @@ def test_walk_steps_through_each_tail_once_per_level():
         want["tail"] += sum(n for n, _ in shared.values())
         unshared += sum(shared[lam[split:]][0] for lam in lams)
         want["head"] += sum(steps(lam[:split])[0] for lam in lams if shared[lam[split:]][1])
-        kept = _lambda_walk(ts, l, lams, linear_form(ts, chain, l), step, 0)
+        kept = _lambda_walk(ts, l, linear_form(ts, chain, l), step, 0)
         assert [(n, lam) for n, _, lam in kept] == \
             [(sum(map(bool, lam)), lam) for lam in lams if 2 not in lam], l
     assert (tails, vectors) == (12184, 453164)
@@ -641,8 +641,9 @@ def test_walk_checks_the_lattice_once_per_level(monkeypatch):
     assert count_xxz_general(ts, chain, 1) == 3
     calls = []
     linear_form = configs.linear_form
-    monkeypatch.setattr(configs, "linear_form",
-                        lambda *args: calls.append(args[2]) or linear_form(*args))
+    for module in (configs, identities):
+        monkeypatch.setattr(module, "linear_form",
+                            lambda *args: calls.append(args[2]) or linear_form(*args))
     for l in range(chain.n_total + 1):
         count_xxz_general(ts, chain, l)
         identities.q_count(ts, chain, l)
@@ -692,7 +693,6 @@ def test_inadmissible_chains_raise_before_enumerating(monkeypatch):
         raise AssertionError("lambda enumeration started")
 
     monkeypatch.setattr(configs, "enumerate_lambda", no_lambda)
-    monkeypatch.setattr(identities, "enumerate_lambda", no_lambda)
     for p0, species, msg in [(F(16, 7), ((1, 2), (6, 1)), "2s = 6 .*admissible 2s: 1, 8, 15$"),
                              (F(27, 11), ((8, 1),), "2s = 8 .*admissible 2s: 1, 6, 11, 16"),
                              (F(7, 3), ((2, 3),), "2s = 2 .*admissible 2s: 1$"),

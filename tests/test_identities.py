@@ -361,10 +361,9 @@ def perturbed_row(monkeypatch, index, by):
 
 def no_level_enumerated(monkeypatch):
     """The levels passed to enumerate_lambda, which lists no vector."""
-    from bethestates import configs, identities
+    from bethestates import configs
     levels = []
-    for module in (configs, identities):
-        monkeypatch.setattr(module, "enumerate_lambda", lambda ts_, l: levels.append(l) or [])
+    monkeypatch.setattr(configs, "enumerate_lambda", lambda ts_, l: levels.append(l) or [])
     return levels
 
 
@@ -602,12 +601,12 @@ def test_fermionic_sum_equals_per_vector_reference(monkeypatch, p0, cutoff, smal
     # fermionic_sum enumerates exactly the live levels, and the reference
     # sums every level up to twice the last of them, at the cutoff and at a
     # smaller one where given.
-    from bethestates import identities
+    from bethestates import configs
     ts = compute_ts(p0)
-    enumerate_lambda = identities.enumerate_lambda
+    enumerate_lambda = configs.enumerate_lambda
     for cut in (cutoff,) if smaller is None else (cutoff, smaller):
         levels = []
-        monkeypatch.setattr(identities, "enumerate_lambda",
+        monkeypatch.setattr(configs, "enumerate_lambda",
                             lambda ts_, l: levels.append(l) or enumerate_lambda(ts_, l))
         lhs = fermionic_sum(ts, cut)
         monkeypatch.undo()

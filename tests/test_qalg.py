@@ -5,7 +5,8 @@ from math import isqrt
 import pytest
 
 from bethestates.qalg import (QPolynomial, QSeries, _qfactorial_sum, div_steps, gauss_binomial,
-                              mul_lists, pochhammer, product_expand, qsum, shifted_product)
+                              gauss_general, mul_lists, pochhammer, product_expand, qsum,
+                              shifted_product)
 from bethestates.util import PreconditionError
 
 
@@ -335,6 +336,25 @@ def test_gauss_matches_pascal_oracle():
     for m in range(31):
         for n in range(m + 1):
             assert gauss_binomial(m, n) == rows[m][n], (m, n)
+
+
+def test_gauss_general_negative_tops_follow_q_pascal_downward():
+    # the q-Pascal rule [t, b] = [t-1, b-1] + q**b [t-1, b] holds for every
+    # integer top, so run downward from the oracle's row at top 0 as
+    # [t-1, b] = q**-b ([t, b] - [t-1, b-1]) it gives tops -1..-15 without
+    # the negation identity; base q**-1 inverts the exponents
+    width = 13
+    row = pascal_rows(0)[0] + [QPolynomial.zero()] * (width - 1)
+    for top in range(-1, -16, -1):
+        below = [QPolynomial.one()]
+        for b in range(1, width):
+            below.append((row[b] - below[b - 1]).shift(-b))
+        row = below
+        for b, want in enumerate(row):
+            assert gauss_general(top, b) == want, (top, b)
+            inverted = {-e: c for e, c in want.terms.items()}
+            got = gauss_general(top, b, -1)
+            assert type(got) is QPolynomial and got.terms == inverted, (top, b)
 
 
 def test_gauss_at_one_is_binomial():

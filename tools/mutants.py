@@ -66,6 +66,14 @@ MUTANTS = [
     ("linear_form's level step one level on", "spectral.py",
      "(big_n - 2 * l) * q // p", "(big_n - 2 * l - 2) * q // p",
      ("tests/test_configs.py::test_linear_form_is_the_fraction_definition_at_every_level",)),
+    # the stall guard turns an endless pass into a failed test
+    ("live_levels' step without the [s_k < 0] c term", "identities.py",
+     "e += 2 * gamma + g_kk * (2 * c - 1) + half * c",
+     "e += 2 * gamma + g_kk * (2 * c - 1)", (CRITERION_07,)),
+    ("gauss_general's negation shift b (b + 1)/2", "qalg.py",
+     "b * (b - 1) // 2", "b * (b + 1) // 2",
+     ("tests/test_identities.py::test_gauss_general_negative_top",
+      "tests/test_qalg.py::test_gauss_general_negative_tops_follow_q_pascal_downward")),
 ]
 
 

@@ -3,14 +3,16 @@
 Every XXX configuration nu is paired with the XXZ configuration
 (nu, floor(s_sum - |nu|)); the other admissible club counts are its
 descendants.  The checks below verify, exhaustively over a chain, the
-containment and equality claims behind the pairing plus the global count
-identity, and report failures instead of raising.
+containment and equality claims behind the pairing and, level by level,
+its count at q = 1 against oracle's two completeness reports; they report
+failures instead of raising.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import floor
 
 from . import configs, oracle
@@ -106,7 +108,8 @@ def verify_pairing(ts: TSData, chain: ChainSpec) -> PairingReport:
     (b) downward closure in the club count, all levels;
     (c) on the zero-floor window the first p0-2 vacancies agree and the two
         tail vacancies take their closed forms;
-    (d) the global count identity against the multiplicity oracle.
+    (d) the count at q = 1, level by level: XXZ at l equals XXX summed over
+        l' <= min(l, N - l), both from oracle's completeness reports, which match.
     Failures are collected, not raised.
     """
     p0 = _require_treated_case(ts, chain)
@@ -156,18 +159,15 @@ def verify_pairing(ts: TSData, chain: ChainSpec) -> PairingReport:
                     f"nu={nu.parts}: descendants {tuple(descendants)} exceed "
                     f"printed bound {rat_str(printed_hi)}")
 
-    xxz_formula = sum(configs.count_xxz_general(ts, chain, l) for l in range(n + 1))
-    weights = oracle._weight_counts(mu)   # sl2 multiplicity at l: weights[l] - weights[l - 1]
-    xxx_weighted = sum((n - 2 * l + 1) * (weights[l] - (weights[l - 1] if l else 0))
-                       for l in range(n // 2 + 1))
-    dim = chain.dimension()
-    ok_d = xxz_formula == xxx_weighted == dim
-    fail_d = [] if ok_d else [(xxz_formula, xxx_weighted, dim)]
+    xxz, xxx = oracle.check_completeness_xxz(ts, chain), oracle.check_completeness_xxx(chain)
+    below = list(accumulate(c for _, c, _ in xxx.per_l))
+    fail_d = [f"{r.kind} completeness unmatched" for r in (xxz, xxx) if not r.matched] + [
+        (l, c, below[min(l, n - l)]) for l, c, _ in xxz.per_l if c != below[min(l, n - l)]]
 
     checks = (
         CheckResult("vacancy_dominance", not fail_a, tuple(fail_a)),
         CheckResult("downward_closure", not fail_b, tuple(fail_b)),
         CheckResult("window_equality", not fail_c, tuple(fail_c)),
-        CheckResult("global_count", ok_d, tuple(fail_d)),
+        CheckResult("global_count", not fail_d, tuple(fail_d)),
     )
     return PairingReport(chain, checks, tuple(range_notes))

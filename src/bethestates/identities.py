@@ -12,7 +12,8 @@ least exponent passes the cutoff.  Both prunes are sound as G >= 0
 entrywise, that is r >= 0, which spectral.scaled_form checks.  Each vector
 goes to qalg._qfactorial_sum as its exponent and its q-factorials, and that
 fold divides each shared q-factorial once.  Every sum of terms goes through
-qalg.qsum, and every Gaussian binomial is qalg.gauss_general.
+qalg.qsum but the bosonic k-loop, which adds each k's divided term to the sum
+so far; every Gaussian binomial is qalg.gauss_general.
 The bosonic side is an alternating double sum whose kernel polynomials are
 the same for every rational p0.  For integer p0 the bosonic side collapses
 further to the classical Gordon-Andrews alternating sum and, via the Jacobi
@@ -240,16 +241,12 @@ def gordon_andrews_sum(ts: TSData, cutoff) -> QSeries:
     """1 + sum over k of (-1)**k q**(k^2 p0 + k(k-1)/2) (1 + q**k), integer p0."""
     p0 = ts.integer_p0("this form")
     cutoff = as_exp(cutoff)
-    acc = QSeries.one(cutoff)
-    k = 1
-    while True:
+    terms = [(0, 1)]
+    for k in count(1):
         e = k * k * p0 + k * (k - 1) // 2
         if e > cutoff:
-            break
-        poly = QPolynomial({Fraction(e): (-1) ** k, Fraction(e + k): (-1) ** k})
-        acc = acc + poly.truncated(cutoff)
-        k += 1
-    return acc
+            return QSeries(terms, cutoff)
+        terms += [(e, (-1) ** k), (e + k, (-1) ** k)]
 
 
 def gordon_andrews_products(ts: TSData, cutoff) -> tuple:

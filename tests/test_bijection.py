@@ -222,8 +222,8 @@ def test_verify_pairing_report_shape():
 
 
 def test_verify_pairing_runs_one_weight_dp(monkeypatch):
-    # the global count reads the sl2 multiplicity of every level from one
-    # pass of the weight DP
+    # the global count reads the XXZ completeness report, which ties every
+    # level's count to one pass of the weight DP
     calls = []
     weight_counts = oracle._weight_counts
     monkeypatch.setattr(oracle, "_weight_counts",
@@ -231,3 +231,28 @@ def test_verify_pairing_runs_one_weight_dp(monkeypatch):
     rep = verify_pairing(compute_ts(8), ChainSpec(8, [(1, 7)]))
     assert rep.all_passed
     assert calls == [(1,) * 7]
+
+
+@pytest.mark.parametrize("name, shift, levels, report", [
+    # one more XXX state at level 2: every XXZ level l with min(l, N - l) >= 2
+    ("count_xxx", {2: 1}, list(range(2, 9)), "xxx completeness unmatched"),
+    # one XXZ state moved from level 2 to level 1 keeps the level sum at dim
+    ("count_xxz_general", {1: 1, 2: -1}, [1, 2], "xxz completeness unmatched"),
+], ids=["xxx_state_added", "xxz_state_moved"])
+def test_global_count_fails_on_a_wrong_level(monkeypatch, name, shift, levels, report):
+    # the global count compares XXZ with XXX level by level, so a count
+    # moved between levels, or one XXX state too many, fails it at the
+    # levels it reaches; both reports look the counts up in configs
+    from bethestates import configs
+    count = getattr(configs, name)
+
+    def shifted(*args):
+        l = args[0] if name == "count_xxx" else args[2]
+        return count(*args) + shift.get(l, 0)
+
+    monkeypatch.setattr(configs, name, shifted)
+    rep = verify_pairing(compute_ts(9), ChainSpec(9, [(1, 4), (2, 3)]))
+    assert [c.name for c in rep.checks if not c.passed] == ["global_count"]
+    failures = rep.checks[-1].failures
+    assert failures[0] == report
+    assert [f[0] for f in failures[1:]] == levels

@@ -74,6 +74,10 @@ MUTANTS = [
      "b * (b - 1) // 2", "b * (b + 1) // 2",
      ("tests/test_identities.py::test_gauss_general_negative_top",
       "tests/test_qalg.py::test_gauss_general_negative_tops_follow_q_pascal_downward")),
+    ("global count reads the XXX prefix one level short", "bijection.py",
+     "below = list(accumulate(", "below = [0] + list(accumulate(",
+     ("tests/test_bijection.py::test_global_count_fails_on_a_wrong_level",
+      "tests/test_bijection.py::test_verify_pairing_acceptance_chains")),
 ]
 
 

@@ -10,10 +10,11 @@ level so far.  The vectors and their exponents come from the lambda walk of
 configs, which drops a vector at its first component where the partial
 least exponent passes the cutoff.  Both prunes are sound as G >= 0
 entrywise, that is r >= 0, which spectral.scaled_form checks.  Each vector
-goes to qalg._qfactorial_sum as its exponent and its q-factorials, and that
-fold divides each shared q-factorial once.  Every sum of terms goes through
-qalg.qsum but the bosonic k-loop, which adds each k's divided term to the sum
-so far; every Gaussian binomial is qalg.gauss_general.
+goes to qalg._qfactorial_sum as its exponent and its q-factorials; that fold
+makes a base q**-1 its term's shift and sign as the term enters, then
+divides once per shared prefix of the lengths.  Every sum of terms goes
+through qalg.qsum but the bosonic k-loop, which adds each k's divided term
+to the sum so far; every Gaussian binomial is qalg.gauss_general.
 The bosonic side is an alternating double sum whose kernel polynomials are
 the same for every rational p0.  For integer p0 the bosonic side collapses
 further to the classical Gordon-Andrews alternating sum and, via the Jacobi
@@ -143,7 +144,8 @@ def fermionic_sum(ts: TSData, cutoff) -> QSeries:
     Only the levels of live_levels(ts, cutoff) are enumerated; every other
     level has no term within the cutoff.  Each surviving vector of every
     level is the term (lam G lam, its nonzero (lam_k, s_k)) of
-    qalg._qfactorial_sum, which divides each shared q-factorial once.
+    qalg._qfactorial_sum, which makes a base q**-1 the term's shift and
+    sign and divides once per shared prefix of lengths.
     """
     cutoff = as_exp(cutoff)
     signs = ts.signs

@@ -24,9 +24,9 @@ by 1 - q**s needs a cutoff: it is a prefix sum with stride s over the
 coefficients, run per residue class mod s when s is short against the
 window and per s-long block otherwise.  div_steps runs it in place on a
 plain coefficient list, for div_cyclotomic, for _qfactorial_sum, the fold
-over shared q-factorials that sums the fermionic side of identities, and
-for gauss_general, the one Gaussian binomial and its one cache, built on a
-coefficient list cut at its degree.
+of the fermionic side of identities over shared paths of q-factorial
+lengths (a base q**-1 is its term's shift and sign), and for gauss_general,
+the one Gaussian binomial and its one cache, on a list cut at its degree.
 
 QPolynomial is the same type without a cutoff (``cut`` is None): an exact
 finite Laurent-style polynomial.  An operation between polynomials returns
@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import floor, lcm
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 
 from .util import PreconditionError, exact_rational
 
@@ -163,42 +163,39 @@ def qsum(values) -> "QSeries":
 
 def _qfactorial_sum(terms, cutoff) -> "QSeries":
     """The sum of q**e / prod (q**s; q**s)_x over the terms (e, factors), the
-    factors (x, s) with x >= 1 and s = +-1, up to the cutoff.  Precondition:
-    every e is an integer at most floor(cutoff).
+    factors (x, s) with x >= 1 and s = +-1, up to the cutoff, e an integer.
 
-    A term's path is its factors sorted descending, longest first; every
-    prefix of a path is a node of a tree, whose value is its own monomials
-    plus its children's values divided once by its last q-factorial.  The
-    nodes are folded in reverse sorted order, so each comes after all of its
-    descendants and only the ancestors of the node at hand hold values: int
-    lists from their least exponent up to floor(cutoff), added into the
-    parent in place.  As 1/(1 - q**-i) = -q**i/(1 - q**i), a value divided
-    in base q**-1 first moves up by x (x + 1)/2, dropping what passes the
-    cutoff, and changes sign if x is odd.  Only the root becomes a QSeries,
-    with the caller's cutoff.
+    A term enters with e raised by x (x + 1)/2 and a sign (-1)**x for each
+    factor of base q**-1, as 1/(q**-1; q**-1)_x = (-1)**x q**(x (x + 1)/2) /
+    (q; q)_x, and is dropped if e then passes the cutoff.  Its path is its
+    lengths x sorted descending; each prefix of a path is a tree node, whose
+    value is its signed monomials plus its children's values divided once by
+    (q; q)_x, x its last length.  Nodes fold in reverse sorted order, so each
+    comes after its descendants and only the ancestors of the node at hand hold
+    values: int lists from their least exponent up to floor(cutoff), added into
+    the parent in place; the root's becomes a QSeries at the caller's cutoff.
     """
     limit = floor(cutoff)
     groups = {}
     for e, factors in terms:
-        groups.setdefault(tuple(sorted(factors, reverse=True)), []).append(e)
+        sign = 1
+        for x, s in factors:
+            if s < 0:
+                e, sign = e + x * (x + 1) // 2, -sign if x % 2 else sign
+        if e <= limit:
+            path = tuple(sorted([x for x, _ in factors], reverse=True))
+            groups.setdefault(path, []).append((e, sign))
     sums = {}                   # node -> (lo, coefficients of q**lo .. q**limit)
     for node in sorted({path[:i] for path in groups for i in range(len(path) + 1)} | {()},
                        reverse=True):
         lo, c = sums.pop(node, None) or (limit + 1, [])
-        for e in groups.pop(node, ()):
+        for e, sign in groups.pop(node, ()):
             if e < lo:
                 c[:0], lo = [0] * (lo - e), e
-            c[e - lo] += 1
+            c[e - lo] += sign
         if not node:
             return QSeries({lo + i: v for i, v in enumerate(c) if v}, cutoff)
-        x, s = node[-1]
-        if s < 0:
-            t = x * (x + 1) // 2
-            del c[max(len(c) - t, 0):]
-            lo += t
-            if x % 2:
-                c[:] = map(neg, c)
-        div_steps(c, range(1, x + 1))
+        div_steps(c, range(1, node[-1] + 1))
         if c:
             p_lo, p = sums.get(node[:-1]) or (limit + 1, [])
             if lo < p_lo:

@@ -618,15 +618,17 @@ def test_fermionic_sum_equals_per_vector_reference(monkeypatch, p0, cutoff, smal
         assert lhs == reference, cut
 
 
-@pytest.mark.parametrize("p0, cutoff, divisions", [(F(16, 7), 120, 719), (F(55, 34), 60, 112)])
+@pytest.mark.parametrize("p0, cutoff, divisions",
+                         [(F(16, 7), 120, 240), (F(55, 34), 60, 46), (F(16, 7), 240, 773)])
 def test_fermionic_sum_divides_once_per_shared_prefix(monkeypatch, p0, cutoff, divisions):
-    # a live vector's path is its q-factorials (lam_k, s_k), sorted descending;
-    # every distinct nonempty prefix of the paths divides once, for all the
-    # vectors below it, so a division per path would divide shared prefixes
-    # again.  qalg._qfactorial_sum folds the prefixes in reverse sorted order
-    # and divides each by its last q-factorial (q**s; q**s)_x with the one
-    # kernel div_steps on 1 - q**i, i = 1..x, and never through
-    # QSeries.div_cyclotomic
+    # a live vector's path is its nonzero lam_k, sorted descending, without
+    # their bases: qalg._qfactorial_sum makes a base q**-1 its term's shift
+    # and sign as the term enters.  Every distinct nonempty prefix of the
+    # paths divides once, for all the vectors below it; a division per path,
+    # or paths of (lam_k, s_k), would divide shared prefixes again.  The
+    # fold takes the prefixes in reverse sorted order and divides each by
+    # (q; q)_x, x its last length, with the one kernel div_steps on
+    # 1 - q**i, i = 1..x, and never through QSeries.div_cyclotomic
     from bethestates import identities, qalg
     ts = compute_ts(p0)
     prefixes, steps, series_divisions = set(), [], []
@@ -634,7 +636,7 @@ def test_fermionic_sum_divides_once_per_shared_prefix(monkeypatch, p0, cutoff, d
 
     def recorded(ts_, l, cut):
         for e, lam in level_terms(ts_, l, cut):
-            path = sorted(((x, s) for x, s in zip(lam, ts.signs) if x), reverse=True)
+            path = sorted((x for x in lam if x), reverse=True)
             prefixes.update(tuple(path[:i]) for i in range(1, len(path) + 1))
             yield e, lam
 
@@ -645,8 +647,8 @@ def test_fermionic_sum_divides_once_per_shared_prefix(monkeypatch, p0, cutoff, d
                         lambda self, *s: series_divisions.append(s))
     fermionic_sum(ts, cutoff)
     assert len(steps) == len(prefixes) == divisions
-    # in the fold's order, (q**s; q**s)_x is the last factor (x, s) of its prefix
-    assert steps == [tuple(range(1, prefix[-1][0] + 1))
+    # in the fold's order, (q; q)_x is divided at the prefix whose last length is x
+    assert steps == [tuple(range(1, prefix[-1] + 1))
                      for prefix in sorted(prefixes, reverse=True)]
     assert series_divisions == []
 

@@ -254,12 +254,17 @@ def test_div_cyclotomic_mixed_signs_frozen():
         [-2, -2, -4, -1, -3, 1, 4, 5, 11, 12, 18, 22, 28])}
 
 
-def test_qfactorial_sum_matches_each_term_divided_on_its_own():
+def test_qfactorial_sum_matches_each_term_divided_on_its_own(monkeypatch):
     # seeded random terms q**e / prod (q**s; q**s)_x, e <= floor(cutoff), over
     # both bases with repeated factors, given in any order; a small pool of
     # factors makes paths share prefixes, some of which are no term's path.
     # The reference divides each term on its own by QSeries.div_cyclotomic
-    # and sums them with qsum, cut at the caller's cutoff
+    # and sums them with qsum, cut at the caller's cutoff.  The fold divides
+    # once per distinct nonempty prefix of the length paths, the lengths x
+    # sorted descending, of the terms still within the cutoff after the
+    # shift x (x + 1)/2 of each factor of base q**-1: both bases of a length
+    # share one node
+    from bethestates import qalg
     rng = random.Random(20261021)
     pool = [(x, s) for x in (1, 2, 3, 5) for s in (1, -1)]
     shared = bare = pushed_past = 0
@@ -274,11 +279,17 @@ def test_qfactorial_sum_matches_each_term_divided_on_its_own():
         bare += any(p not in paths for p in prefixes)
         pushed_past += sum(e + x * (x + 1) // 2 > cutoff
                            for e, f in terms for x, s in f if s < 0)
+        kept = {tuple(sorted((x for x, _ in f), reverse=True)) for e, f in terms
+                if e + sum(x * (x + 1) // 2 for x, s in f if s < 0) <= limit}
         want = qsum([QSeries.zero(cutoff)] + [
             QSeries.monomial(e, 1, cutoff).div_cyclotomic(
                 *(s * i for x, s in f for i in range(1, x + 1))) for e, f in terms])
-        got = _qfactorial_sum(((e, rng.sample(f, len(f))) for e, f in terms), cutoff)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(qalg, "div_steps", lambda c, s: calls.append(s) or div_steps(c, s))
+            got = _qfactorial_sum(((e, rng.sample(f, len(f))) for e, f in terms), cutoff)
         assert got == want, (terms, cutoff)
+        assert len(calls) == len({p[:i] for p in kept for i in range(1, len(p) + 1)}), terms
     assert shared > 20 and bare > 20 and pushed_past > 20
     # no terms: zero, with the caller's cutoff
     assert _qfactorial_sum([], Fraction(29, 2)) == QSeries.zero(Fraction(29, 2))

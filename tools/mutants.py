@@ -12,7 +12,7 @@ that was there before the mutation.
     python3 tools/mutants.py
 
 Exit status 0 when the control passes and every mutant is caught, 1
-otherwise.  Stdlib only.
+otherwise; the last line gives the total wall time.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -74,6 +74,10 @@ MUTANTS = [
      "b * (b - 1) // 2", "b * (b + 1) // 2",
      ("tests/test_identities.py::test_gauss_general_negative_top",
       "tests/test_qalg.py::test_gauss_general_negative_tops_follow_q_pascal_downward")),
+    ("fold entry without the sign (-1)**x of base q**-1", "qalg.py",
+     "-sign if x % 2 else sign", "sign",
+     ("tests/test_qalg.py::test_qfactorial_sum_matches_each_term_divided_on_its_own",
+      CRITERION_07)),
     ("global count reads the XXX prefix one level short", "bijection.py",
      "below = list(accumulate(", "below = [0] + list(accumulate(",
      ("tests/test_bijection.py::test_global_count_fails_on_a_wrong_level",
@@ -141,7 +145,7 @@ def main() -> int:
     runs = [("control, every snippet replaced by itself", control, named, "passed")]
     runs += [(name, replacer(path, snippet, replacement), tests, "failed")
              for name, path, snippet, replacement, tests in MUTANTS]
-    ok = True
+    ok, start = True, time.monotonic()
     for name, edit, tests, want in runs:
         try:
             outcome, seconds, tail = run_tests(tests, edit)
@@ -152,7 +156,8 @@ def main() -> int:
         if outcome != want:
             print(tail)
             ok = False
-    print("control passed and every mutant caught" if ok else "mutation harness failed")
+    print("control passed and every mutant caught" if ok else "mutation harness failed",
+          f"in {time.monotonic() - start:.1f} s in total")
     return 0 if ok else 1
 
 

@@ -13,8 +13,9 @@ entrywise, that is r >= 0, which spectral.scaled_form checks.  Each vector
 goes to qalg._qfactorial_sum as its exponent and its q-factorials; that fold
 makes a base q**-1 its term's shift and sign as the term enters, then
 divides once per shared prefix of the lengths.  Every sum of terms goes
-through qalg.qsum but the bosonic k-loop, which adds each k's divided term
-to the sum so far; every Gaussian binomial is qalg.gauss_general.
+through qalg.qsum but q_count's, which qalg.sum_of_products forms by
+Kronecker substitution, and the bosonic k-loop, which adds each k's divided
+term to the sum so far; every Gaussian binomial is qalg.gauss_general.
 The bosonic side is an alternating double sum whose kernel polynomials are
 the same for every rational p0.  For integer p0 the bosonic side collapses
 further to the classical Gordon-Andrews alternating sum and, via the Jacobi
@@ -31,7 +32,7 @@ from math import comb, floor
 
 from .configs import _lambda_walk
 from .qalg import (QPolynomial, QSeries, _qfactorial_sum, as_exp, gauss_binomial, gauss_general,
-                   product_expand, qsum, shifted_product)
+                   product_expand, qsum, sum_of_products)
 from .spectral import ChainSpec, linear_form, scaled_form
 from .tsdata import TSData
 from .util import PreconditionError, rat_str, report_header
@@ -48,10 +49,10 @@ def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
     their tops and lam G lam = lam Theta~ lam + l^2/p0 come from the lambda
     walk of configs, whose step only records (top, lam_i, s_i) and drops a
     vector at its first vanishing binomial, 0 <= top < lam_i, before any
-    product is taken.  Each kept vector's binomials (gauss_general, cached)
-    are multiplied once, on integer coefficient lists, by
-    qalg.shifted_product; the terms are added in place on Z by one qsum,
-    shifted once by -l^2/p0.
+    product is taken.  Each kept vector is one term of
+    qalg.sum_of_products, its exponent and its binomials (gauss_general,
+    cached): the level's sum of products on Z, formed on packed integers,
+    then shifted once by -l^2/p0.
     """
     signs = ts.signs
 
@@ -59,8 +60,8 @@ def q_count(ts: TSData, chain: ChainSpec, l: int) -> QPolynomial:
         return None if 0 <= t < x else acc + ((t, x, signs[i]),)
 
     walk = _lambda_walk(ts, l, linear_form(ts, chain, l), step, ())
-    return qsum(shifted_product(e, [gauss_general(*f) for f in acc])
-                for acc, e, _ in walk).shift(-l * l / ts.p0)
+    return sum_of_products((e, [gauss_general(*f) for f in acc])
+                           for acc, e, _ in walk).shift(-l * l / ts.p0)
 
 
 # -- fermionic side --------------------------------------------------------------

@@ -18,8 +18,10 @@ product a*b up to min(cut_a + min(m_b, 0), cut_b + min(m_a, 0)), m the
 minimal exponent (0 for zero), where the unknown tail of one factor,
 shifted by the other's lowest term, begins; and an exact polynomial p times
 a series s is first truncated at s.cutoff - min(p.min_exp(), 0).  mul_lists
-forms the coefficients of every product on plain lists, for __mul__ and for
-shifted_product, the product of q_count's Gaussian binomials.  Dividing
+forms the coefficients of a product on plain lists, for __mul__;
+sum_of_products, q_count's sum of shifted products of Gaussian binomials,
+packs each polynomial into one integer (Kronecker substitution), so a
+whole sum takes integer products and one unpacking.  Dividing
 by 1 - q**s needs a cutoff: it is a prefix sum with stride s over the
 coefficients, run per residue class mod s when s is short against the
 window and per s-long block otherwise.  div_steps runs it in place on a
@@ -37,8 +39,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
-from math import floor, lcm
+from itertools import accumulate, compress, repeat
+from math import floor, lcm, prod
 from operator import add, mul, sub
 
 from .util import PreconditionError, exact_rational
@@ -105,9 +107,9 @@ def div_steps(c: list, steps) -> None:
 
 def mul_lists(a: list, b: list, n: int) -> list:
     """The first n >= 0 coefficients of the product of the coefficient lists
-    a and b, zero past its length: the one multiplication kernel, which
-    QSeries.__mul__ and shifted_product call.  It walks the nonzero entries
-    of the sparser list and adds the other one, scaled, slice-wise."""
+    a and b, zero past its length: the list multiplication kernel, which
+    QSeries.__mul__ calls.  It walks the nonzero entries of the sparser list
+    and adds the other one, scaled, slice-wise."""
     if len(a) - a.count(0) > len(b) - b.count(0):
         a, b = b, a
     out = [0] * n
@@ -118,17 +120,54 @@ def mul_lists(a: list, b: list, n: int) -> list:
     return out
 
 
-def shifted_product(e: int, polys) -> "QPolynomial":
-    """q**e times the product of the polynomials, each on the integer
-    lattice, multiplied on their coefficient lists by mul_lists: one call
-    per polynomial after the first, none for an empty product (q**e)."""
-    c = None
-    for p in polys:
-        if p.den != 1:
-            raise PreconditionError("shifted_product needs polynomials on the integers")
-        e += p.lo
-        c = p.coeffs if c is None else mul_lists(c, p.coeffs, len(c) + len(p.coeffs) - 1)
-    return _new(1, e, [1] if c is None else c, None)
+def sum_of_products(terms) -> "QPolynomial":
+    """The sum over the terms (e, polys) of q**e times the product of the
+    polynomials, each on the integer lattice, by Kronecker substitution.
+
+    B, the sum over the terms of the product of their polynomials' 1-norms
+    (sums of |coefficients|, one per distinct polynomial object), bounds
+    every coefficient of the sum.  With W bytes, 2**(8 W - 1) > B, each
+    distinct polynomial of a term without a zero factor is packed once into
+    its value at X = 2**(8 W); each such term adds the product of its values
+    times X**(its least exponent less the sum's), and the total is unpacked
+    once.  Evaluation at X is a ring map and every coefficient c of the sum
+    has |c| <= B < X/2, so its balanced base-X digits are unique: the result
+    is exact.  The sum of no terms, or of terms that each have a zero factor,
+    is zero.
+    """
+    terms = [(e, list(polys)) for e, polys in terms]
+    norms = {}          # id -> (polynomial, its 1-norm), which keeps the id from reuse
+    for _, polys in terms:
+        for p in polys:
+            if id(p) not in norms:
+                if p.den != 1:
+                    raise PreconditionError("sum_of_products needs polynomials on the integers")
+                norms[id(p)] = p, sum(map(abs, p.coeffs))
+    bound = sum(prod(norms[id(p)][1] for p in polys) for _, polys in terms)
+    if not bound:
+        return _new(1, 0, [], None)
+    w = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * w - 1)
+    pattern = half.to_bytes(w, "little")
+    terms = [(e + sum(p.lo for p in polys), polys) for e, polys in terms
+             if all(p.coeffs for p in polys)]
+    lo = min(e for e, _ in terms)
+    hi = max(e + sum(len(p.coeffs) - 1 for p in polys) for e, polys in terms)
+    packed, total = {}, 0
+    for e, polys in terms:
+        v = 1
+        for p in polys:
+            x = packed.get(id(p))
+            if x is None:
+                raw = b"".join([(c + half).to_bytes(w, "little") for c in p.coeffs])
+                x = packed[id(p)] = (int.from_bytes(raw, "little")
+                                     - int.from_bytes(pattern * len(p.coeffs), "little"))
+            v *= x
+        total += v << 8 * w * (e - lo)
+    n = hi - lo + 1
+    raw = (total + int.from_bytes(pattern * n, "little")).to_bytes(n * w, "little")
+    return _new(1, lo, [int.from_bytes(raw[i:i + w], "little") - half
+                        for i in range(0, n * w, w)], None)
 
 
 def qsum(values) -> "QSeries":
@@ -259,8 +298,8 @@ class QSeries:
     @property
     def terms(self) -> dict:
         """Exponent -> nonzero coefficient, in increasing exponent order."""
-        den, lo = self.den, self.lo
-        return {Fraction(lo + i, den): c for i, c in enumerate(self.coeffs) if c}
+        den, lo, c = self.den, self.lo, self.coeffs
+        return {Fraction(lo + i, den): c[i] for i in compress(range(len(c)), c)}
 
     @property
     def cutoff(self):
@@ -312,7 +351,7 @@ class QSeries:
 
     def __mul__(self, other):
         """The product on the lcm of the two lattices, valid up to the cutoff
-        given in the module docstring; mul_lists, the one multiplication
+        given in the module docstring; mul_lists, the list multiplication
         kernel, forms its coefficients."""
         if isinstance(other, int):
             return _new(self.den, self.lo, [c * other for c in self.coeffs], self.cut)

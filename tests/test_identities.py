@@ -99,27 +99,35 @@ def _equal_up_to_a_monomial(a: QPolynomial, b: QPolynomial) -> bool:
 
 
 def test_q_count_multiplies_only_the_kept_vectors(monkeypatch):
-    # q_count forms each kept vector's product of Gaussian binomials once,
-    # nnz(lam) - 1 list products, and none for a vector dropped at a
-    # vanishing binomial (0 <= top < lam_i) however late; the expected count
-    # comes from enumerate_lambda and the dense tops of _CountContext, not
-    # from the walk: 1,295 at 201/2 with chain 1x16
-    from bethestates import qalg
+    # q_count hands sum_of_products one term per kept vector, the product of
+    # its nnz(lam) Gaussian binomials, and none for a vector dropped at a
+    # vanishing binomial (0 <= top < lam_i) however late; the expected counts
+    # come from enumerate_lambda and the dense tops of _CountContext, not
+    # from the walk: 780 terms with 2,074 polynomials at 201/2 with chain 1x16
+    from bethestates import identities
     from bethestates.configs import _CountContext
     ts = compute_ts(F(201, 2))
     chain = ChainSpec(ts.p0, [(1, 16)])
-    want = 0
+    want_terms = want_polys = 0
     for l in range(chain.n_total + 1):
         ctx = _CountContext(ts, chain, l)
         for lam in enumerate_lambda(ts, l):
             if not any(0 <= t < x for t, x in zip(ctx.tops(lam), lam)):
-                want += max(sum(1 for x in lam if x) - 1, 0)
-    calls = []
-    mul_lists = qalg.mul_lists
-    monkeypatch.setattr(qalg, "mul_lists", lambda *args: calls.append(1) or mul_lists(*args))
+                want_terms += 1
+                want_polys += sum(1 for x in lam if x)
+    seen = []
+    sum_of_products = identities.sum_of_products
+
+    def record(terms):
+        terms = [(e, list(polys)) for e, polys in terms]
+        seen.extend(terms)
+        return sum_of_products(terms)
+
+    monkeypatch.setattr(identities, "sum_of_products", record)
     total = sum(q_count(ts, chain, l).eval_at_one() for l in range(chain.n_total + 1))
     assert total == chain.dimension()
-    assert len(calls) == want == 1295
+    assert len(seen) == want_terms == 780
+    assert sum(len(polys) for _, polys in seen) == want_polys == 2074
 
 
 # The monomial q**c in q_count(1xN, l) = q**c [N, l] for l = 0, 1, ...:

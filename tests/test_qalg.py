@@ -6,7 +6,7 @@ import pytest
 
 from bethestates.qalg import (QPolynomial, QSeries, _qfactorial_sum, div_steps, gauss_binomial,
                               gauss_general, mul_lists, pochhammer, product_expand, qsum,
-                              shifted_product)
+                              sum_of_products)
 from bethestates.util import PreconditionError
 
 
@@ -220,23 +220,43 @@ def test_mul_lists_matches_a_dict_schoolbook_product():
                 (a, b, n)
 
 
-def test_shifted_product_is_the_series_product():
-    # q**e times the product of polynomials on the integers, as the series
-    # product; the empty product is q**e, a zero factor gives zero, and a
+def test_sum_of_products_matches_a_dict_schoolbook():
+    # the sum of q**e times products of polynomials on the integers against
+    # dict products and sums: seeded signed coefficients up to 10**40, offsets
+    # and shifts below zero and polynomial objects shared between terms; a
+    # zero factor, an empty product (q**e), no terms and terms that cancel;
+    # coefficients of 8 bits, which need a slot's spare sign bit; and a
     # polynomial on a finer lattice is refused
-    rng = random.Random(5)
-    for _ in range(30):
-        polys = [poly({rng.randint(-5, 5): rng.randint(-9, 9) for _ in range(rng.randint(1, 4))})
-                 for _ in range(rng.randint(0, 4))]
-        e = rng.randint(-6, 6)
-        want = QPolynomial.monomial(e)
-        for f in polys:
-            want = want * f
-        got = shifted_product(e, polys)
-        assert type(got) is QPolynomial and got == want, (e, polys)
-    assert shifted_product(2, [poly({1: 1}), QPolynomial.zero()]).is_zero()
+    def schoolbook(terms):
+        out = {}
+        for e, factors in terms:
+            term = {e: 1}
+            for d in factors:
+                nxt = {}
+                for a, x in term.items():
+                    for b, y in d.items():
+                        nxt[a + b] = nxt.get(a + b, 0) + x * y
+                term = nxt
+            for k, c in term.items():
+                out[k] = out.get(k, 0) + c
+        return {Fraction(k): c for k, c in sorted(out.items()) if c}
+
+    rng = random.Random(31)
+    cases = [[], [(2, [{1: 1}, {}])], [(0, [{0: 10**30}, {}]), (1, [{0: 3}])], [(-3, [])],
+             [(1, [{0: 1, 1: -1}]), (0, [{1: -1, 2: 1}])], [(0, [{0: 200}])],
+             [(0, [{0: -200}])], [(0, [{0: 100}]), (0, [{0: 100}]), (1, [{0: 1}])],
+             [(0, [{0: 127}]), (-1, [{1: -128}])]]
+    for _ in range(60):
+        pool = [{rng.randint(-5, 5): rng.choice((-1, 1)) * rng.randint(0, 10 ** rng.randint(0, 40))
+                 for _ in range(rng.randint(1, 5))} for _ in range(4)]
+        cases.append([(rng.randint(-6, 6), [pool[rng.randrange(4)] for _ in range(rng.randint(0, 3))])
+                      for _ in range(rng.randint(0, 6))])
+    for terms in cases:
+        polys = {id(d): poly(d) for _, factors in terms for d in factors}
+        got = sum_of_products((e, [polys[id(d)] for d in factors]) for e, factors in terms)
+        assert type(got) is QPolynomial and got.terms == schoolbook(terms), terms
     with pytest.raises(PreconditionError):
-        shifted_product(0, [QPolynomial.monomial(Fraction(1, 2))])
+        sum_of_products([(0, [QPolynomial.monomial(Fraction(1, 2))])])
 
 
 def test_div_cyclotomic_mixed_signs_frozen():

@@ -58,7 +58,7 @@ MUTANTS = [
     ("walk reads B after lowering it", "configs.py",
      "g = r * b + n * rs", "g = r * (b - n * x) + n * rs", (CRITERION_04,)),
     # gauss_general(0, x) is zero, so the output cannot show this one; the
-    # count of list products does
+    # count of terms and polynomials that reach sum_of_products does
     ("q_count drops at 0 < t instead of 0 <= t", "identities.py",
      "return None if 0 <= t < x else acc + ((t, x, signs[i]),)",
      "return None if 0 < t < x else acc + ((t, x, signs[i]),)",
@@ -74,6 +74,9 @@ MUTANTS = [
      "b * (b - 1) // 2", "b * (b + 1) // 2",
      ("tests/test_identities.py::test_gauss_general_negative_top",
       "tests/test_qalg.py::test_gauss_general_negative_tops_follow_q_pascal_downward")),
+    ("sum_of_products' slot width without its spare sign bit", "qalg.py",
+     "(bound.bit_length() + 8) // 8", "(bound.bit_length() + 7) // 8",
+     ("tests/test_qalg.py::test_sum_of_products_matches_a_dict_schoolbook",)),
     ("fold entry without the sign (-1)**x of base q**-1", "qalg.py",
      "-sign if x % 2 else sign", "sign",
      ("tests/test_qalg.py::test_qfactorial_sum_matches_each_term_divided_on_its_own",

@@ -511,18 +511,3 @@ def render_xxz(record: XXZRecord) -> str:
     if not lines:
         lines.append(f"(empty)  {vac[p0 - 1]}")
     return "\n".join(lines)
-
-
-def render_xxx(nu: Partition, mu) -> str:
-    vac = xxx_vacancies(nu, mu)
-    lines = []
-    seen = set()
-    for p in nu.parts:
-        row = "#" * p
-        if p not in seen:
-            seen.add(p)
-            row += f"  {vac[p - 1]}"
-        lines.append(row)
-    if not lines:
-        lines.append("(empty)")
-    return "\n".join(lines)

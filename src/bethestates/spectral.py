@@ -1,9 +1,11 @@
 """Exact linear algebra for the string coupling matrix and vacancy forms.
 
 The symmetric tridiagonal integer matrix C (the inverse coupling matrix) is
-built zone by zone; its exact inverse Theta defines the quadratic form
-B = 2*Theta.  The continuant recurrence for the leading minors of C gives
-|det C| = den in integers, and with the trailing minors the signed adjugate
+built from the zone ends and the parities s_j, and the offset vector from
+s_j and the lengths n_j, both read from TSData.signs and string_weights.
+Its exact inverse Theta defines the quadratic form B = 2*Theta.  The
+continuant recurrence for the leading minors of C gives |det C| = den in
+integers, and with the trailing minors the signed adjugate
 den * Theta, so no dense elimination is needed.  The parity matrix E and
 the offset vector b complete the linear form whose j-th component equals
 P_j(lambda) + lambda_j.  scaled_form is the one coding of the integer
@@ -25,8 +27,7 @@ from functools import lru_cache
 from itertools import groupby
 from operator import mul
 
-from .tsdata import (TSData, admissible_spin, admissible_spins, phase_shift,
-                     string_length, string_weights, zone)
+from .tsdata import TSData, admissible_spin, admissible_spins, phase_shift, string_weights
 from .util import PreconditionError, check_level, exact_rational, frac_part, integral
 
 # Widest string data (number of string types) accepted.  scaled_form is O(dim);
@@ -147,7 +148,9 @@ class ChainSpec:
 
 
 def coupling_bands(ts: TSData) -> tuple:
-    """Diagonal and off-diagonal of the coupling inverse, fixed by the zones.
+    """Diagonal and off-diagonal of the coupling inverse, from the parities
+    s_j of TSData.signs: diag_j = s_j on the last type of each zone and on
+    type dim, 2 s_j elsewhere, and off_j = -s_j for j >= 2.
 
     String data wider than MAX_DIM is rejected here, before any caller builds
     a matrix.
@@ -158,18 +161,9 @@ def coupling_bands(ts: TSData) -> tuple:
     if dim > MAX_DIM:
         raise PreconditionError(
             f"string data too wide: dim {dim} exceeds the ceiling of {MAX_DIM}")
-    diag, off = [], []
-    for j in range(1, dim + 1):
-        i = zone(ts, j)
-        if j == ts.m(ts.alpha + 1):
-            diag.append((-1) ** (ts.alpha + 1))
-        elif j == ts.m(i + 1) - 1:
-            diag.append((-1) ** i)
-        else:
-            diag.append(2 * (-1) ** i)
-        if j >= 2:
-            off.append(-((-1) ** i))
-    return diag, off
+    ends = {m - 1 for m in ts.bounds[1:]} | {dim}
+    diag = [s if j in ends else 2 * s for j, s in enumerate(ts.signs, 1)]
+    return diag, [-s for s in ts.signs[1:]]
 
 
 def coupling_inverse(ts: TSData) -> RationalMatrix:
@@ -322,10 +316,9 @@ def coupling_matrix(ts: TSData) -> RationalMatrix:
 def _phase_vector(ts: TSData, chain: ChainSpec) -> tuple:
     """(s_j n_j, s_j sum_m 2 N_m Phi(j, 2s_m)) for j = 1..dim: the parts of
     the offset vector that do not depend on the level, once per chain."""
-    return tuple((sign * string_length(ts, Fraction(j)),
-                  sign * sum(2 * phase_shift(ts, j, two_s) * count
-                             for two_s, count in chain.species))
-                 for j, sign in enumerate(ts.signs, 1))
+    return tuple((sign * n, sign * sum(2 * phase_shift(ts, j, two_s) * count
+                                       for two_s, count in chain.species))
+                 for j, (sign, n) in enumerate(zip(ts.signs, string_weights(ts)), 1))
 
 
 def offset_vector(ts: TSData, chain: ChainSpec, l: int):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .util import PreconditionError, exact_rational
+from .util import PreconditionError, check_int, exact_rational
 
 
 @dataclass(frozen=True)
@@ -190,24 +190,23 @@ def admissible_spins(ts: TSData) -> list:
 def phase_shift(ts: TSData, k: int, two_s: int) -> Fraction:
     """Scattering phase Phi between string type k and a spin with 2s = two_s.
 
-    The spin enters through the position chi with string length 2s+1; both
-    the length and the remainder are evaluated on chi's own zone, which keeps
+    Type k's length n_k and parity s_k are read from string_weights and
+    TSData.signs.  The spin enters through the position chi with string
+    length 2s+1; its remainder is evaluated on chi's own zone, which keeps
     the boundary case 2s+1 = y_{i+1} consistent.
     """
+    check_int(k, "string index")
     if not (1 <= k <= ts.dim):
         raise PreconditionError(f"string index out of range: {k}")
     if two_s < 1:
         raise PreconditionError("two_s must be a positive integer")
     chi, zi = _string_position_zone(ts, two_s + 1)
-    n_chi = Fraction(two_s + 1)
     q_chi = _zone_remainder(ts, chi, zi)
-    n_k = string_length(ts, Fraction(k))
-    q_k = cf_remainder(ts, Fraction(k))
+    n_k = string_weights(ts)[k - 1]
+    q_k = cf_remainder(ts, k)
     if n_k > two_s:
-        return q_k * (1 - n_chi) / (2 * ts.p0)
-    r = zone(ts, k)
-    half = Fraction(-1, 2) if r % 2 == 0 else Fraction(1, 2)
-    return (q_k - q_chi * n_k) / (2 * ts.p0) + half
+        return q_k * -two_s / (2 * ts.p0)
+    return (q_k - q_chi * n_k) / (2 * ts.p0) - Fraction(ts.signs[k - 1], 2)
 
 
 def length_table(ts: TSData):

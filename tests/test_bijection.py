@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -256,3 +257,57 @@ def test_global_count_fails_on_a_wrong_level(monkeypatch, name, shift, levels, r
     failures = rep.checks[-1].failures
     assert failures[0] == report
     assert [f[0] for f in failures[1:]] == levels
+
+
+def pairing_failures(monkeypatch, edit) -> dict:
+    """Each check's failures from verify_pairing at p0 = 9, chain 1x4,2x3,
+    with every level's census passed through edit(l, records) on its way
+    from configs to bijection."""
+    from bethestates import configs
+    census = configs.enumerate_xxz_int
+    monkeypatch.setattr(configs, "enumerate_xxz_int",
+                        lambda ts, chain, l: edit(l, census(ts, chain, l)))
+    rep = verify_pairing(compute_ts(9), ChainSpec(9, [(1, 4), (2, 3)]))
+    return {c.name: c.failures for c in rep.checks}
+
+
+EMPTY = (0,) * 8
+
+
+def test_vacancy_dominance_fails_on_a_raised_xxz_vacancy(monkeypatch):
+    # the empty configuration at level 0 has P_1 = 6 against the XXX
+    # vacancy 7; raised to 8 it dominates.  Level 0 lies outside the window
+    # of (c), where N - 2l = 10 >= p0, and (b) reads only which
+    # configurations are admissible, so both still pass, as does (d)
+    def raise_p1(l, records):
+        return [replace(r, vacancies=(8, *r.vacancies[1:])) if l == 0 else r
+                for r in records]
+
+    failures = pairing_failures(monkeypatch, raise_p1)
+    assert failures == {"vacancy_dominance": ((0, XXZConfig(EMPTY, 0), 1),),
+                        "downward_closure": (), "window_equality": (), "global_count": ()}
+
+
+def test_downward_closure_fails_on_a_dropped_club_count(monkeypatch):
+    # without the empty configuration at level 0, the one club at level 1
+    # has no admissible configuration one club below it.  (a) no longer sees
+    # the dropped configuration, (c) never reads it (level 0 is outside its
+    # window), and (d) counts through oracle, not the census
+    failures = pairing_failures(monkeypatch, lambda l, records: records if l else [])
+    assert failures == {"vacancy_dominance": (),
+                        "downward_closure": ((1, XXZConfig(EMPTY, 1)),),
+                        "window_equality": (), "global_count": ()}
+
+
+def test_window_equality_fails_on_a_lowered_xxz_vacancy(monkeypatch):
+    # nu = (1) with no club sits on the window (N - 2l = 8 < p0), where P_1
+    # must equal the XXX vacancy 5; lowered to 4 it differs, which the
+    # inequality of (a) allows, and (b) and (d) do not read vacancies
+    def lower_p1(l, records):
+        return [replace(r, vacancies=(4, *r.vacancies[1:]))
+                if r.cfg == XXZConfig((1, *EMPTY[1:]), 0) else r for r in records]
+
+    failures = pairing_failures(monkeypatch, lower_p1)
+    assert failures == {"vacancy_dominance": (), "downward_closure": (),
+                        "window_equality": ((Partition((1,)), 0, "P_1 differs"),),
+                        "global_count": ()}

@@ -63,6 +63,28 @@ def test_identity_ok(capsys):
     assert "agree=True" in out
 
 
+def test_identity_mismatch_reports_the_first_discrepancy(capsys, monkeypatch):
+    # at p0 = 2 both sides read 1 - q^2 - q^3 + q^9 up to q^10; one bosonic
+    # coefficient raised by 1 at q^3 is the first term where they differ
+    from bethestates import identities
+    from bethestates.qalg import QSeries
+    bosonic = identities.bosonic_sum
+    monkeypatch.setattr(identities, "bosonic_sum",
+                        lambda ts, cutoff: bosonic(ts, cutoff) + QSeries({3: 1}, cutoff))
+    argv = ["identity", "--p0", "2", "--cutoff", "10"]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (1, "")
+    assert "agree=False" in captured.out
+    assert "first discrepancy at q^3: lhs=-1 rhs=0" in captured.out
+    rc = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (1, "")
+    data = json.loads(captured.out)
+    assert data["agree"] is False
+    assert data["first_discrepancy"] == {"exponent": "3", "lhs": -1, "rhs": 0}
+
+
 def test_completeness_ok(capsys):
     rc, out = run_cli(capsys, ["completeness", "--p0", "6", "--chain", "3x5"])
     assert rc == 0

@@ -13,7 +13,7 @@ import pytest
 from bethestates.configs import (GeneralCount, Partition, XXZConfig, _CountContext,
                                  count_xxx, count_xxz_general, count_xxz_general_detailed,
                                  enumerate_lambda, enumerate_xxx_configs, enumerate_xxx_rigged,
-                                 enumerate_xxz_int, partitions, render_xxx,
+                                 enumerate_xxz_int, partitions,
                                  render_xxz, signed_binom, string_weights,
                                  xxx_config_count, xxx_vacancies, xxx_vacancy,
                                  xxz_vacancy_int)
@@ -744,4 +744,3 @@ def test_render_diagrams():
     assert lines[0] == "#  3"
     assert lines[1] == "♣  0"
     assert lines[2] == "♣"
-    assert render_xxx(Partition((3, 2)), MU25).splitlines() == ["###  0", "##  2"]

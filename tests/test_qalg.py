@@ -164,6 +164,12 @@ def test_div_zero_series_is_zero():
 def test_div_step_zero_rejected():
     with pytest.raises(PreconditionError):
         QSeries.one(5).div_cyclotomic(0)
+    # an exact polynomial has no cutoff to stop the geometric series at, and
+    # a series cannot be extended past its own cutoff
+    with pytest.raises(PreconditionError, match="needs a cutoff"):
+        QPolynomial.one().div_cyclotomic(1)
+    with pytest.raises(PreconditionError, match="cannot extend"):
+        QSeries.one(5).truncated(6)
 
 
 def schoolbook(a, b, n):

@@ -233,3 +233,12 @@ def test_phase_probe_value():
     # p0 = 6, k = 3, 2s = 3: the closed form gives 2*Phi = 9/6 - 3 = -3/2
     ts = compute_ts(6)
     assert 2 * phase_shift(ts, 3, 3) == F(-3, 2)
+
+
+def test_phase_shift_rejects_a_non_int_index():
+    # k indexes the per-type lengths and parities, so an integral Fraction
+    # or float is rejected rather than evaluated
+    ts = compute_ts(6)
+    for k in (F(3), 3.0):
+        with pytest.raises(PreconditionError, match="string index must be an integer"):
+            phase_shift(ts, k, 3)

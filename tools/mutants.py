@@ -85,6 +85,23 @@ MUTANTS = [
      "below = list(accumulate(", "below = [0] + list(accumulate(",
      ("tests/test_bijection.py::test_global_count_fails_on_a_wrong_level",
       "tests/test_bijection.py::test_verify_pairing_acceptance_chains")),
+    ("vacancy dominance reads the XXZ vacancy one type late", "bijection.py",
+     "xxx[min(j, len(xxx)) - 1] < vac[j - 1]", "xxx[min(j, len(xxx)) - 1] < vac[j]",
+     ("tests/test_bijection.py::test_vacancy_dominance_fails_on_a_raised_xxz_vacancy",)),
+    ("downward closure looks up the configuration itself", "bijection.py",
+     "XXZConfig(cfg.lam, cfg.clubs - 1) not in census",
+     "XXZConfig(cfg.lam, cfg.clubs) not in census",
+     ("tests/test_bijection.py::test_downward_closure_fails_on_a_dropped_club_count",)),
+    ("window equality checks one side only", "bijection.py",
+     "if vac[j - 1] != xxx[min(j, len(xxx)) - 1]:",
+     "if vac[j - 1] > xxx[min(j, len(xxx)) - 1]:",
+     ("tests/test_bijection.py::test_window_equality_fails_on_a_lowered_xxz_vacancy",)),
+    ("coupling bands without type dim among the zone ends", "spectral.py",
+     "ends = {m - 1 for m in ts.bounds[1:]} | {dim}", "ends = {m - 1 for m in ts.bounds[1:]}",
+     ("tests/test_spectral.py::test_coupling_inverse_16_7_matches_printed",)),
+    ("phase_shift's half term with its sign flipped", "tsdata.py",
+     "- Fraction(ts.signs[k - 1], 2)", "+ Fraction(ts.signs[k - 1], 2)",
+     ("tests/test_tsdata.py::test_phase_matches_integer_closed_forms",)),
 ]
 
 
